@@ -28,7 +28,6 @@ __all__ = [
     "NonInvariantError",
     "coupled_basis",
     "projector",
-    "tensor_component",
     "invariant_q",
     "from_alpha",
     "from_beta",
@@ -108,11 +107,6 @@ def _projector_cached(system: SpinPair, tj: int) -> np.ndarray:
 def projector(system: SpinPair, J) -> np.ndarray:
     """P_J = sum_M |J M><J M|: Hermitian idempotent with trace 2J+1."""
     return _projector_cached(system, halfint(J).twice)
-
-
-def tensor_component(j, K: int, q: int) -> np.ndarray:
-    """Dense T_{K,q} for a single spin j (rows/cols m descending)."""
-    return _tensor_matrix(halfint(j).twice, K, q)
 
 
 @lru_cache(maxsize=None)

@@ -26,11 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .maps import breuer_detects, partial_time_reversal
 from .radical import ExactRadical
 from .states import (
     DEFAULT_TOL,
@@ -77,13 +76,20 @@ class NamedPoint:
 
     def flipped(self, label: str) -> "NamedPoint":
         """The partial-time-reversal image (odd-K signs change)."""
-        exact = tuple(-e if k % 2 else e for k, e in enumerate(self.exact))
-        return NamedPoint(label, partial_time_reversal(self.beta), exact)
+        def flip(values):
+            return tuple(-v if k % 2 else v for k, v in enumerate(values))
+        return NamedPoint(label, BetaVector(self.system, flip(self.beta.coords)),
+                          flip(self.exact))
 
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """Affine functional constant + sum_K coeff_{2K} beta_{2K} over even K >= 2."""
+    """Affine functional constant + sum_K coeff_{2K} beta_{2K} over even K >= 2.
+
+    The coefficients may all vanish: at 4 x 5 the face alpha_{J=1/2} = 0
+    misses the theta_1-invariant line and its functional is the constant
+    L[0, J=1/2] > 0.
+    """
 
     system: SpinPair
     label: str
@@ -95,8 +101,6 @@ class Hyperplane:
     def __post_init__(self):
         if len(self.coeffs) != (self.system.n1 - 2) // 2:
             raise ValueError("one coefficient per even coordinate beta_2..beta_{n1-2}")
-        if not any(self.coeffs):
-            raise ValueError("hyperplane must have a nonzero coefficient")
 
     def evaluate_even(self, x) -> np.ndarray | float:
         """Evaluate on even coordinates (beta_2, ..., beta_{n1-2})."""
@@ -168,11 +172,28 @@ def _scaled_coords(n: int) -> dict[str, tuple[Fraction, Fraction, Fraction]]:
     }
 
 
-def _named_point(n: int, label: str, scaled) -> NamedPoint:
-    units = _radial_units(n)
-    exact = (ExactRadical.one(),) + tuple(u.scale(c) for u, c in zip(units, scaled))
-    beta = BetaVector(SpinPair(4, n), tuple(float(e) for e in exact))
-    return NamedPoint(label, beta, exact)
+def _exact_point(label: str, system: SpinPair, exact) -> NamedPoint:
+    exact = tuple(exact)
+    return NamedPoint(label, BetaVector(system, tuple(float(e) for e in exact)), exact)
+
+
+def _exact_plane(system: SpinPair, label: str, const: ExactRadical, coeffs) -> Hyperplane:
+    coeffs = tuple(coeffs)
+    return Hyperplane(system, label, float(const), tuple(float(c) for c in coeffs),
+                      const, coeffs)
+
+
+def _points_and_flips(n: int, labels: str) -> dict[str, NamedPoint]:
+    """The closed-form 4 x N points X and their time-reversal images X'."""
+    if n < 4:
+        raise ValueError(f"4 x N geometry needs N >= 4, got {n}")
+    units, coords = _radial_units(n), _scaled_coords(n)
+    out: dict[str, NamedPoint] = {}
+    for label in labels:
+        exact = (ExactRadical.one(),) + tuple(u.scale(c) for u, c in zip(units, coords[label]))
+        out[label] = _exact_point(label, SpinPair(4, n), exact)
+        out[label + "'"] = out[label].flipped(label + "'")
+    return out
 
 
 def vertices_4xn(n: int) -> dict[str, NamedPoint]:
@@ -182,15 +203,7 @@ def vertices_4xn(n: int) -> dict[str, NamedPoint]:
     basis change L; each equals alpha_to_beta of the matching extreme
     point.
     """
-    if n < 4:
-        raise ValueError(f"4 x N geometry needs N >= 4, got {n}")
-    coords = _scaled_coords(n)
-    out: dict[str, NamedPoint] = {}
-    for label in "ABCD":
-        point = _named_point(n, label, coords[label])
-        out[label] = point
-        out[label + "'"] = point.flipped(label + "'")
-    return out
+    return _points_and_flips(n, "ABCD")
 
 
 def intersection_points_4xn(n: int) -> dict[str, NamedPoint]:
@@ -200,26 +213,15 @@ def intersection_points_4xn(n: int) -> dict[str, NamedPoint]:
     state tetrahedron with its time-reversal image; each lies on the
     boundary of both (its alpha and the alpha of its flip have a zero).
     """
-    if n < 4:
-        raise ValueError(f"4 x N geometry needs N >= 4, got {n}")
-    coords = _scaled_coords(n)
-    out: dict[str, NamedPoint] = {}
-    for label in "EFG":
-        point = _named_point(n, label, coords[label])
-        out[label] = point
-        out[label + "'"] = point.flipped(label + "'")
-    return out
+    return _points_and_flips(n, "EFG")
 
 
 def named_points_4xn(n: int) -> dict[str, NamedPoint]:
     """All labelled 4 x N points: A..D, E..G, primes, and the midpoint D''."""
     out = vertices_4xn(n)
     out.update(intersection_points_4xn(n))
-    units = _radial_units(n)
-    exact = (ExactRadical.one(), ExactRadical.zero(), units[1], ExactRadical.zero())
-    out["D''"] = NamedPoint(
-        "D''", BetaVector(SpinPair(4, n), tuple(float(e) for e in exact)), exact
-    )
+    exact = (ExactRadical.one(), ExactRadical.zero(), _radial_units(n)[1], ExactRadical.zero())
+    out["D''"] = _exact_point("D''", SpinPair(4, n), exact)
     return out
 
 
@@ -247,14 +249,7 @@ def gamma_hyperplane(system: SpinPair) -> Hyperplane:
     for k in range(1, _even_count(system) + 1):
         c = six_j(j1, j2, jmin, j2, j1, 2 * k) * ExactRadical.sqrt(4 * k + 1)
         coeffs.append(c.scale(Fraction(2 * sign, system.n1 - 2)))
-    return Hyperplane(
-        system=system,
-        label="Gamma",
-        constant=float(const),
-        coeffs=tuple(float(c) for c in coeffs),
-        exact_constant=const,
-        exact_coeffs=tuple(coeffs),
-    )
+    return _exact_plane(system, "Gamma", const, coeffs)
 
 
 def d_tilde_point(system: SpinPair) -> NamedPoint:
@@ -278,8 +273,7 @@ def d_tilde_point(system: SpinPair) -> NamedPoint:
                 system.dim * (2 * k + 1)
             )
             exact.append(val.scale(sign))
-    beta = BetaVector(system, tuple(float(e) for e in exact))
-    return NamedPoint("D~''", beta, tuple(exact))
+    return _exact_point("D~''", system, exact)
 
 
 def theta1_polytope(system: SpinPair) -> tuple[Hyperplane, ...]:
@@ -289,25 +283,25 @@ def theta1_polytope(system: SpinPair) -> tuple[Hyperplane, ...]:
     state iff every returned functional is >= 0 at (beta_2, ..., beta_{n1-2}).
     """
     _require_even(system, "theta1_polytope")
-    l = build_l_matrix(system)
-    planes = []
-    for j_idx, j in enumerate(system.j_values()):
-        const = l.exact[0][j_idx]
-        coeffs = tuple(l.exact[2 * k][j_idx] for k in range(1, _even_count(system) + 1))
-        planes.append(Hyperplane(
-            system=system,
-            label=f"alpha[J={j}]=0",
-            constant=float(const),
-            coeffs=tuple(float(c) for c in coeffs),
-            exact_constant=const,
-            exact_coeffs=coeffs,
-        ))
-    return tuple(planes)
+    l = build_l_matrix(system).exact
+    return tuple(
+        _exact_plane(system, f"alpha[J={j}]=0", l[0][j_idx],
+                     (l[2 * k][j_idx] for k in range(1, _even_count(system) + 1)))
+        for j_idx, j in enumerate(system.j_values())
+    )
 
 
 # ---------------------------------------------------------------------------
 # the invariant segment and detection threshold (4 x N)
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _beta2(n: int, label: str) -> float:
+    """beta_2 of a labelled 4 x N point, without building the point."""
+    if n < 4:
+        raise ValueError(f"4 x N geometry needs N >= 4, got {n}")
+    return float(_radial_units(n)[1].scale(_scaled_coords(n)[label][1]))
+
 
 def segment_detection_threshold(n: int) -> float:
     """t* = (N-2)(N+5) / ((N-1)(N+4)): the Breuer flip point on E''G''.
@@ -328,9 +322,7 @@ def segment_state_4xn(n: int, t: float) -> BetaVector:
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    points = intersection_points_4xn(n)
-    e2 = points["E"].beta.coords[2]
-    g2 = points["G"].beta.coords[2]
+    e2, g2 = (_beta2(n, label) for label in "EG")
     return BetaVector(SpinPair(4, n), (1.0, 0.0, (1.0 - t) * e2 + t * g2, 0.0))
 
 
@@ -338,23 +330,23 @@ def segment_state_4xn(n: int, t: float) -> BetaVector:
 # minimal separable set DD'EE' (4 x N)
 # ---------------------------------------------------------------------------
 
-# Barycentric solve against the hull vertices D, D', E, E' in r_K units;
-# in those units the vertex matrix is independent of N and nonsingular.
-_HULL_MATRIX = np.array([
-    [3.0, -3.0, -1.0, 1.0],   # x1 of D, D', E, E'
-    [1.0, 1.0, -1.0, -1.0],   # x2
-    [1.0, -1.0, 3.0, -3.0],   # x3
-    [1.0, 1.0, 1.0, 1.0],     # affine normalization
-])
-_HULL_MATRIX_FRACTIONS = tuple(
-    tuple(Fraction(int(v)) for v in row) for row in _HULL_MATRIX
-)
+# In r_K units the hull vertices D, D', E, E' do not depend on N: the vertex
+# matrix (rows x1, x2, x3, 1; columns D, D', E, E') is
+#     [[3, -3, -1, 1], [1, 1, -1, -1], [1, -1, 3, -3], [1, 1, 1, 1]].
+# Rows of its inverse, times 20, give lambda_D, lambda_D', lambda_E,
+# lambda_E' as linear forms in (x1, x2, x3, 1).
+_HULL_INVERSE_X20 = ((3, 5, 1, 5), (-3, 5, -1, 5), (-1, -5, 3, 5), (1, -5, -3, 5))
+
+
+def _hull_weights_x20(x) -> list:
+    """20 times the barycentric weights of x = (x1, x2, x3) over D, D', E, E'."""
+    return [sum(c * v for c, v in zip(row, (*x, 1))) for row in _HULL_INVERSE_X20]
 
 
 def minimal_separable_membership_4xn(beta: BetaVector, tol: float = DEFAULT_TOL) -> bool:
     """Whether beta lies in the tetrahedron DD'EE' (the minimal separable set).
 
-    Solves for the unique barycentric weights over the four vertices and
+    Computes the unique barycentric weights over the four vertices and
     accepts weights down to -tol.  Points outside this hull are not
     thereby entangled; DD'EE' is only the region known separable in closed
     form.
@@ -366,8 +358,7 @@ def minimal_separable_membership_4xn(beta: BetaVector, tol: float = DEFAULT_TOL)
         return False
     units = [float(u) for u in _radial_units(sys_.n2)]
     x = [beta.coords[k + 1] / units[k] for k in range(3)]
-    lam = np.linalg.solve(_HULL_MATRIX, np.array(x + [1.0]))
-    return bool(lam.min() >= -tol)
+    return min(_hull_weights_x20(x)) / 20 >= -tol
 
 
 def exact_hull_membership_4xn(point: NamedPoint) -> bool:
@@ -387,17 +378,7 @@ def exact_hull_membership_4xn(point: NamedPoint) -> bool:
         if ratio is None:
             raise ValueError(f"{point.label}: coordinate {k + 1} is not in the radial lattice")
         x.append(ratio)
-    rhs = x + [Fraction(1)]
-    # Gaussian elimination over fractions on the fixed 4x4 vertex matrix.
-    a = [list(row) + [rhs[i]] for i, row in enumerate(_HULL_MATRIX_FRACTIONS)]
-    for col in range(4):
-        piv = next(r for r in range(col, 4) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        a[col] = [v / a[col][col] for v in a[col]]
-        for r in range(4):
-            if r != col and a[r][col] != 0:
-                a[r] = [vr - a[r][col] * vc for vr, vc in zip(a[r], a[col])]
-    return all(a[r][4] >= 0 for r in range(4))
+    return min(_hull_weights_x20(x)) >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -416,36 +397,52 @@ def _polytope_arrays(system: SpinPair) -> tuple[np.ndarray, np.ndarray]:
     return const, coefs
 
 
-def _breuer_image_arrays(system: SpinPair) -> tuple[np.ndarray, np.ndarray]:
-    """Affine map x -> alpha(Phi_1 image): (n1-2) L[0,:] - 2 x @ coefs."""
+def _slice_alphas(system: SpinPair, x) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, alpha of the Phi_1 image) at even coordinates x, a point or rows.
+
+    The theta_1-invariant state (1, 0, x_1, 0, x_2, ...) has alpha
+    L[0,:] + x @ coefs; its Breuer image (n1-2, 0, -2 x_1, ...) has
+    (n1-2) L[0,:] - 2 x @ coefs.
+    """
     const, coefs = _polytope_arrays(system)
-    return (system.n1 - 2) * const, -2.0 * coefs
+    linear = x @ coefs
+    return const + linear, (system.n1 - 2) * const - 2.0 * linear
 
 
 def polytope_bounding_box(system: SpinPair) -> tuple[tuple[float, float], ...]:
-    """Per-coordinate [min, max] of the invariant polytope, via linear programs."""
+    """Per-coordinate [min, max] of the invariant polytope, over its vertices.
+
+    Each vertex solves d = (n1-2)/2 of the facet equations alpha_J = 0.
+    Every choice of d facets is solved, singular choices are skipped and
+    infeasible solutions dropped; the binomial(n1, d) solves suit the
+    small n1 that sweeps use.
+    """
     const, coefs = _polytope_arrays(system)
-    dims = coefs.shape[0]
-    box = []
-    for k in range(dims):
-        bounds = []
-        for sgn in (1.0, -1.0):
-            c = np.zeros(dims)
-            c[k] = sgn
-            res = linprog(c, A_ub=-coefs.T, b_ub=const, bounds=[(None, None)] * dims)
-            if not res.success:
-                raise RuntimeError(f"bounding-box LP failed for {system}: {res.message}")
-            bounds.append(sgn * res.fun)
-        lo, hi = min(bounds), max(bounds)
-        box.append((float(lo), float(hi)))
-    return tuple(box)
+    vertices = []
+    for facets in combinations(range(system.n1), coefs.shape[0]):
+        rows = list(facets)
+        try:
+            x = np.linalg.solve(coefs[:, rows].T, -const[rows])
+        except np.linalg.LinAlgError:
+            continue
+        if _slice_alphas(system, x)[0].min() >= -1e-12:
+            vertices.append(x)
+    return tuple((float(lo), float(hi))
+                 for lo, hi in zip(np.min(vertices, axis=0), np.max(vertices, axis=0)))
 
 
-def _grid_points(system: SpinPair, grid: int) -> np.ndarray:
-    box = polytope_bounding_box(system)
-    axes = [np.linspace(lo, hi, grid) for lo, hi in box]
+def _sweep_grid(system: SpinPair, grid: int, tol: float
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(points, inside, detected) on a uniform grid over the bounding box."""
+    if system.n1 not in (4, 6):
+        raise ValueError(f"region sweep supports n1 in (4, 6), got {system.n1}")
+    if grid < 10:
+        raise ValueError(f"grid must be >= 10, got {grid}")
+    axes = [np.linspace(lo, hi, grid) for lo, hi in polytope_bounding_box(system)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    alpha, alpha_phi = _slice_alphas(system, pts)
+    return pts, alpha.min(axis=1) >= -tol, alpha_phi.min(axis=1) < -tol
 
 
 def _beta_from_even(system: SpinPair, x) -> BetaVector:
@@ -462,15 +459,7 @@ def be_region_fraction(system: SpinPair, grid: int, tol: float = DEFAULT_TOL) ->
     points inside the polytope and returns the detected share.
     Deterministic for a fixed grid.
     """
-    if system.n1 not in (4, 6):
-        raise ValueError(f"region sweep supports n1 in (4, 6), got {system.n1}")
-    if grid < 10:
-        raise ValueError(f"grid must be >= 10, got {grid}")
-    pts = _grid_points(system, grid)
-    const, coefs = _polytope_arrays(system)
-    inside = (const + pts @ coefs).min(axis=1) >= -tol
-    img_const, img_coefs = _breuer_image_arrays(system)
-    detected = (img_const + pts @ img_coefs).min(axis=1) < -tol
+    _, inside, detected = _sweep_grid(system, grid, tol)
     n_inside = int(inside.sum())
     if n_inside == 0:
         raise RuntimeError(f"empty polytope grid for {system}; refine the grid")
@@ -487,13 +476,13 @@ def find_detected_invariant_state(system: SpinPair, grid: int = 64,
     the first step already qualifies for any reasonable grid.
     """
     _require_even(system, "detection search")
-    const, coefs = _polytope_arrays(system)
+    _, coefs = _polytope_arrays(system)
     d_even = np.array(d_tilde_point(system).beta.coords[2::2])
     gamma = gamma_hyperplane(system)
     normal = np.array(gamma.coeffs)
     direction = -normal / np.linalg.norm(normal)  # Gamma decreases along this ray
 
-    alpha_at_d = const + d_even @ coefs
+    alpha_at_d, _ = _slice_alphas(system, d_even)
     rates = -(direction @ coefs)  # decrease rate of each alpha along the ray
     positive = rates > 1e-15
     if not positive.any():
@@ -501,12 +490,11 @@ def find_detected_invariant_state(system: SpinPair, grid: int = 64,
     s_max = float((alpha_at_d[positive] / rates[positive]).min())
     for s in np.linspace(0.0, s_max, grid + 1)[1:]:
         x = d_even + s * direction
-        inside = (const + x @ coefs).min() >= tol  # strictly interior
+        alpha, alpha_phi = _slice_alphas(system, x)
+        inside = alpha.min() >= tol  # strictly interior
         beyond = gamma.evaluate_even(x) < -tol
-        if inside and beyond:
-            beta = _beta_from_even(system, x)
-            if breuer_detects(beta, tol):
-                return beta
+        if inside and beyond and alpha_phi.min() < -tol:
+            return _beta_from_even(system, x)
     return None
 
 
@@ -518,22 +506,11 @@ def sweep_rows(system: SpinPair, grid: int, tol: float = DEFAULT_TOL
     coordinates and the classification of the point (all such points are
     PPT states by theta_1 invariance).
     """
-    if system.n1 not in (4, 6):
-        raise ValueError(f"region sweep supports n1 in (4, 6), got {system.n1}")
-    if grid < 10:
-        raise ValueError(f"grid must be >= 10, got {grid}")
-    pts = _grid_points(system, grid)
-    const, coefs = _polytope_arrays(system)
-    inside = (const + pts @ coefs).min(axis=1) >= -tol
-    img_const, img_coefs = _breuer_image_arrays(system)
-    detected = (img_const + pts @ img_coefs).min(axis=1) < -tol
-
+    pts, inside, detected = _sweep_grid(system, grid, tol)
     separable = np.zeros(len(pts), dtype=bool)
     if system.n1 == 4:
         # theta_1-invariant slice of DD'EE' is the segment beta_2 in [E_2, D_2]
-        points = named_points_4xn(system.n2)
-        e2 = points["E"].beta.coords[2]
-        d2 = points["D''"].beta.coords[2]
+        e2, d2 = (_beta2(system.n2, label) for label in "ED")
         separable = (pts[:, 0] >= e2 - tol) & (pts[:, 0] <= d2 + tol)
 
     header = tuple(f"beta_K={2 * (k + 1)}" for k in range(_even_count(system)))

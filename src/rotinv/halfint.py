@@ -25,10 +25,6 @@ class HalfInt:
     def value(self) -> Fraction:
         return Fraction(self.twice, 2)
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def __add__(self, other) -> "HalfInt":
         return HalfInt(self.twice + halfint(other).twice)
 

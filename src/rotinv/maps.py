@@ -24,6 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .geometry import minimal_separable_membership_4xn
 from .halfint import halfint
 from .radical import ExactRadical
 from .states import (
@@ -106,14 +107,22 @@ def breuer_detects(beta: BetaVector, tol: float = DEFAULT_TOL) -> bool:
         raise BreuerNotApplicableError(
             f"Breuer criterion needs even n1 >= 4, got n1 = {beta.system.n1}"
         )
-    image = beta_to_alpha(breuer_map(beta))
-    return bool(min(image.coords) < -tol)
+    return _min_breuer_alpha(beta) < -tol
 
 
 def is_ppt(beta: BetaVector, tol: float = DEFAULT_TOL) -> bool:
     """Whether the partial time reversal of the state is still positive."""
-    alpha = beta_to_alpha(partial_time_reversal(beta))
-    return bool(min(alpha.coords) >= -tol)
+    return _min_theta1_alpha(beta) >= -tol
+
+
+def _min_theta1_alpha(beta: BetaVector) -> float:
+    """min_J alpha_J(theta_1 rho)."""
+    return min(beta_to_alpha(partial_time_reversal(beta)).coords)
+
+
+def _min_breuer_alpha(beta: BetaVector) -> float:
+    """min_J alpha_J(Phi_1 rho), unnormalized image; needs the map to apply."""
+    return min(beta_to_alpha(breuer_map(beta)).coords)
 
 
 def tensor_matrix_element(j, m, K, q, mp) -> ExactRadical:
@@ -137,8 +146,6 @@ def tensor_matrix_element(j, m, K, q, mp) -> ExactRadical:
 def _tensor_matrix(two_j: int, K: int, q: int) -> np.ndarray:
     """Dense T_{K,q} for spin j, rows/cols ordered m = j, j-1, ..., -j."""
     dim = two_j + 1
-    from fractions import Fraction
-
     out = np.zeros((dim, dim))
     for r in range(dim):
         tm = two_j - 2 * r
@@ -261,20 +268,17 @@ def classify(beta: BetaVector, tol: float = DEFAULT_TOL) -> Classification:
     known separable set stay PptUndetermined: the Breuer criterion is not
     known to be sufficient, so "undetected" is never reported as separable.
     """
-    from .geometry import minimal_separable_membership_4xn
-
     sys_ = beta.system
     alpha = beta_to_alpha(beta)
     state = check_state(alpha, tol)
-    theta_alpha = beta_to_alpha(partial_time_reversal(beta))
-    ppt = bool(min(theta_alpha.coords) >= -tol)
+    min_theta1 = _min_theta1_alpha(beta)
+    ppt = min_theta1 >= -tol
 
     detected: bool | None = None
     min_breuer: float | None = None
     if sys_.breuer_applicable:
-        breuer_alpha = beta_to_alpha(breuer_map(beta))
-        min_breuer = float(min(breuer_alpha.coords))
-        detected = bool(min_breuer < -tol)
+        min_breuer = _min_breuer_alpha(beta)
+        detected = min_breuer < -tol
 
     separable = False
     if sys_.n1 == 4 and state.is_state and ppt and not detected:
@@ -298,8 +302,8 @@ def classify(beta: BetaVector, tol: float = DEFAULT_TOL) -> Classification:
         breuer_detected=detected,
         known_separable=separable,
         verdict=verdict,
-        min_alpha=float(min(alpha.coords)),
-        min_theta1_alpha=float(min(theta_alpha.coords)),
+        min_alpha=min(alpha.coords),
+        min_theta1_alpha=min_theta1,
         min_breuer_alpha=min_breuer,
         tol=tol,
     )

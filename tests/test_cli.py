@@ -183,6 +183,12 @@ class TestEntryPoint:
         assert result.returncode == 0
         assert json.loads(result.stdout)["verdict"] == "KnownSeparable"
 
+    def test_import_does_not_load_scipy(self):
+        # numpy is the only runtime dependency
+        code = "import rotinv, sys; assert not any(m.startswith('scipy') for m in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+
     def test_usage_error_exit_2(self):
         result = subprocess.run(
             [sys.executable, "-m", "rotinv.cli", "classify", "--n1", "4"],

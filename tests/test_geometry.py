@@ -101,6 +101,49 @@ def scaled(point) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+# ---------------------------------------------------------------------------
+# grid-free polygon oracle for the 6 x N theta_1-invariant slice
+# ---------------------------------------------------------------------------
+
+def clip(polygon, a, c):
+    """The part of a convex polygon where c + a . x >= 0 (Sutherland-Hodgman)."""
+    out = []
+    for p, q in zip(polygon, polygon[1:] + polygon[:1]):
+        fp, fq = c + a @ p, c + a @ q
+        if fp >= 0:
+            out.append(p)
+        if (fp >= 0) != (fq >= 0):
+            out.append(p + fp / (fp - fq) * (q - p))
+    return out
+
+
+def shoelace(polygon) -> float:
+    x, y = np.array(polygon).T
+    return 0.5 * abs(x @ np.roll(y, -1) - y @ np.roll(x, -1))
+
+
+def perimeter(polygon) -> float:
+    p = np.array(polygon)
+    return float(np.linalg.norm(p - np.roll(p, -1, axis=0), axis=1).sum())
+
+
+def slice_polygons(system):
+    """({alpha >= 0}, {alpha >= 0} ∩ {alpha_Phi >= 0}) over (beta_2, beta_4).
+
+    Built from the L floats alone: alpha_J = L[0,J] + b2 L[2,J] + b4 L[4,J]
+    and the Breuer image has alpha_Phi_J = 4 L[0,J] - 2 (b2 L[2,J] + b4 L[4,J]).
+    """
+    l = build_l_matrix(system).values
+    r = 10.0 * system.dim
+    polytope = [np.array(v) for v in ((-r, -r), (r, -r), (r, r), (-r, r))]
+    for j in range(6):
+        polytope = clip(polytope, l[[2, 4], j], l[0, j])
+    undetected = polytope
+    for j in range(6):
+        undetected = clip(undetected, -2.0 * l[[2, 4], j], 4.0 * l[0, j])
+    return polytope, undetected
+
+
 class TestIntersectionOracle:
     @pytest.mark.parametrize("n", [4, 5, 6, 8, 12])
     def test_vertex_set_matches_closed_forms(self, n):
@@ -251,25 +294,39 @@ class TestDTildePoint:
 
 class TestPolytope:
     def test_halfspace_count_and_membership(self):
-        system = SpinPair(6, 8)
-        planes = theta1_polytope(system)
-        assert len(planes) == 6
-        # maximally mixed (all even coords zero) is strictly inside
-        origin = np.zeros(2)
-        for plane in planes:
-            assert plane.evaluate_even(origin) > 1e-3
+        # at 4x5 one facet has an all-zero coefficient (L[2, J=1/2] = 0)
+        for system in (SpinPair(6, 8), SpinPair(4, 5)):
+            planes = theta1_polytope(system)
+            assert len(planes) == system.n1
+            # maximally mixed (all even coords zero) is strictly inside
+            origin = np.zeros((system.n1 - 2) // 2)
+            for plane in planes:
+                assert plane.evaluate_even(origin) > 1e-3
 
     def test_interior_points_are_states(self):
         rng = np.random.default_rng(23)
-        system = SpinPair(6, 6)
-        planes = theta1_polytope(system)
-        box = polytope_bounding_box(system)
-        pts = np.column_stack([rng.uniform(lo, hi, 300) for lo, hi in box])
-        for x in pts:
-            inside = all(plane.evaluate_even(x) >= 0 for plane in planes)
-            beta = geometry._beta_from_even(system, x)
-            alpha = beta_to_alpha(beta)
-            assert inside == (min(alpha.coords) >= -1e-12)
+        for system in (SpinPair(6, 6), SpinPair(4, 5)):
+            planes = theta1_polytope(system)
+            box = polytope_bounding_box(system)
+            pts = np.column_stack([rng.uniform(lo, hi, 300) for lo, hi in box])
+            for x in pts:
+                inside = all(plane.evaluate_even(x) >= 0 for plane in planes)
+                beta = geometry._beta_from_even(system, x)
+                alpha = beta_to_alpha(beta)
+                assert inside == (min(alpha.coords) >= -1e-12)
+
+    @pytest.mark.parametrize("n2", [6, 8, 14])
+    def test_bounding_box_endpoints_are_attained(self, n2):
+        system = SpinPair(6, n2)
+        l = build_l_matrix(system).values
+        corners = np.array(slice_polygons(system)[0])
+        for k, (lo, hi) in enumerate(polytope_bounding_box(system)):
+            for end, corner in ((lo, corners[corners[:, k].argmin()]),
+                                (hi, corners[corners[:, k].argmax()])):
+                assert abs(corner[k] - end) < 1e-12
+                x = corner.copy()
+                x[k] = end
+                assert (l[0] + x @ l[[2, 4]]).min() >= -1e-12, (k, end)
 
     def test_polytope_matches_alpha_functionals(self):
         system = SpinPair(8, 12)
@@ -360,6 +417,14 @@ class TestMinimalSeparableSet:
             beta = BetaVector(SpinPair(4, 7), w @ corners)
             assert minimal_separable_membership_4xn(beta)
 
+    def test_hull_inverse_weights_of_vertices(self):
+        # the constant inverse gives each closed-form vertex weight one on itself
+        for n in (4, 9):
+            named = named_points_4xn(n)
+            for idx, label in enumerate(("D", "D'", "E", "E'")):
+                weights = geometry._hull_weights_x20(scaled(named[label]))
+                assert weights == [20 * (i == idx) for i in range(4)]
+
     def test_wrong_system_rejected(self):
         beta = alpha_to_beta(maximally_mixed(SpinPair(6, 6)))
         with pytest.raises(ValueError):
@@ -380,6 +445,31 @@ class TestRegionSweeps:
         d2 = named["D''"].beta.coords[2]
         expected = (g2 - d2) / (g2 - e2)
         assert abs(frac - expected) < 2e-3
+
+    @pytest.mark.parametrize("n2", [6, 8, 14])
+    def test_fraction_matches_shoelace_areas(self, n2):
+        # grid-free detected share: 1 - area(undetected) / area(polytope)
+        system = SpinPair(6, n2)
+        polytope, undetected = slice_polygons(system)
+        exact = 1.0 - shoelace(undetected) / shoelace(polytope)
+        grid = 400
+        # the grid misjudges only points within one cell diagonal of the
+        # boundary of the detected region or, through the normalization,
+        # of the polytope; the detected boundary is the polytope boundary it
+        # does not share with the undetected region plus the cut, twice
+        l = build_l_matrix(system).values
+        cut = 0.0
+        for p, q in zip(undetected, undetected[1:] + undetected[:1]):
+            mid = 0.5 * (p + q)
+            if abs((4.0 * l[0] - 2.0 * (mid @ l[[2, 4]])).min()) < 1e-9:
+                cut += float(np.linalg.norm(q - p))
+        detected_perimeter = perimeter(polytope) - perimeter(undetected) + 2.0 * cut
+        diagonal = np.hypot(*[(hi - lo) / (grid - 1)
+                              for lo, hi in polytope_bounding_box(system)])
+        resolution = ((detected_perimeter + exact * perimeter(polytope))
+                      * diagonal / shoelace(polytope))
+        assert 0.0 < exact < 1.0
+        assert abs(be_region_fraction(system, grid) - exact) <= resolution
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
