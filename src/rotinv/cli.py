@@ -196,8 +196,8 @@ def cmd_geometry(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     system = SpinPair(cfg.n1, cfg.n2)
-    header, rows, fraction = geometry.sweep_rows(system, cfg.grid, cfg.tol)
     if cfg.fmt == "json":
+        header, rows, fraction = geometry.sweep_rows(system, cfg.grid, cfg.tol)
         data = {
             "config": cfg.echo(),
             "header": list(header),
@@ -206,14 +206,16 @@ def cmd_sweep(cfg: RunConfig) -> int:
         }
         _write(cfg.out, json.dumps(data, indent=2) + "\n")
         return 0
-    buf = io.StringIO()
-    buf.write(_config_comment(cfg))
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    buf.write(f"# be_region_fraction={fraction!r}\n")
-    _write(cfg.out, buf.getvalue())
+    header, axes, index, codes, fraction = geometry._sweep_columns(system, cfg.grid, cfg.tol)
+    # repr once per axis value; a row joins the strings of its coordinates and class
+    columns = [np.array([repr(v) for v in ax.tolist()], dtype=object)[i]
+               for ax, i in zip(axes, index)]
+    classes = np.array(geometry._SWEEP_CLASSES, dtype=object)[codes]
+    _write(cfg.out, "\n".join([
+        _config_comment(cfg) + ",".join(header),
+        *map(",".join, zip(*columns, classes)),
+        f"# be_region_fraction={fraction!r}\n",
+    ]))
     return 0
 
 

@@ -148,6 +148,11 @@ def _radial_units(n: int) -> tuple[ExactRadical, ExactRadical, ExactRadical]:
     )
 
 
+@lru_cache(maxsize=None)
+def _radial_unit_floats(n: int) -> tuple[float, float, float]:
+    return tuple(float(u) for u in _radial_units(n))
+
+
 def _scaled_coords(n: int) -> dict[str, tuple[Fraction, Fraction, Fraction]]:
     """Closed-form coordinates of the labelled 4 x N points, in r_K units."""
     f = Fraction
@@ -356,7 +361,7 @@ def minimal_separable_membership_4xn(beta: BetaVector, tol: float = DEFAULT_TOL)
         raise ValueError(f"minimal separable set is only known for n1 = 4, got {sys_.n1}")
     if abs(beta.coords[0] - 1.0) > max(tol, 1e-9):
         return False
-    units = [float(u) for u in _radial_units(sys_.n2)]
+    units = _radial_unit_floats(sys_.n2)
     x = [beta.coords[k + 1] / units[k] for k in range(3)]
     return min(_hull_weights_x20(x)) / 20 >= -tol
 
@@ -431,18 +436,43 @@ def polytope_bounding_box(system: SpinPair) -> tuple[tuple[float, float], ...]:
                  for lo, hi in zip(np.min(vertices, axis=0), np.max(vertices, axis=0)))
 
 
-def _sweep_grid(system: SpinPair, grid: int, tol: float
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(points, inside, detected) on a uniform grid over the bounding box."""
+# class names of the sweep, indexed by the class codes of _sweep_columns
+_SWEEP_CLASSES = ("PptBoundEntangledDetected", "KnownSeparable", "PptUndetermined")
+
+
+def _sweep_columns(system: SpinPair, grid: int, tol: float
+                   ) -> tuple[tuple[str, ...], list[np.ndarray], tuple[np.ndarray, ...],
+                              np.ndarray, float]:
+    """A uniform grid over the bounding box, in columns.
+
+    Returns (header, axes, index, codes, fraction).  header names the even
+    coordinates and the class column; axes[k] holds the grid values of the
+    k-th even coordinate.  The grid points inside the polytope, in
+    row-major grid order, are (axes[0][index[0][i]], axes[1][index[1][i]],
+    ...) with class _SWEEP_CLASSES[codes[i]]: detected, else 4 x N
+    separable, else undetermined.  fraction is the detected share of them
+    (0.0 if there are none).
+    """
     if system.n1 not in (4, 6):
         raise ValueError(f"region sweep supports n1 in (4, 6), got {system.n1}")
     if grid < 10:
         raise ValueError(f"grid must be >= 10, got {grid}")
     axes = [np.linspace(lo, hi, grid) for lo, hi in polytope_bounding_box(system)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    alpha, alpha_phi = _slice_alphas(system, pts)
-    return pts, alpha.min(axis=1) >= -tol, alpha_phi.min(axis=1) < -tol
+    alpha, alpha_phi = _slice_alphas(system, np.stack([m.ravel() for m in mesh], axis=-1))
+    flat = np.flatnonzero(alpha.min(axis=1) >= -tol)
+    index = np.unravel_index(flat, mesh[0].shape)
+    detected = alpha_phi[flat].min(axis=1) < -tol
+    separable = np.zeros(len(flat), dtype=bool)
+    if system.n1 == 4:
+        # theta_1-invariant slice of DD'EE' is the segment beta_2 in [E_2, D_2]
+        e2, d2 = (_beta2(system.n2, label) for label in "ED")
+        beta2 = axes[0][index[0]]
+        separable = (beta2 >= e2 - tol) & (beta2 <= d2 + tol)
+    codes = np.where(detected, 0, np.where(separable, 1, 2))
+    fraction = float(detected.sum() / len(flat)) if len(flat) else 0.0
+    header = tuple(f"beta_K={2 * (k + 1)}" for k in range(len(axes))) + ("class",)
+    return header, axes, index, codes, fraction
 
 
 def _beta_from_even(system: SpinPair, x) -> BetaVector:
@@ -459,11 +489,10 @@ def be_region_fraction(system: SpinPair, grid: int, tol: float = DEFAULT_TOL) ->
     points inside the polytope and returns the detected share.
     Deterministic for a fixed grid.
     """
-    _, inside, detected = _sweep_grid(system, grid, tol)
-    n_inside = int(inside.sum())
-    if n_inside == 0:
+    _, _, index, _, fraction = _sweep_columns(system, grid, tol)
+    if len(index[0]) == 0:
         raise RuntimeError(f"empty polytope grid for {system}; refine the grid")
-    return float((inside & detected).sum() / n_inside)
+    return fraction
 
 
 def find_detected_invariant_state(system: SpinPair, grid: int = 64,
@@ -506,23 +535,7 @@ def sweep_rows(system: SpinPair, grid: int, tol: float = DEFAULT_TOL
     coordinates and the classification of the point (all such points are
     PPT states by theta_1 invariance).
     """
-    pts, inside, detected = _sweep_grid(system, grid, tol)
-    separable = np.zeros(len(pts), dtype=bool)
-    if system.n1 == 4:
-        # theta_1-invariant slice of DD'EE' is the segment beta_2 in [E_2, D_2]
-        e2, d2 = (_beta2(system.n2, label) for label in "ED")
-        separable = (pts[:, 0] >= e2 - tol) & (pts[:, 0] <= d2 + tol)
-
-    header = tuple(f"beta_K={2 * (k + 1)}" for k in range(_even_count(system)))
-    rows = []
-    for i in np.flatnonzero(inside):
-        if detected[i]:
-            cls = "PptBoundEntangledDetected"
-        elif separable[i]:
-            cls = "KnownSeparable"
-        else:
-            cls = "PptUndetermined"
-        rows.append(tuple(float(v) for v in pts[i]) + (cls,))
-    n_inside = int(inside.sum())
-    fraction = float((inside & detected).sum() / n_inside) if n_inside else 0.0
-    return header + ("class",), rows, fraction
+    header, axes, index, codes, fraction = _sweep_columns(system, grid, tol)
+    classes = np.array(_SWEEP_CLASSES, dtype=object)[codes].tolist()
+    rows = list(zip(*(ax[i].tolist() for ax, i in zip(axes, index)), classes))
+    return header, rows, fraction

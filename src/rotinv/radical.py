@@ -121,8 +121,8 @@ class ExactRadical:
     def __float__(self) -> float:
         if self.sign == 0:
             return 0.0
-        # Fraction -> float is correctly rounded even for huge integers.
-        return self.sign * math.sqrt(float(Fraction(self.num, self.den)))
+        # int / int is correctly rounded even for huge integers.
+        return self.sign * math.sqrt(self.num / self.den)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -88,10 +88,18 @@ class SpinPair:
         return tuple(range(self.n1))
 
     def norm_weights(self) -> np.ndarray:
-        """Weights w_J = sqrt((2J+1)/(n1*n2)); a state has w . alpha = 1."""
-        return np.array([
-            np.sqrt((j.twice + 1) / self.dim) for j in self.j_values()
-        ])
+        """Weights w_J = sqrt((2J+1)/(n1*n2)); a state has w . alpha = 1.
+
+        The array is cached per system and read-only.
+        """
+        return _norm_weights(self)
+
+
+@lru_cache(maxsize=None)
+def _norm_weights(system: SpinPair) -> np.ndarray:
+    w = np.array([np.sqrt((j.twice + 1) / system.dim) for j in system.j_values()])
+    w.flags.writeable = False
+    return w
 
 
 def _coord_tuple(coords) -> tuple[float, ...]:

@@ -1,12 +1,16 @@
 """Command-line interface: outputs, determinism, and exit codes."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
+from rotinv import SpinPair
 from rotinv.cli import main
+from rotinv.geometry import sweep_rows
 
 
 def run_main(argv, capsys):
@@ -123,6 +127,24 @@ class TestSweep:
         classes = {line.split(",")[-1] for line in lines[2:-1]}
         assert classes <= {"PptBoundEntangledDetected", "PptUndetermined", "KnownSeparable"}
         assert "PptBoundEntangledDetected" in classes
+
+    @pytest.mark.parametrize("grid", [10, 37, 200])
+    @pytest.mark.parametrize("dims", [(4, 4), (4, 5), (4, 20), (6, 6), (6, 8), (6, 14)])
+    def test_csv_matches_csv_writer_over_sweep_rows(self, dims, grid, tmp_path):
+        out = tmp_path / "sweep.csv"
+        n1, n2 = dims
+        assert main(["sweep", "--n1", str(n1), "--n2", str(n2), "--grid", str(grid),
+                     "--out", str(out)]) == 0
+        header, rows, fraction = sweep_rows(SpinPair(n1, n2), grid)
+        for row in rows:
+            assert [type(v) for v in row] == [float] * (len(header) - 1) + [str]
+        buf = io.StringIO()
+        buf.write(f"# rotinv command=sweep n1={n1} n2={n2} tol=1e-10 grid={grid}\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([repr(v) for v in row[:-1]] + [row[-1]] for row in rows)
+        buf.write(f"# be_region_fraction={fraction!r}\n")
+        assert out.read_text() == buf.getvalue()
 
     def test_unsupported_n1_exit_2(self, capsys):
         code, _, _ = run_main(["sweep", "--n1", "8", "--n2", "8"], capsys)

@@ -130,6 +130,16 @@ class TestStateChecks:
         chk = check_state(maximally_mixed(SpinPair(4, 6)))
         assert chk.normalized and chk.positive and chk.is_state
 
+    def test_norm_weights_cached_read_only(self):
+        system = SpinPair(6, 9)
+        w = system.norm_weights()
+        assert w is system.norm_weights()
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        expected = [np.sqrt((j.twice + 1) / system.dim) for j in system.j_values()]
+        assert w.tolist() == [float(x) for x in expected]
+
     def test_negative_coordinate_flags(self):
         system = SpinPair(4, 4)
         w = system.norm_weights()
