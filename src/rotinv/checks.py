@@ -1,0 +1,171 @@
+"""The verification checks: one function per identity the results rest on.
+
+Each check takes the cases it runs on and returns its largest residual.
+`rotinv verify` and the acceptance suite run these same functions, each
+over its own case lists and against its own bounds.  A check given no
+cases returns inf, which fails every bound: a sweep over nothing proves
+nothing.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from . import dense, geometry, maps, states, wigner
+from .radical import ExactRadical
+from .states import SpinPair
+
+__all__ = [
+    "orthogonality_sums",
+    "appendix_sum",
+    "l_orthogonality",
+    "explicit_l_4xn",
+    "named_points",
+    "segment_threshold",
+    "gamma_plane_4x4",
+    "d_tilde_on_gamma",
+    "be_existence",
+    "dense_equivalence",
+]
+
+
+def _worst(residuals) -> float:
+    return max(residuals, default=math.inf)
+
+
+def orthogonality_sums(cases) -> float:
+    """sum_K (2J+1)(2K+1) {a b J; c d K} {a b J'; c d K} = delta(J, J').
+
+    Cases are (a, b, c, d, J, J') tuples.  The sums are compared exactly:
+    the residual is 0.0 only if every sum equals its delta exactly.
+    """
+    def residual(a, b, c, d, j, jp):
+        got = wigner.verify_orthogonality_sum(a, b, c, d, j, jp)
+        want = ExactRadical.one() if j == jp else ExactRadical.zero()
+        if got == want:
+            return 0.0
+        return abs(float(got) - float(want)) or math.inf
+    return _worst(residual(*case) for case in cases)
+
+
+def appendix_sum(systems) -> float:
+    """sum_K (2K+1)(1 + (-1)**K) {j1 j2 j2-j1; j2 j1 K} {j1 j2 j1+j2; j2 j1 K} = -1/n2."""
+    def residual(system):
+        j1, j2 = system.j1, system.j2
+        total = ExactRadical.zero()
+        for k in range(system.n1):
+            a = wigner.six_j(j1, j2, j2 - j1, j2, j1, k)
+            b = wigner.six_j(j1, j2, j1 + j2, j2, j1, k)
+            term = (a * b).scale(2 * k + 1)
+            total = total + term + term.scale(-1 if k % 2 else 1)
+        return abs(float(total) + 1.0 / system.n2)
+    return _worst(residual(s) for s in systems)
+
+
+def l_orthogonality(matrices) -> float:
+    """max |L L^T - 1| and |L^T L - 1| over float L matrices."""
+    def residual(l):
+        eye = np.eye(len(l))
+        return max(float(np.abs(l @ l.T - eye).max()), float(np.abs(l.T @ l - eye).max()))
+    return _worst(residual(l) for l in matrices)
+
+
+def explicit_l_4xn(ns) -> float:
+    """The built 4 x N L matrix against its closed form, for each N."""
+    def residual(n):
+        built = states.build_l_matrix(SpinPair(4, n)).values
+        explicit = np.array([[float(e) for e in row]
+                             for row in states.explicit_l_matrix_4xn(n).exact])
+        return float(np.abs(built - explicit).max())
+    return _worst(residual(n) for n in ns)
+
+
+def named_points(ns, boundary=("E", "F", "G")) -> float:
+    """The closed-form 4 x N points against the alpha -> beta pipeline.
+
+    A..D must equal the images of the alpha extreme points, and each
+    boundary point must lie on the boundary of both the state tetrahedron
+    and its theta_1 image (the smaller of the two minimum alphas is 0).
+    """
+    def residual(n):
+        named = geometry.named_points_4xn(n)
+        extremes = geometry.alpha_extreme_points(SpinPair(4, n))
+        worst = max(float(np.abs(np.array(named[label].beta.coords)
+                                 - states.alpha_to_beta(extreme).as_array()).max())
+                    for label, extreme in zip("ABCD", extremes))
+        for label in boundary:
+            beta = named[label].beta
+            alpha = states.beta_to_alpha(beta).as_array()
+            flip = states.beta_to_alpha(maps.partial_time_reversal(beta)).as_array()
+            worst = max(worst, abs(float(min(alpha.min(), flip.min()))))
+        return worst
+    return _worst(residual(n) for n in ns)
+
+
+def segment_threshold(ns) -> float:
+    """Where Breuer detection flips along the 4 x N segment E''G'' against t*.
+
+    The flip is found by 60 bisection steps on [0, 1].
+    """
+    def residual(n):
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if maps.breuer_detects(geometry.segment_state_4xn(n, mid)):
+                hi = mid
+            else:
+                lo = mid
+        return abs(0.5 * (lo + hi) - geometry.segment_detection_threshold(n))
+    return _worst(residual(n) for n in ns)
+
+
+def gamma_plane_4x4(labels) -> float:
+    """The labelled 4 x 4 points on the gamma plane: |Gamma(point)|."""
+    plane = geometry.gamma_hyperplane(SpinPair(4, 4))
+    named = geometry.named_points_4xn(4)
+    return _worst(abs(plane.evaluate(named[label].beta)) for label in labels)
+
+
+def d_tilde_on_gamma(systems) -> float:
+    """D~'' lies on Gamma and is a state: |Gamma(D~'')| and any negative alpha."""
+    def residual(system):
+        point = geometry.d_tilde_point(system)
+        alpha = states.beta_to_alpha(point.beta)
+        return max(abs(geometry.gamma_hyperplane(system).evaluate(point.beta)),
+                   max(0.0, -min(alpha.coords)))
+    return _worst(residual(s) for s in systems)
+
+
+def be_existence(systems) -> float:
+    """0.0 if every system has a Breuer-detected PPT state beyond Gamma, else 1.0."""
+    def missing(system):
+        found = geometry.find_detected_invariant_state(system)
+        return float(found is None or not (
+            maps.breuer_detects(found) and maps.is_ppt(found)
+            and geometry.gamma_hyperplane(system).evaluate(found) < 0))
+    return _worst(missing(s) for s in systems)
+
+
+def dense_equivalence(alphas) -> float:
+    """The dense-matrix oracle against the parameter-space maps, per alpha state.
+
+    The residual covers the extracted beta against L alpha and the theta_1
+    spectrum against the partial-transpose spectrum; a disagreement on the
+    sign of the Breuer image (beyond 1e-10) counts 1.0.
+    """
+    def residual(alpha):
+        system = alpha.system
+        rho = dense.from_alpha(alpha)
+        extracted = dense.extract_beta(rho, system).as_array()
+        extract = float(np.abs(
+            extracted - states.build_l_matrix(system).values @ alpha.as_array()).max())
+        min_eig, _ = dense.min_eigenvalue(dense.breuer_phi1(rho, system))
+        beta = states.alpha_to_beta(alpha)
+        min_alpha = min(states.beta_to_alpha(maps.breuer_map(beta)).coords)
+        signs = float((min_eig < -1e-10) != (min_alpha < -1e-10))
+        spectra = float(np.abs(dense.spectrum(dense.theta1(rho, system))
+                               - dense.spectrum(dense.partial_transpose_1(rho, system))).max())
+        return max(extract, signs, spectra)
+    return _worst(residual(a) for a in alphas)

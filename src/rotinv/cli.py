@@ -17,24 +17,29 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import dense, geometry, maps, states, wigner
-from .radical import ExactRadical
+from . import checks, geometry, maps, states
 from .states import AlphaVector, BetaVector, SpinPair
 
 __all__ = ["main", "RunConfig"]
 
+_SWEPT_N1 = (4, 6, 8, 10)  # n1 of verify's system sweeps, each up to n2 = --n2-max
+
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One command's options; the field defaults are the CLI defaults."""
+
     command: str
-    n1: int
-    n2: int
+    n1: int = 0
+    n2: int = 0
     basis: str | None = None
     coords: tuple[float, ...] | None = None
     tol: float = 1e-10
@@ -47,12 +52,15 @@ class RunConfig:
     perturb_l: bool = False
 
     def __post_init__(self):
+        if not math.isfinite(self.tol):
+            raise ValueError(f"tolerance must be finite, got {self.tol}")
         if self.tol <= 0:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
         if self.grid < 10:
             raise ValueError(f"grid must be >= 10, got {self.grid}")
-        if self.basis is not None and self.basis not in ("alpha", "beta"):
-            raise ValueError(f"basis must be alpha or beta, got {self.basis}")
+        if self.n2_max < max(_SWEPT_N1):
+            raise ValueError(f"n2-max must be >= {max(_SWEPT_N1)}, the largest n1 "
+                             f"that verify sweeps, got {self.n2_max}")
 
     def echo(self) -> dict:
         out: dict = {"command": self.command}
@@ -68,9 +76,12 @@ class RunConfig:
 
 def _parse_coords(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(part) for part in text.split(","))
+        coords = tuple(float(part) for part in text.split(","))
     except ValueError as exc:
         raise ValueError(f"malformed coordinate list {text!r}") from exc
+    if not all(map(math.isfinite, coords)):
+        raise ValueError(f"coordinates must be finite, got {text!r}")
+    return coords
 
 
 def _write(out_path: str | None, text: str):
@@ -223,171 +234,58 @@ def cmd_sweep(cfg: RunConfig) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _check_orthogonality_sums() -> float:
-    worst = 0.0
+def _orthogonality_cases():
+    """The first two admissible J, J' for each a, b, c, d in {0, 1/2, ..., 2}."""
     spins = [0, 0.5, 1, 1.5, 2]
-    cases = 0
-    for a in spins:
-        for b in spins:
-            for c in spins:
-                for d in spins:
-                    js = [x / 2 for x in range(0, 9)]
-                    valid = [J for J in js
-                             if abs(a - b) <= J <= a + b and abs(c - d) <= J <= c + d
-                             and (a + b + J) % 1 == 0 and (c + d + J) % 1 == 0]
-                    for J in valid[:2]:
-                        for Jp in valid[:2]:
-                            got = wigner.verify_orthogonality_sum(a, b, c, d, J, Jp)
-                            want = ExactRadical.one() if J == Jp else ExactRadical.zero()
-                            worst = max(worst, abs(float(got) - float(want)))
-                            cases += 1
-    if cases == 0:
-        return float("inf")
-    return worst
+    js = [x / 2 for x in range(0, 9)]
+    for a, b, c, d in itertools.product(spins, repeat=4):
+        valid = [J for J in js
+                 if abs(a - b) <= J <= a + b and abs(c - d) <= J <= c + d
+                 and (a + b + J) % 1 == 0 and (c + d + J) % 1 == 0]
+        for J, Jp in itertools.product(valid[:2], repeat=2):
+            yield a, b, c, d, J, Jp
 
 
-def _check_appendix_identity(n2_max: int) -> float:
-    worst = 0.0
-    for n1 in (4, 6, 8, 10):
-        for n2 in range(n1, n2_max + 1):
-            j1, j2 = (n1 - 1) / 2, (n2 - 1) / 2
-            total = ExactRadical.zero()
-            for k in range(n1):
-                a = wigner.six_j(j1, j2, j2 - j1, j2, j1, k)
-                b = wigner.six_j(j1, j2, j1 + j2, j2, j1, k)
-                term = (a * b).scale(2 * k + 1)
-                total = total + term + term.scale(-1 if k % 2 else 1)
-            worst = max(worst, abs(float(total) + 1.0 / n2))
-    return worst
-
-
-def _check_l_orthogonality(perturb: bool) -> float:
-    worst = 0.0
+def _l_matrices(perturb: bool):
     for n1 in range(2, 13, 2):
         for n2 in range(n1, 25):
-            l = states.build_l_matrix(SpinPair(n1, n2)).values.copy()
+            l = states.build_l_matrix(SpinPair(n1, n2)).values
             if perturb and (n1, n2) == (4, 4):
+                l = l.copy()
                 l[1, 1] += 1e-6
-            worst = max(worst, float(np.abs(l @ l.T - np.eye(n1)).max()))
-            worst = max(worst, float(np.abs(l.T @ l - np.eye(n1)).max()))
-    return worst
+            yield l
 
 
-def _check_explicit_l() -> float:
-    worst = 0.0
-    for n in range(4, 21):
-        built = states.build_l_matrix(SpinPair(4, n)).values
-        explicit = np.array([[float(e) for e in row]
-                             for row in states.explicit_l_matrix_4xn(n).exact])
-        worst = max(worst, float(np.abs(built - explicit).max()))
-    return worst
-
-
-def _check_named_points() -> float:
-    worst = 0.0
-    for n in (4, 6, 8, 12):
-        named = geometry.named_points_4xn(n)
-        extremes = geometry.alpha_extreme_points(SpinPair(4, n))
-        for label, idx in zip("ABCD", range(4)):
-            pipeline = states.alpha_to_beta(extremes[idx])
-            worst = max(worst, float(np.abs(
-                np.array(named[label].beta.coords) - pipeline.as_array()).max()))
-        for label in ("E", "F", "G"):
-            point = named[label]
-            alpha = states.beta_to_alpha(point.beta).as_array()
-            flip = states.beta_to_alpha(
-                maps.partial_time_reversal(point.beta)).as_array()
-            worst = max(worst, max(-alpha.min(), -flip.min(), 0.0))
-            worst = max(worst, min(alpha.min(), flip.min(), 1.0))
-    return worst
-
-
-def _check_segment_threshold() -> float:
-    worst = 0.0
-    for n in range(4, 21):
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if maps.breuer_detects(geometry.segment_state_4xn(n, mid)):
-                hi = mid
-            else:
-                lo = mid
-        worst = max(worst, abs(0.5 * (lo + hi) - geometry.segment_detection_threshold(n)))
-    return worst
-
-
-def _check_gamma_44() -> float:
-    plane = geometry.gamma_hyperplane(SpinPair(4, 4))
-    named = geometry.named_points_4xn(4)
-    return max(abs(plane.evaluate(named[lab].beta)) for lab in ("D", "D'", "F", "F'"))
-
-
-def _check_d_tilde_on_gamma(n2_max: int) -> float:
-    worst = 0.0
-    for n1 in (4, 6, 8, 10):
-        for n2 in range(n1, n2_max + 1):
-            system = SpinPair(n1, n2)
-            plane = geometry.gamma_hyperplane(system)
-            point = geometry.d_tilde_point(system)
-            worst = max(worst, abs(plane.evaluate(point.beta)))
-            alpha = states.beta_to_alpha(point.beta)
-            worst = max(worst, max(0.0, -min(alpha.coords)))
-    return worst
-
-
-def _check_be_existence(n2_max: int) -> float:
-    for n1 in (4, 6, 8, 10):
-        for n2 in range(n1, n2_max + 1):
-            found = geometry.find_detected_invariant_state(SpinPair(n1, n2))
-            if found is None or not maps.breuer_detects(found):
-                return 1.0
-    return 0.0
-
-
-def _check_dense_equivalence(seed: int) -> float:
+def _seeded_states(seed: int):
     rng = np.random.default_rng(seed)
-    worst = 0.0
     for dims in ((4, 4), (4, 6), (6, 6), (6, 8)):
         system = SpinPair(*dims)
-        l = states.build_l_matrix(system).values
         for _ in range(25):
             raw = rng.random(system.n1)
-            alpha = AlphaVector(system, raw / (system.norm_weights() @ raw))
-            beta = states.alpha_to_beta(alpha)
-            rho = dense.from_alpha(alpha)
-            extracted = dense.extract_beta(rho, system)
-            worst = max(worst, float(np.abs(
-                extracted.as_array() - l @ alpha.as_array()).max()))
-            image = dense.breuer_phi1(rho, system)
-            min_eig, _ = dense.min_eigenvalue(image)
-            min_alpha = min(states.beta_to_alpha(maps.breuer_map(beta)).coords)
-            if (min_eig < -1e-10) != (min_alpha < -1e-10):
-                worst = max(worst, 1.0)
-            spec_theta = dense.spectrum(dense.theta1(rho, system))
-            spec_pt = dense.spectrum(dense.partial_transpose_1(rho, system))
-            worst = max(worst, float(np.abs(spec_theta - spec_pt).max()))
-    return worst
+            yield AlphaVector(system, raw / (system.norm_weights() @ raw))
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    checks = [
-        ("orthogonality-sum-delta", _check_orthogonality_sums, 1e-15),
-        ("appendix-sum-minus-1-over-n2", lambda: _check_appendix_identity(cfg.n2_max), 1e-12),
-        ("l-orthogonality", lambda: _check_l_orthogonality(cfg.perturb_l), 1e-12),
-        ("explicit-l-4xn", _check_explicit_l, 1e-12),
-        ("pipeline-named-points", _check_named_points, 1e-10),
-        ("segment-threshold", _check_segment_threshold, 1e-9),
-        ("gamma-plane-4x4", _check_gamma_44, 1e-12),
-        ("d-tilde-on-gamma", lambda: _check_d_tilde_on_gamma(cfg.n2_max), 1e-12),
-        ("be-existence", lambda: _check_be_existence(cfg.n2_max), 0.5),
+    systems = [SpinPair(n1, n2) for n1 in _SWEPT_N1 for n2 in range(n1, cfg.n2_max + 1)]
+    battery = [
+        ("orthogonality-sum-delta", checks.orthogonality_sums, _orthogonality_cases(), 1e-15),
+        ("appendix-sum-minus-1-over-n2", checks.appendix_sum, systems, 1e-12),
+        ("l-orthogonality", checks.l_orthogonality, _l_matrices(cfg.perturb_l), 1e-12),
+        ("explicit-l-4xn", checks.explicit_l_4xn, range(4, 21), 1e-12),
+        ("pipeline-named-points", checks.named_points, (4, 6, 8, 12), 1e-10),
+        ("segment-threshold", checks.segment_threshold, range(4, 21), 1e-9),
+        ("gamma-plane-4x4", checks.gamma_plane_4x4, ("D", "D'", "F", "F'"), 1e-12),
+        ("d-tilde-on-gamma", checks.d_tilde_on_gamma, systems, 1e-12),
+        ("be-existence", checks.be_existence, systems, 0.5),
     ]
     if cfg.deep:
-        checks.append(("dense-oracle-equivalence", lambda: _check_dense_equivalence(cfg.seed), 1e-10))
+        battery.append(("dense-oracle-equivalence", checks.dense_equivalence,
+                        _seeded_states(cfg.seed), 1e-10))
 
     lines = [_config_comment(cfg).rstrip("\n")]
     all_ok = True
-    for name, func, bound in checks:
-        residual = func()
+    for name, check, cases, bound in battery:
+        residual = check(cases)
         ok = residual <= bound
         all_ok &= ok
         lines.append(f"{name:<32} max_residual {residual:11.3e}  bound {bound:8.0e}  "
@@ -409,60 +307,46 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_system=True):
+    def add_command(name, summary, with_system=True):
+        # an option left out stays out of the namespace, so RunConfig supplies its default
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
         if with_system:
             p.add_argument("--n1", type=int, required=True, help="first subsystem dimension")
             p.add_argument("--n2", type=int, required=True, help="second subsystem dimension (>= n1)")
-        p.add_argument("--tol", type=float, default=1e-10, help="numerical tolerance")
-        p.add_argument("--out", type=str, default=None, help="output file (default stdout)")
+        p.add_argument("--tol", type=float, help="numerical tolerance")
+        p.add_argument("--out", type=str, help="output file (default stdout)")
+        return p
 
-    p = sub.add_parser("classify", help="classify one invariant state")
-    add_common(p)
+    p = add_command("classify", "classify one invariant state")
     p.add_argument("--alpha", type=str, help="comma-separated projector coordinates")
     p.add_argument("--beta", type=str, help="comma-separated tensor coordinates")
 
-    p = sub.add_parser("geometry", help="emit labelled points and hyperplanes")
-    add_common(p)
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+    p = add_command("geometry", "emit labelled points and hyperplanes")
+    p.add_argument("--format", dest="fmt", choices=("csv", "json"))
 
-    p = sub.add_parser("sweep", help="grid-sweep the theta_1-invariant polytope")
-    add_common(p)
-    p.add_argument("--grid", type=int, default=200, help="grid points per axis (>= 10)")
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+    p = add_command("sweep", "grid-sweep the theta_1-invariant polytope")
+    p.add_argument("--grid", type=int, help="grid points per axis (>= 10)")
+    p.add_argument("--format", dest="fmt", choices=("csv", "json"))
 
-    p = sub.add_parser("verify", help="run the identity and cross-validation battery")
-    add_common(p, with_system=False)
+    p = add_command("verify", "run the identity and cross-validation battery", with_system=False)
     p.add_argument("--deep", action="store_true",
                    help="add randomized dense-oracle equivalence checks")
-    p.add_argument("--seed", type=int, default=12345, help="seed for randomized checks")
-    p.add_argument("--n2-max", type=int, default=20, help="largest n2 in system sweeps")
+    p.add_argument("--seed", type=int, help="seed for randomized checks")
+    p.add_argument("--n2-max", type=int,
+                   help=f"largest n2 in system sweeps (>= {max(_SWEPT_N1)})")
     p.add_argument("--perturb-l", action="store_true", help=argparse.SUPPRESS)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    basis = None
-    coords = None
+    options = dict(vars(args))
     if args.command == "classify":
-        if (args.alpha is None) == (args.beta is None):
+        alpha, beta = options.pop("alpha", None), options.pop("beta", None)
+        if (alpha is None) == (beta is None):
             raise ValueError("classify needs exactly one of --alpha or --beta")
-        basis = "alpha" if args.alpha is not None else "beta"
-        coords = _parse_coords(args.alpha if basis == "alpha" else args.beta)
-    return RunConfig(
-        command=args.command,
-        n1=getattr(args, "n1", 0) or 0,
-        n2=getattr(args, "n2", 0) or 0,
-        basis=basis,
-        coords=coords,
-        tol=args.tol,
-        grid=getattr(args, "grid", 200),
-        seed=getattr(args, "seed", 12345),
-        fmt=getattr(args, "fmt", "csv"),
-        out=args.out,
-        deep=getattr(args, "deep", False),
-        n2_max=getattr(args, "n2_max", 20),
-        perturb_l=getattr(args, "perturb_l", False),
-    )
+        options["basis"] = "alpha" if alpha is not None else "beta"
+        options["coords"] = _parse_coords(alpha if alpha is not None else beta)
+    return RunConfig(**options)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -193,9 +193,6 @@ class LMatrix:
     def values(self) -> np.ndarray:
         return _l_matrix_floats(self.system)
 
-    def row(self, k: int) -> tuple[ExactRadical, ...]:
-        return self.exact[k]
-
 
 @lru_cache(maxsize=None)
 def build_l_matrix(system: SpinPair) -> LMatrix:

@@ -7,10 +7,8 @@ lines with their worst residuals.
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
-from rotinv import dense, geometry, maps, states, wigner
-from rotinv.radical import ExactRadical
+from rotinv import checks, geometry, maps, states
 from rotinv.states import AlphaVector, SpinPair, alpha_to_beta, beta_to_alpha, build_l_matrix
 
 
@@ -28,19 +26,10 @@ def random_invariant_states(system: SpinPair, count: int, seed: int):
 
 def test_criterion_1_appendix_identities():
     """Appendix sums: -1/N2 within 1e-12 and exact orthogonality delta."""
-    worst = 0.0
-    for n1 in (4, 6, 8, 10, 12):
-        for n2 in range(n1, 21):
-            j1, j2 = Fraction(n1 - 1, 2), Fraction(n2 - 1, 2)
-            total = ExactRadical.zero()
-            for k in range(n1):
-                a = wigner.six_j(j1, j2, j2 - j1, j2, j1, k)
-                b = wigner.six_j(j1, j2, j1 + j2, j2, j1, k)
-                term = (a * b).scale(2 * k + 1)
-                total = total + term + term.scale(-1 if k % 2 else 1)
-            worst = max(worst, abs(float(total) + 1.0 / n2))
+    worst = checks.appendix_sum(
+        SpinPair(n1, n2) for n1 in (4, 6, 8, 10, 12) for n2 in range(n1, 21))
 
-    exact_ok = True
+    cases = []
     spins = [Fraction(t, 2) for t in range(0, 13)]  # spins up to 6
     rng = np.random.default_rng(2024)
     for _ in range(160):
@@ -57,9 +46,8 @@ def test_criterion_1_appendix_identities():
             continue
         J = js[rng.integers(0, len(js))]
         Jp = js[rng.integers(0, len(js))]
-        got = wigner.verify_orthogonality_sum(a, b, c, d, J, Jp)
-        want = ExactRadical.one() if J == Jp else ExactRadical.zero()
-        exact_ok &= got == want
+        cases.append((a, b, c, d, J, Jp))
+    exact_ok = checks.orthogonality_sums(cases) == 0.0
 
     report(
         "criterion 1 (appendix identities)",
@@ -70,17 +58,10 @@ def test_criterion_1_appendix_identities():
 
 def test_criterion_2_l_orthogonality():
     """L orthogonality < 1e-12 and the explicit 4xN matrix matches < 1e-12."""
-    worst = 0.0
-    for n1 in range(2, 13, 2):
-        for n2 in range(n1, 25):
-            l = build_l_matrix(SpinPair(n1, n2)).values
-            worst = max(worst, float(np.abs(l @ l.T - np.eye(n1)).max()))
-    worst_explicit = 0.0
-    for n in range(4, 21):
-        built = build_l_matrix(SpinPair(4, n)).values
-        explicit = np.array([[float(e) for e in row]
-                             for row in states.explicit_l_matrix_4xn(n).exact])
-        worst_explicit = max(worst_explicit, float(np.abs(built - explicit).max()))
+    worst = checks.l_orthogonality(
+        build_l_matrix(SpinPair(n1, n2)).values
+        for n1 in range(2, 13, 2) for n2 in range(n1, 25))
+    worst_explicit = checks.explicit_l_4xn(range(4, 21))
     report(
         "criterion 2 (L orthogonality + explicit 4xN)",
         worst < 1e-12 and worst_explicit < 1e-12,
@@ -90,15 +71,13 @@ def test_criterion_2_l_orthogonality():
 
 def test_criterion_3_figure_one_geometry():
     """Named points equal the pipeline within 1e-12; states; E,F,G PPT."""
-    worst = 0.0
+    ns = (4, 6, 8, 12)
+    # vertices of the intersection: on the boundary of both tetrahedra
+    worst = checks.named_points(ns, boundary=("E", "F", "G", "E'", "F'", "G'"))
     ok = True
-    for n in (4, 6, 8, 12):
+    for n in ns:
         named = geometry.named_points_4xn(n)
-        extremes = geometry.alpha_extreme_points(SpinPair(4, n))
-        for idx, label in enumerate("ABCD"):
-            pipeline = alpha_to_beta(extremes[idx]).as_array()
-            worst = max(worst, float(np.abs(
-                np.array(named[label].beta.coords) - pipeline).max()))
+        for label in "ABCD":
             prime = maps.partial_time_reversal(named[label].beta).as_array()
             worst = max(worst, float(np.abs(
                 np.array(named[label + "'"].beta.coords) - prime).max()))
@@ -107,11 +86,6 @@ def test_criterion_3_figure_one_geometry():
             ok &= states.check_state(alpha, tol=1e-10).is_state
         for label in ("E", "F", "G", "E'", "F'", "G'"):
             ok &= maps.is_ppt(named[label].beta, tol=1e-10)
-            # vertices of the intersection: on the boundary of both tetrahedra
-            alpha = beta_to_alpha(named[label].beta).as_array()
-            flip = beta_to_alpha(
-                maps.partial_time_reversal(named[label].beta)).as_array()
-            worst = max(worst, abs(min(alpha.min(), flip.min())))
     report(
         "criterion 3 (figure-1 geometry)",
         worst < 1e-12 and ok,
@@ -121,7 +95,7 @@ def test_criterion_3_figure_one_geometry():
 
 def test_criterion_4_detection_threshold():
     """Single detection flip at t* within 1e-9; N=4 flip point is D''."""
-    worst_t = 0.0
+    worst_t = checks.segment_threshold(range(4, 21))
     single_flip = True
     for n in range(4, 21):
         previous = maps.breuer_detects(geometry.segment_state_4xn(n, 0.0))
@@ -131,15 +105,6 @@ def test_criterion_4_detection_threshold():
             flips += current != previous
             previous = current
         single_flip &= flips == 1
-        lo, hi = 0.0, 1.0
-        for _ in range(55):
-            mid = 0.5 * (lo + hi)
-            if maps.breuer_detects(geometry.segment_state_4xn(n, mid)):
-                hi = mid
-            else:
-                lo = mid
-        t_star = geometry.segment_detection_threshold(n)
-        worst_t = max(worst_t, abs(0.5 * (lo + hi) - t_star))
 
     flip_state = geometry.segment_state_4xn(4, geometry.segment_detection_threshold(4))
     named = geometry.named_points_4xn(4)
@@ -156,34 +121,18 @@ def test_criterion_4_detection_threshold():
 
 def test_criterion_5_gamma_plane_4x4():
     """D, D', F, F' lie on the 4x4 gamma plane within 1e-12."""
-    plane = geometry.gamma_hyperplane(SpinPair(4, 4))
-    named = geometry.named_points_4xn(4)
-    worst = max(
-        abs(plane.evaluate(named[label].beta)) for label in ("D", "D'", "F", "F'")
-    )
+    worst = checks.gamma_plane_4x4(("D", "D'", "F", "F'"))
     report("criterion 5 (4x4 gamma plane)", worst < 1e-12, f"max residual {worst:.2e}")
 
 
 def test_criterion_6_gamma_d_tilde_existence():
     """D~'' on Gamma within 1e-12, interior, and a detected grid state beyond."""
-    worst = 0.0
-    interior_ok = True
-    existence_ok = True
-    for n1 in (4, 6, 8, 10):
-        for n2 in range(n1, 21):
-            system = SpinPair(n1, n2)
-            plane = geometry.gamma_hyperplane(system)
-            point = geometry.d_tilde_point(system)
-            worst = max(worst, abs(plane.evaluate(point.beta)))
-            alpha = beta_to_alpha(point.beta)
-            interior_ok &= min(alpha.coords) > 0
-            found = geometry.find_detected_invariant_state(system)
-            existence_ok &= (
-                found is not None
-                and maps.breuer_detects(found)
-                and maps.is_ppt(found)
-                and plane.evaluate(found) < 0
-            )
+    systems = [SpinPair(n1, n2) for n1 in (4, 6, 8, 10) for n2 in range(n1, 21)]
+    worst = checks.d_tilde_on_gamma(systems)
+    interior_ok = all(
+        min(beta_to_alpha(geometry.d_tilde_point(system).beta).coords) > 0
+        for system in systems)
+    existence_ok = checks.be_existence(systems) == 0.0
     report(
         "criterion 6 (Gamma / D~'' / BE existence)",
         worst < 1e-12 and interior_ok and existence_ok,
@@ -225,28 +174,14 @@ def test_criterion_7_separability_anchors():
 
 def test_criterion_8_oracle_equivalence():
     """100 seeded states per system: extraction, Breuer sign, PT spectra."""
-    worst_extract = 0.0
-    worst_spec = 0.0
-    sign_ok = True
-    for seed, dims in enumerate(((4, 4), (4, 6), (6, 6), (6, 8))):
-        system = SpinPair(*dims)
-        l = build_l_matrix(system).values
-        for alpha in random_invariant_states(system, 100, seed=100 + seed):
-            beta = alpha_to_beta(alpha)
-            rho = dense.from_alpha(alpha)
-            extracted = dense.extract_beta(rho, system)
-            worst_extract = max(worst_extract, float(np.abs(
-                extracted.as_array() - l @ alpha.as_array()).max()))
-            min_eig, _ = dense.min_eigenvalue(dense.breuer_phi1(rho, system))
-            min_alpha = min(beta_to_alpha(maps.breuer_map(beta)).coords)
-            sign_ok &= (min_eig < -1e-10) == (min_alpha < -1e-10)
-            s1 = dense.spectrum(dense.theta1(rho, system))
-            s2 = dense.spectrum(dense.partial_transpose_1(rho, system))
-            worst_spec = max(worst_spec, float(np.abs(s1 - s2).max()))
+    worst = checks.dense_equivalence(
+        alpha
+        for seed, dims in enumerate(((4, 4), (4, 6), (6, 6), (6, 8)))
+        for alpha in random_invariant_states(SpinPair(*dims), 100, seed=100 + seed))
     report(
         "criterion 8 (dense oracle equivalence)",
-        worst_extract < 1e-10 and worst_spec < 1e-10 and sign_ok,
-        f"extract {worst_extract:.2e}, spectra {worst_spec:.2e}, signs={sign_ok}",
+        worst < 1e-10,
+        f"extract/spectra/signs {worst:.2e}",
     )
 
 

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from rotinv import SpinPair
-from rotinv.cli import main
+from rotinv.cli import _build_parser, _config_comment, _config_from_args, main
 from rotinv.geometry import sweep_rows
 
 
@@ -68,6 +68,24 @@ class TestClassify:
             ["classify", "--n1", "4", "--n2", "4", "--beta", "1,0,0"], capsys
         )
         assert code == 2
+
+    @pytest.mark.parametrize("text", ["1,nan,0,0", "inf,0,0,0", "1,0,-inf,0"])
+    @pytest.mark.parametrize("basis", ["--alpha", "--beta"])
+    def test_non_finite_coordinates_exit_2(self, basis, text, capsys):
+        code, out, err = run_main(["classify", "--n1", "4", "--n2", "4", basis, text], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: coordinates must be finite, got {text!r}\n"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    @pytest.mark.parametrize("command", [
+        ["classify", "--n1", "4", "--n2", "4", "--beta", "1,0,0,0"],
+        ["sweep", "--n1", "6", "--n2", "8"],
+        ["verify"],
+    ])
+    def test_non_finite_tolerance_exit_2(self, command, tol, capsys):
+        code, out, err = run_main(command + ["--tol", tol], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: tolerance must be finite, got {float(tol)}\n"
 
     def test_both_bases_exit_2(self, capsys):
         code, _, err = run_main(
@@ -168,24 +186,60 @@ class TestSweep:
         assert 0 < data["be_region_fraction"] < 1
 
 
+VERIFY_CHECKS = [
+    "orthogonality-sum-delta",
+    "appendix-sum-minus-1-over-n2",
+    "l-orthogonality",
+    "explicit-l-4xn",
+    "pipeline-named-points",
+    "segment-threshold",
+    "gamma-plane-4x4",
+    "d-tilde-on-gamma",
+    "be-existence",
+]
+
+
+def check_lines(out):
+    """The check lines of a verify report, between the config echo and the verdict."""
+    lines = out.splitlines()
+    assert lines[0].startswith("# rotinv command=verify ")
+    return lines[1:-1], lines[-1]
+
+
 class TestVerify:
     def test_default_battery_passes(self, capsys):
         code, out, _ = run_main(["verify", "--n2-max", "12"], capsys)
         assert code == 0
-        assert "verification PASSED" in out
-        assert out.count("PASS") >= 9
+        checks, verdict = check_lines(out)
+        assert [line.split()[0] for line in checks] == VERIFY_CHECKS
+        assert all(line.endswith("  PASS") for line in checks)
+        assert verdict == "verification PASSED"
 
     def test_perturbed_l_fails(self, capsys):
         code, out, _ = run_main(["verify", "--n2-max", "12", "--perturb-l"], capsys)
         assert code == 1
-        assert "FAIL" in out and "l-orthogonality" in out
+        checks, verdict = check_lines(out)
+        failed = [line.split()[0] for line in checks if line.endswith("  FAIL")]
+        assert failed == ["l-orthogonality"]
+        assert len(checks) == len(VERIFY_CHECKS)
+        assert verdict == "verification FAILED"
 
     def test_deep_battery(self, capsys):
         code, out, _ = run_main(
             ["verify", "--n2-max", "10", "--deep", "--seed", "7"], capsys
         )
         assert code == 0
-        assert "dense-oracle-equivalence" in out
+        checks, verdict = check_lines(out)
+        assert [line.split()[0] for line in checks] == VERIFY_CHECKS + ["dense-oracle-equivalence"]
+        assert all(line.endswith("  PASS") for line in checks)
+        assert verdict == "verification PASSED"
+
+    @pytest.mark.parametrize("n2_max", ["-5", "2", "9"])
+    def test_n2_max_below_largest_swept_n1_exit_2(self, n2_max, capsys):
+        code, out, err = run_main(["verify", "--n2-max", n2_max], capsys)
+        assert code == 2 and out == ""
+        assert err == (f"error: n2-max must be >= 10, the largest n1 that verify "
+                       f"sweeps, got {n2_max}\n")
 
     def test_deterministic_given_seed(self, tmp_path):
         out1, out2 = tmp_path / "v1.txt", tmp_path / "v2.txt"
@@ -193,6 +247,18 @@ class TestVerify:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestConfig:
+    @pytest.mark.parametrize("argv, comment", [
+        (["verify"], "command=verify tol=1e-10 seed=12345 deep=False n2_max=20"),
+        (["sweep", "--n1", "6", "--n2", "8"], "command=sweep n1=6 n2=8 tol=1e-10 grid=200"),
+        (["geometry", "--n1", "4", "--n2", "4"], "command=geometry n1=4 n2=4 tol=1e-10"),
+    ])
+    def test_default_config_echo(self, argv, comment):
+        cfg = _config_from_args(_build_parser().parse_args(argv))
+        assert _config_comment(cfg) == f"# rotinv {comment}\n"
+        assert (cfg.fmt, cfg.out, cfg.perturb_l) == ("csv", None, False)
 
 
 class TestEntryPoint:
