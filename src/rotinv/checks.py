@@ -76,9 +76,7 @@ def explicit_l_4xn(ns) -> float:
     """The built 4 x N L matrix against its closed form, for each N."""
     def residual(n):
         built = states.build_l_matrix(SpinPair(4, n)).values
-        explicit = np.array([[float(e) for e in row]
-                             for row in states.explicit_l_matrix_4xn(n).exact])
-        return float(np.abs(built - explicit).max())
+        return float(np.abs(built - states.explicit_l_matrix_4xn(n).values).max())
     return _worst(residual(n) for n in ns)
 
 

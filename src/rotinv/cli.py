@@ -109,6 +109,11 @@ def cmd_classify(cfg: RunConfig) -> int:
         beta = states.alpha_to_beta(AlphaVector(system, cfg.coords))
     else:
         beta = BetaVector(system, cfg.coords)
+    # the Breuer map needs unit trace; other systems classify such input as NotAState
+    trace = beta.coords[0]  # = sum_J sqrt((2J+1)/(n1 n2)) alpha_J
+    if system.breuer_applicable and abs(trace - 1.0) > maps.TRACE_TOL:
+        raise ValueError(f"the {cfg.basis} coordinates given have trace {trace!r}, but a "
+                         "state needs sum_J sqrt((2J+1)/(n1 n2)) alpha_J = 1")
     result = maps.classify(beta, cfg.tol)
     report = {"config": cfg.echo(), "input": beta.to_json_dict()}
     report.update(result.to_json_dict())
@@ -151,16 +156,10 @@ def _geometry_csv(cfg: RunConfig, points, planes) -> str:
             row += [repr(p.beta.coords[k]), str(p.exact[k])]
         writer.writerow(row)
     for h in planes:
-        row = ["hyperplane", h.label, repr(h.constant),
-               str(h.exact_constant) if h.exact_constant is not None else ""]
-        coeffs = dict(zip(range(2, n1, 2), h.coeffs))
-        exacts = dict(zip(range(2, n1, 2), h.exact_coeffs or ()))
-        for k in range(1, n1):
-            if k in coeffs:
-                row += [repr(coeffs[k]), str(exacts[k]) if k in exacts else ""]
-            else:
-                row += ["", ""]
-        writer.writerow(row)
+        row = ["hyperplane", h.label, repr(h.constant), str(h.exact_constant)]
+        for coeff, exact in zip(h.coeffs, h.exact_coeffs):  # odd K columns stay empty
+            row += ["", "", repr(coeff), str(exact)]
+        writer.writerow(row + ["", ""])
     return buf.getvalue()
 
 
@@ -179,9 +178,9 @@ def _geometry_json(cfg: RunConfig, points, planes) -> str:
             {
                 "label": h.label,
                 "constant": h.constant,
-                "constant_exact": str(h.exact_constant) if h.exact_constant else None,
+                "constant_exact": str(h.exact_constant),
                 "coeffs": {f"K={2 * (i + 1)}": c for i, c in enumerate(h.coeffs)},
-                "coeffs_exact": [str(c) for c in h.exact_coeffs] if h.exact_coeffs else None,
+                "coeffs_exact": [str(c) for c in h.exact_coeffs],
             }
             for h in planes
         ],
@@ -338,6 +337,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Join "--alpha -0.1,..." into "--alpha=-0.1,..." (also --beta, --tol):
+    argparse takes a separate value such as "-0.1,0.3" or "-inf" for an option."""
+    out: list[str] = []
+    for arg in argv:
+        if (out and out[-1] in ("--alpha", "--beta", "--tol")
+                and arg.startswith("-") and not arg.startswith("--")):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     options = dict(vars(args))
     if args.command == "classify":
@@ -351,7 +363,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = _config_from_args(args)
         if args.command == "classify":

@@ -37,9 +37,7 @@ from .states import (
     BetaVector,
     SpinPair,
     build_l_matrix,
-    _l_matrix_floats,
 )
-from .wigner import six_j
 
 __all__ = [
     "NamedPoint",
@@ -95,8 +93,8 @@ class Hyperplane:
     label: str
     constant: float
     coeffs: tuple[float, ...]  # for beta_2, beta_4, ..., beta_{n1-2}
-    exact_constant: ExactRadical | None = None
-    exact_coeffs: tuple[ExactRadical, ...] | None = None
+    exact_constant: ExactRadical
+    exact_coeffs: tuple[ExactRadical, ...]
 
     def __post_init__(self):
         if len(self.coeffs) != (self.system.n1 - 2) // 2:
@@ -109,10 +107,6 @@ class Hyperplane:
 
     def evaluate(self, beta: BetaVector) -> float:
         return float(self.evaluate_even(beta.coords[2::2]))
-
-
-def _even_count(system: SpinPair) -> int:
-    return (system.n1 - 2) // 2
 
 
 def _require_even(system: SpinPair, what: str):
@@ -234,51 +228,40 @@ def named_points_4xn(n: int) -> dict[str, NamedPoint]:
 # hyperplanes: Gamma, gamma, and the theta_1-invariant polytope
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def gamma_hyperplane(system: SpinPair) -> Hyperplane:
-    """The detection boundary in the theta_1-invariant coordinates.
+    """The detection boundary in the theta_1-invariant coordinates, cached per system.
 
-    Gamma(beta) = 1/sqrt(n1 n2)
-                + (-1)**n2 * 2/(n1-2) * sum_K sqrt(4K+1) {j1 j2 Jmin; j2 j1 2K} beta_2K
+    Gamma(beta) = (L[0, Jmin] - 2/(n1-2) sum_K L[2K, Jmin] beta_2K) / sqrt(2Jmin+1)
 
-    with Jmin = (n2-n1)/2.  The Breuer image of a point on Gamma lies on the
-    state-space face alpha_Jmin = 0, so Gamma < 0 is exactly the detected
+    with Jmin = (n2-n1)/2, read off the Jmin column of the exact L matrix;
+    the constant is 1/sqrt(n1 n2).  Gamma is alpha_Jmin of the Breuer image
+    over (n1-2) sqrt(2Jmin+1): the image of a point on Gamma lies on the
+    state-space face alpha_Jmin = 0, and Gamma < 0 is exactly the detected
     side.  For n1 = 4 this is the plane through D'' orthogonal to the
     invariant segment E''G''.
     """
     _require_even(system, "gamma_hyperplane")
-    j1, j2 = system.j1, system.j2
-    jmin = j2 - j1
-    sign = -1 if system.n2 % 2 else 1
-    const = ExactRadical.sqrt(Fraction(1, system.dim))
-    coeffs = []
-    for k in range(1, _even_count(system) + 1):
-        c = six_j(j1, j2, jmin, j2, j1, 2 * k) * ExactRadical.sqrt(4 * k + 1)
-        coeffs.append(c.scale(Fraction(2 * sign, system.n1 - 2)))
-    return _exact_plane(system, "Gamma", const, coeffs)
+    l = build_l_matrix(system).exact
+    unit = ExactRadical.sqrt(Fraction(1, system.n2 - system.n1 + 1))
+    return _exact_plane(system, "Gamma", l[0][0] * unit,
+                        (row[0].scale(Fraction(-2, system.n1 - 2)) * unit for row in l[2::2]))
 
 
 def d_tilde_point(system: SpinPair) -> NamedPoint:
     """The symmetrized maximal-momentum extreme state D~''.
 
-    beta_2K = sqrt(n1 n2 (4K+1)) (-1)**n2 {j1 j2 Jmax; j2 j1 2K}; odd
-    coordinates vanish.  It is an interior point of the invariant polytope
-    (all alpha_J > 0) and lies on Gamma, which proves that detected bound
-    entangled states exist for every even n1 >= 4.
+    beta_2K = sqrt(n1 n2 / (n1+n2-1)) L[2K, Jmax], read off the Jmax column
+    of the exact L matrix (beta_0 = 1); odd coordinates vanish.  It is an
+    interior point of the invariant polytope (all alpha_J > 0) and lies on
+    Gamma, which proves that detected bound entangled states exist for
+    every even n1 >= 4.
     """
     _require_even(system, "d_tilde_point")
-    j1, j2 = system.j1, system.j2
-    jmax = j1 + j2
-    sign = -1 if system.n2 % 2 else 1
-    exact = [ExactRadical.one()]
-    for k in range(1, system.n1):
-        if k % 2:
-            exact.append(ExactRadical.zero())
-        else:
-            val = six_j(j1, j2, jmax, j2, j1, k) * ExactRadical.sqrt(
-                system.dim * (2 * k + 1)
-            )
-            exact.append(val.scale(sign))
-    return _exact_point("D~''", system, exact)
+    l = build_l_matrix(system).exact
+    unit = ExactRadical.sqrt(Fraction(system.dim, system.n1 + system.n2 - 1))
+    return _exact_point("D~''", system, (ExactRadical.zero() if k % 2 else unit * l[k][-1]
+                                         for k in range(system.n1)))
 
 
 def theta1_polytope(system: SpinPair) -> tuple[Hyperplane, ...]:
@@ -291,7 +274,7 @@ def theta1_polytope(system: SpinPair) -> tuple[Hyperplane, ...]:
     l = build_l_matrix(system).exact
     return tuple(
         _exact_plane(system, f"alpha[J={j}]=0", l[0][j_idx],
-                     (l[2 * k][j_idx] for k in range(1, _even_count(system) + 1)))
+                     (row[j_idx] for row in l[2::2]))
         for j_idx, j in enumerate(system.j_values())
     )
 
@@ -394,9 +377,8 @@ def exact_hull_membership_4xn(point: NamedPoint) -> bool:
 def _polytope_arrays(system: SpinPair) -> tuple[np.ndarray, np.ndarray]:
     """(const, coefs) with alpha(x) = const + x @ coefs over the even coords."""
     _require_even(system, "invariant polytope")
-    l = _l_matrix_floats(system)
-    const = l[0, :].copy()
-    coefs = np.array([l[2 * k, :] for k in range(1, _even_count(system) + 1)])
+    l = build_l_matrix(system).values
+    const, coefs = l[0].copy(), l[2::2].copy()
     const.flags.writeable = False
     coefs.flags.writeable = False
     return const, coefs
@@ -495,35 +477,32 @@ def be_region_fraction(system: SpinPair, grid: int, tol: float = DEFAULT_TOL) ->
     return fraction
 
 
-def find_detected_invariant_state(system: SpinPair, grid: int = 64,
+def find_detected_invariant_state(system: SpinPair,
                                   tol: float = DEFAULT_TOL) -> BetaVector | None:
-    """A theta_1-invariant PPT state strictly beyond Gamma with detection.
+    """A theta_1-invariant PPT state beyond Gamma that the Breuer map detects.
 
-    Walks a grid along the inward ray from D~'' down the Gamma normal;
-    every step lands strictly on the detected side, so existence only
-    requires one grid point inside the polytope.  Since D~'' is interior,
-    the first step already qualifies for any reasonable grid.
+    Takes x_s = (1+s) x_D on the ray from the maximally mixed state (x = 0)
+    through D~''.  With w = L[0,:], the alpha of the maximally mixed state,
+
+        alpha(x_s) = alpha_D + s (alpha_D - w),
+        alpha_Phi,Jmin(x_s) = -s (n1-2) w_Jmin,
+
+    so every s > 0 is detected and beyond Gamma, and x_s is interior for s
+    below min alpha_D,J / (w_J - alpha_D,J) over the J with w_J > alpha_D,J
+    (never empty: w . (w - alpha_D) = 0 and w > 0).  s is half that bound.
+    Returns None unless float64 confirms the point: every alpha >= tol and
+    some alpha_Phi < -tol.
     """
     _require_even(system, "detection search")
-    _, coefs = _polytope_arrays(system)
+    w, _ = _polytope_arrays(system)
     d_even = np.array(d_tilde_point(system).beta.coords[2::2])
-    gamma = gamma_hyperplane(system)
-    normal = np.array(gamma.coeffs)
-    direction = -normal / np.linalg.norm(normal)  # Gamma decreases along this ray
-
-    alpha_at_d, _ = _slice_alphas(system, d_even)
-    rates = -(direction @ coefs)  # decrease rate of each alpha along the ray
-    positive = rates > 1e-15
-    if not positive.any():
-        return None
-    s_max = float((alpha_at_d[positive] / rates[positive]).min())
-    for s in np.linspace(0.0, s_max, grid + 1)[1:]:
-        x = d_even + s * direction
-        alpha, alpha_phi = _slice_alphas(system, x)
-        inside = alpha.min() >= tol  # strictly interior
-        beyond = gamma.evaluate_even(x) < -tol
-        if inside and beyond and alpha_phi.min() < -tol:
-            return _beta_from_even(system, x)
+    alpha_d, _ = _slice_alphas(system, d_even)
+    below = w > alpha_d
+    s = 0.5 * float((alpha_d[below] / (w[below] - alpha_d[below])).min())
+    x = (1.0 + s) * d_even
+    alpha, alpha_phi = _slice_alphas(system, x)
+    if alpha.min() >= tol and alpha_phi.min() < -tol:
+        return _beta_from_even(system, x)
     return None
 
 

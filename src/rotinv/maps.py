@@ -53,6 +53,10 @@ __all__ = [
 ]
 
 
+# largest |beta_0 - 1|, i.e. |trace - 1|, that breuer_map accepts
+TRACE_TOL = 1e-9
+
+
 class BreuerNotApplicableError(ValueError):
     """The Breuer map is not positive on this system (odd or too small n1)."""
 
@@ -83,7 +87,7 @@ def breuer_map(beta: BetaVector, normalized: bool = False) -> BetaVector:
     input only through its theta_1-symmetrization.
     """
     n1 = beta.system.n1
-    if abs(beta.coords[0] - 1.0) > 1e-9:
+    if abs(beta.coords[0] - 1.0) > TRACE_TOL:
         raise ValueError(f"breuer_map needs a normalized input (beta_0 = 1), got {beta.coords[0]}")
     out = [float(n1 - 2)]
     for k in range(1, n1):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -189,9 +189,12 @@ class LMatrix:
     system: SpinPair
     exact: tuple[tuple[ExactRadical, ...], ...]
 
-    @property
+    @cached_property
     def values(self) -> np.ndarray:
-        return _l_matrix_floats(self.system)
+        """The float entries of ``exact``, converted once per matrix; read-only."""
+        arr = np.array([[float(e) for e in row] for row in self.exact])
+        arr.flags.writeable = False
+        return arr
 
 
 @lru_cache(maxsize=None)
@@ -209,14 +212,6 @@ def build_l_matrix(system: SpinPair) -> LMatrix:
             row.append(entry)
         rows.append(tuple(row))
     return LMatrix(system, tuple(rows))
-
-
-@lru_cache(maxsize=None)
-def _l_matrix_floats(system: SpinPair) -> np.ndarray:
-    exact = build_l_matrix(system).exact
-    arr = np.array([[float(e) for e in row] for row in exact])
-    arr.flags.writeable = False
-    return arr
 
 
 def explicit_l_matrix_4xn(n: int) -> LMatrix:
@@ -264,13 +259,13 @@ def explicit_l_matrix_4xn(n: int) -> LMatrix:
 
 def alpha_to_beta(alpha: AlphaVector) -> BetaVector:
     """beta = L alpha.  Normalized alpha maps to beta with beta_0 = 1."""
-    l = _l_matrix_floats(alpha.system)
+    l = build_l_matrix(alpha.system).values
     return BetaVector(alpha.system, l @ alpha.as_array())
 
 
 def beta_to_alpha(beta: BetaVector) -> AlphaVector:
     """alpha = L^T beta (L is orthogonal)."""
-    l = _l_matrix_floats(beta.system)
+    l = build_l_matrix(beta.system).values
     return AlphaVector(beta.system, l.T @ beta.as_array())
 
 

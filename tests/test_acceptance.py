@@ -126,7 +126,7 @@ def test_criterion_5_gamma_plane_4x4():
 
 
 def test_criterion_6_gamma_d_tilde_existence():
-    """D~'' on Gamma within 1e-12, interior, and a detected grid state beyond."""
+    """D~'' on Gamma within 1e-12, interior, and a detected witness beyond it."""
     systems = [SpinPair(n1, n2) for n1 in (4, 6, 8, 10) for n2 in range(n1, 21)]
     worst = checks.d_tilde_on_gamma(systems)
     interior_ok = all(

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, determinism, and exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -69,14 +70,14 @@ class TestClassify:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("text", ["1,nan,0,0", "inf,0,0,0", "1,0,-inf,0"])
+    @pytest.mark.parametrize("text", ["1,nan,0,0", "inf,0,0,0", "1,0,-inf,0", "-inf,0,0,0"])
     @pytest.mark.parametrize("basis", ["--alpha", "--beta"])
     def test_non_finite_coordinates_exit_2(self, basis, text, capsys):
         code, out, err = run_main(["classify", "--n1", "4", "--n2", "4", basis, text], capsys)
         assert code == 2 and out == ""
         assert err == f"error: coordinates must be finite, got {text!r}\n"
 
-    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("command", [
         ["classify", "--n1", "4", "--n2", "4", "--beta", "1,0,0,0"],
         ["sweep", "--n1", "6", "--n2", "8"],
@@ -86,6 +87,29 @@ class TestClassify:
         code, out, err = run_main(command + ["--tol", tol], capsys)
         assert code == 2 and out == ""
         assert err == f"error: tolerance must be finite, got {float(tol)}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--n1", "4", "--n2", "4", "--alpha", "-0.1,0.5,0.5,0.7997503766195847"],
+        ["--n1", "5", "--n2", "5", "--beta", "-1,0,0,0,0"],
+    ])
+    def test_coordinates_starting_with_minus(self, argv, capsys):
+        code, out, err = run_main(["classify"] + argv, capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["verdict"] == "NotAState"
+        joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+        assert run_main(["classify"] + joined, capsys) == (code, out, err)
+
+    @pytest.mark.parametrize("basis, text, trace", [
+        ("alpha", "0.25,0.25,0.25,0.25", "0.49060575393600714"),
+        ("beta", "2,0,0.2,0", "2.0"),
+    ])
+    def test_unnormalized_input_names_trace_condition(self, basis, text, trace, capsys):
+        code, out, err = run_main(
+            ["classify", f"--{basis}={text}", "--n1", "4", "--n2", "6"], capsys)
+        assert code == 2 and out == ""
+        assert f"the {basis} coordinates given have trace {trace}" in err
+        assert "sum_J sqrt((2J+1)/(n1 n2)) alpha_J = 1" in err
+        assert "breuer_map" not in err
 
     def test_both_bases_exit_2(self, capsys):
         code, _, err = run_main(
@@ -125,6 +149,28 @@ class TestGeometry:
         assert code == 2
         code, _, err = run_main(["geometry", "--n1", "5", "--n2", "7"], capsys)
         assert code == 2
+
+    # sha256 of the full output; every float is math.sqrt of an int ratio,
+    # so the bytes do not depend on the platform
+    @pytest.mark.parametrize("n1, n2, fmt, digest", [
+        (4, 4, "csv", "fa575aa9eb5cca5ac59d508fb854949b2a324a95b959a46f2f7bd9e607504d22"),
+        (4, 4, "json", "51855db687a9b5867fe010d6674935d16df5b24f3cd61efce75f6699272d14e6"),
+        (4, 12, "csv", "78e60c98eb445b5d8669993d9de72548d925356ea33c8d7f8a64bae1fd9be539"),
+        (4, 12, "json", "be0b05142e01dc698cdd0bfc2062aef68c5574bcf6ebfc61ba9da70ba9adf922"),
+        (6, 8, "csv", "8816e96593ee8fd5fe5d4f04395df30eef6584534b667c0c3a53746de3e126a7"),
+        (6, 8, "json", "325e3db03179f7817e5b0415ea1d026f0e8be43a3ff3c96fcc3b05572d0c372e"),
+        (8, 12, "csv", "1f2f24f3013f5d43db3819bf8889a27490fbe13be9d56ac992118578249698e9"),
+        (8, 12, "json", "a9307cada7c7e668f8ac6d02f1745a2dffbfb9a4dd02d5e1989349e3d098d9f3"),
+        (10, 18, "csv", "290bb4d05915a4461bea6a2891f4812d3b082b28813ec4a66b67a7f14a8b05c3"),
+        (10, 18, "json", "6b0f206d00c40d3d3bf921bcadedd40947cca762ace6e6ae486d16c69739567b"),
+        (12, 20, "csv", "1ef30ddc1c9c5332b0853ec8ec8f89d5ed46212b8dd13597efb1e7e1dce1fa7f"),
+        (12, 20, "json", "b26f3db6f62a52cb0046d92fe1d4e5276b18c48479197fbdd97fb881131b9d29"),
+    ])
+    def test_golden_bytes(self, n1, n2, fmt, digest, capsys):
+        code, out, _ = run_main(
+            ["geometry", "--n1", str(n1), "--n2", str(n2), "--format", fmt], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_exact_columns_contain_radicals(self, capsys):
         code, out, _ = run_main(["geometry", "--n1", "4", "--n2", "4"], capsys)

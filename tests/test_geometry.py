@@ -41,6 +41,7 @@ from rotinv.states import (
     check_state,
     maximally_mixed,
 )
+from rotinv.wigner import six_j
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +269,55 @@ class TestGammaPlane:
             gamma_hyperplane(SpinPair(5, 7))
         with pytest.raises(ValueError):
             gamma_hyperplane(SpinPair(2, 6))
+
+
+def gamma_six_j_form(system):
+    """Gamma by its 6-j closed form: constant 1/sqrt(n1 n2) and coefficients
+    (-1)**n2 * 2/(n1-2) * sqrt(4K+1) {j1 j2 Jmin; j2 j1 2K}, Jmin = j2 - j1."""
+    j1, j2 = system.j1, system.j2
+    sign = -1 if system.n2 % 2 else 1
+    coeffs = tuple(
+        (six_j(j1, j2, j2 - j1, j2, j1, 2 * k) * ExactRadical.sqrt(4 * k + 1))
+        .scale(Fraction(2 * sign, system.n1 - 2))
+        for k in range(1, system.n1 // 2))
+    return ExactRadical.sqrt(Fraction(1, system.dim)), coeffs
+
+
+def d_tilde_six_j_form(system):
+    """D~'' by its 6-j closed form: beta_K = sqrt(n1 n2 (2K+1)) (-1)**n2
+    {j1 j2 Jmax; j2 j1 K} for even K >= 2, beta_0 = 1, odd beta_K = 0."""
+    j1, j2 = system.j1, system.j2
+    sign = -1 if system.n2 % 2 else 1
+    exact = [ExactRadical.one()]
+    for k in range(1, system.n1):
+        if k % 2:
+            exact.append(ExactRadical.zero())
+        else:
+            exact.append((six_j(j1, j2, j1 + j2, j2, j1, k)
+                          * ExactRadical.sqrt(system.dim * (2 * k + 1))).scale(sign))
+    return tuple(exact)
+
+
+class TestLColumnForms:
+    """Gamma and D~'' are read off the L matrix; the 6-j forms are the reference."""
+
+    SYSTEMS = [SpinPair(n1, n2) for n1 in range(4, 21, 2) for n2 in range(n1, 2 * n1 + 9)]
+
+    def test_gamma_equals_six_j_form(self):
+        for system in self.SYSTEMS:
+            plane = gamma_hyperplane(system)
+            assert (plane.exact_constant, plane.exact_coeffs) == gamma_six_j_form(system), system
+            assert plane.constant == float(plane.exact_constant)
+            assert plane.coeffs == tuple(float(c) for c in plane.exact_coeffs)
+
+    def test_d_tilde_equals_six_j_form(self):
+        for system in self.SYSTEMS:
+            point = d_tilde_point(system)
+            assert point.exact == d_tilde_six_j_form(system), system
+            assert point.beta.coords == tuple(float(e) for e in point.exact)
+
+    def test_gamma_cached_per_system(self):
+        assert gamma_hyperplane(SpinPair(6, 8)) is gamma_hyperplane(SpinPair(6, 8))
 
 
 class TestDTildePoint:
@@ -513,3 +563,17 @@ class TestDetectionExistence:
             assert check_state(beta_to_alpha(beta)).is_state
             assert beta.coords[1::2] == (0.0,) * (n1 // 2)  # theta_1 invariant
             assert gamma_hyperplane(system).evaluate(beta) < 0
+
+    # the existence-ladder sizes (even n1, n2 in {n1, n1+2, 2n1, 2n1+8}) where
+    # float64 resolves the radial witness; 14x36 and 20x22 need the ray
+    @pytest.mark.parametrize("dims", [
+        (4, 4), (4, 6), (4, 8), (4, 16), (6, 6), (6, 8), (6, 12), (6, 20), (8, 8), (8, 10),
+        (8, 16), (8, 24), (10, 10), (10, 12), (10, 20), (10, 28), (12, 12), (12, 14),
+        (12, 24), (12, 32), (14, 14), (14, 16), (14, 28), (14, 36), (16, 16), (16, 18),
+        (18, 18), (18, 20), (20, 20), (20, 22)])
+    def test_witness_on_existence_ladder(self, dims):
+        system = SpinPair(*dims)
+        beta = find_detected_invariant_state(system)
+        assert beta is not None
+        assert maps.classify(beta).verdict is maps.Verdict.PPT_BOUND_ENTANGLED_DETECTED
+        assert gamma_hyperplane(system).evaluate(beta) < 0

@@ -12,6 +12,7 @@ from rotinv.radical import ExactRadical
 from rotinv.states import (
     AlphaVector,
     BetaVector,
+    LMatrix,
     SpinPair,
     alpha_to_beta,
     beta_to_alpha,
@@ -87,6 +88,15 @@ class TestLMatrix:
                 for j in system.j_values()
             ]
             assert list(l.exact[0]) == expected
+
+    def test_values_convert_own_entries(self):
+        l = explicit_l_matrix_4xn(7)
+        assert np.array_equal(l.values, [[float(e) for e in row] for row in l.exact])
+        rows = [list(row) for row in l.exact]
+        rows[1][1] = -rows[1][1]
+        negated = LMatrix(l.system, tuple(map(tuple, rows)))
+        assert negated.values[1, 1] == -l.values[1, 1] != 0.0
+        assert not negated.values.flags.writeable
 
     def test_smallest_system(self):
         l = build_l_matrix(SpinPair(2, 2)).values
