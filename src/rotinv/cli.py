@@ -109,9 +109,9 @@ def cmd_classify(cfg: RunConfig) -> int:
         beta = states.alpha_to_beta(AlphaVector(system, cfg.coords))
     else:
         beta = BetaVector(system, cfg.coords)
-    # the Breuer map needs unit trace; other systems classify such input as NotAState
+    # input off the trace condition is bad input on every system
     trace = beta.coords[0]  # = sum_J sqrt((2J+1)/(n1 n2)) alpha_J
-    if system.breuer_applicable and abs(trace - 1.0) > maps.TRACE_TOL:
+    if abs(trace - 1.0) > maps.TRACE_TOL:
         raise ValueError(f"the {cfg.basis} coordinates given have trace {trace!r}, but a "
                          "state needs sum_J sqrt((2J+1)/(n1 n2)) alpha_J = 1")
     result = maps.classify(beta, cfg.tol)

@@ -144,27 +144,28 @@ def from_beta(beta: BetaVector) -> np.ndarray:
     return rho
 
 
-def extract_beta(rho: np.ndarray, system: SpinPair,
-                 check_invariance: bool = True, tol: float = 1e-8) -> BetaVector:
+# largest entry of |rho - twirl(rho)| that extract_beta accepts as invariant
+_INVARIANCE_TOL = 1e-8
+
+
+def extract_beta(rho: np.ndarray, system: SpinPair) -> BetaVector:
     """beta_K = sqrt(n1 n2 / (2K+1)) Tr(Q_K rho).
 
-    With ``check_invariance`` the operator must equal its own twirl; a
-    non-invariant input raises :class:`NonInvariantError` carrying the
-    projected coordinates.
+    The operator must equal its own twirl; a non-invariant input raises
+    :class:`NonInvariantError` carrying the projected coordinates.
     """
     coords = [
         np.sqrt(system.dim / (2 * k + 1)) * np.trace(invariant_q(system, k) @ rho).real
         for k in system.k_values()
     ]
     beta = BetaVector(system, coords)
-    if check_invariance:
-        residual = np.abs(rho - from_beta(beta)).max()
-        if residual > tol:
-            raise NonInvariantError(
-                f"operator is not rotationally invariant (residual {residual:.3e}); "
-                "use twirl_alpha for the projection",
-                projected_beta=beta,
-            )
+    residual = np.abs(rho - from_beta(beta)).max()
+    if residual > _INVARIANCE_TOL:
+        raise NonInvariantError(
+            f"operator is not rotationally invariant (residual {residual:.3e}); "
+            "use twirl_alpha for the projection",
+            projected_beta=beta,
+        )
     return beta
 
 

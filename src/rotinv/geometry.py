@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -84,6 +84,8 @@ class NamedPoint:
 class Hyperplane:
     """Affine functional constant + sum_K coeff_{2K} beta_{2K} over even K >= 2.
 
+    Stored exactly: equality and hashing see only the exact fields, and
+    ``constant`` and ``coeffs`` are their floats, converted once per plane.
     The coefficients may all vanish: at 4 x 5 the face alpha_{J=1/2} = 0
     misses the theta_1-invariant line and its functional is the constant
     L[0, J=1/2] > 0.
@@ -91,14 +93,20 @@ class Hyperplane:
 
     system: SpinPair
     label: str
-    constant: float
-    coeffs: tuple[float, ...]  # for beta_2, beta_4, ..., beta_{n1-2}
     exact_constant: ExactRadical
-    exact_coeffs: tuple[ExactRadical, ...]
+    exact_coeffs: tuple[ExactRadical, ...]  # for beta_2, beta_4, ..., beta_{n1-2}
 
     def __post_init__(self):
-        if len(self.coeffs) != (self.system.n1 - 2) // 2:
+        if len(self.exact_coeffs) != (self.system.n1 - 2) // 2:
             raise ValueError("one coefficient per even coordinate beta_2..beta_{n1-2}")
+
+    @cached_property
+    def constant(self) -> float:
+        return float(self.exact_constant)
+
+    @cached_property
+    def coeffs(self) -> tuple[float, ...]:
+        return tuple(float(c) for c in self.exact_coeffs)
 
     def evaluate_even(self, x) -> np.ndarray | float:
         """Evaluate on even coordinates (beta_2, ..., beta_{n1-2})."""
@@ -176,12 +184,6 @@ def _exact_point(label: str, system: SpinPair, exact) -> NamedPoint:
     return NamedPoint(label, BetaVector(system, tuple(float(e) for e in exact)), exact)
 
 
-def _exact_plane(system: SpinPair, label: str, const: ExactRadical, coeffs) -> Hyperplane:
-    coeffs = tuple(coeffs)
-    return Hyperplane(system, label, float(const), tuple(float(c) for c in coeffs),
-                      const, coeffs)
-
-
 def _points_and_flips(n: int, labels: str) -> dict[str, NamedPoint]:
     """The closed-form 4 x N points X and their time-reversal images X'."""
     if n < 4:
@@ -244,8 +246,8 @@ def gamma_hyperplane(system: SpinPair) -> Hyperplane:
     _require_even(system, "gamma_hyperplane")
     l = build_l_matrix(system).exact
     unit = ExactRadical.sqrt(Fraction(1, system.n2 - system.n1 + 1))
-    return _exact_plane(system, "Gamma", l[0][0] * unit,
-                        (row[0].scale(Fraction(-2, system.n1 - 2)) * unit for row in l[2::2]))
+    return Hyperplane(system, "Gamma", l[0][0] * unit,
+                      tuple(row[0].scale(Fraction(-2, system.n1 - 2)) * unit for row in l[2::2]))
 
 
 def d_tilde_point(system: SpinPair) -> NamedPoint:
@@ -273,8 +275,8 @@ def theta1_polytope(system: SpinPair) -> tuple[Hyperplane, ...]:
     _require_even(system, "theta1_polytope")
     l = build_l_matrix(system).exact
     return tuple(
-        _exact_plane(system, f"alpha[J={j}]=0", l[0][j_idx],
-                     (row[j_idx] for row in l[2::2]))
+        Hyperplane(system, f"alpha[J={j}]=0", l[0][j_idx],
+                   tuple(row[j_idx] for row in l[2::2]))
         for j_idx, j in enumerate(system.j_values())
     )
 
@@ -373,27 +375,17 @@ def exact_hull_membership_4xn(point: NamedPoint) -> bool:
 # polytope sweeps and the bound-entangled region
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _polytope_arrays(system: SpinPair) -> tuple[np.ndarray, np.ndarray]:
-    """(const, coefs) with alpha(x) = const + x @ coefs over the even coords."""
-    _require_even(system, "invariant polytope")
-    l = build_l_matrix(system).values
-    const, coefs = l[0].copy(), l[2::2].copy()
-    const.flags.writeable = False
-    coefs.flags.writeable = False
-    return const, coefs
-
-
 def _slice_alphas(system: SpinPair, x) -> tuple[np.ndarray, np.ndarray]:
     """(alpha, alpha of the Phi_1 image) at even coordinates x, a point or rows.
 
     The theta_1-invariant state (1, 0, x_1, 0, x_2, ...) has alpha
-    L[0,:] + x @ coefs; its Breuer image (n1-2, 0, -2 x_1, ...) has
-    (n1-2) L[0,:] - 2 x @ coefs.
+    L[0,:] + x @ L[2::2,:]; its Breuer image (n1-2, 0, -2 x_1, ...) has
+    (n1-2) L[0,:] - 2 x @ L[2::2,:].
     """
-    const, coefs = _polytope_arrays(system)
-    linear = x @ coefs
-    return const + linear, (system.n1 - 2) * const - 2.0 * linear
+    _require_even(system, "invariant polytope")
+    l = build_l_matrix(system).values
+    linear = x @ l[2::2]
+    return l[0] + linear, (system.n1 - 2) * l[0] - 2.0 * linear
 
 
 def polytope_bounding_box(system: SpinPair) -> tuple[tuple[float, float], ...]:
@@ -404,7 +396,9 @@ def polytope_bounding_box(system: SpinPair) -> tuple[tuple[float, float], ...]:
     infeasible solutions dropped; the binomial(n1, d) solves suit the
     small n1 that sweeps use.
     """
-    const, coefs = _polytope_arrays(system)
+    _require_even(system, "invariant polytope")
+    l = build_l_matrix(system).values
+    const, coefs = l[0], l[2::2]
     vertices = []
     for facets in combinations(range(system.n1), coefs.shape[0]):
         rows = list(facets)
@@ -482,7 +476,8 @@ def find_detected_invariant_state(system: SpinPair,
     """A theta_1-invariant PPT state beyond Gamma that the Breuer map detects.
 
     Takes x_s = (1+s) x_D on the ray from the maximally mixed state (x = 0)
-    through D~''.  With w = L[0,:], the alpha of the maximally mixed state,
+    through D~''.  With w = L[0,:] = system.norm_weights(), the alpha of the
+    maximally mixed state,
 
         alpha(x_s) = alpha_D + s (alpha_D - w),
         alpha_Phi,Jmin(x_s) = -s (n1-2) w_Jmin,
@@ -494,7 +489,7 @@ def find_detected_invariant_state(system: SpinPair,
     some alpha_Phi < -tol.
     """
     _require_even(system, "detection search")
-    w, _ = _polytope_arrays(system)
+    w = system.norm_weights()
     d_even = np.array(d_tilde_point(system).beta.coords[2::2])
     alpha_d, _ = _slice_alphas(system, d_even)
     below = w > alpha_d

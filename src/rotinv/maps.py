@@ -78,13 +78,12 @@ def symmetrize(beta: BetaVector) -> BetaVector:
     )
 
 
-def breuer_map(beta: BetaVector, normalized: bool = False) -> BetaVector:
+def breuer_map(beta: BetaVector) -> BetaVector:
     """Coefficients of Phi_1(rho) for a normalized invariant state.
 
     Returns the unnormalized coefficient vector
-    (n1-2, 0, -2 beta_2, 0, -2 beta_4, ...); with ``normalized=True`` the
-    trace-one form (1, 0, -2 beta_2/(n1-2), ...) instead.  Depends on the
-    input only through its theta_1-symmetrization.
+    (n1-2, 0, -2 beta_2, 0, -2 beta_4, ...), whose trace n1-2 vanishes for
+    n1 = 2.  Depends on the input only through its theta_1-symmetrization.
     """
     n1 = beta.system.n1
     if abs(beta.coords[0] - 1.0) > TRACE_TOL:
@@ -92,10 +91,6 @@ def breuer_map(beta: BetaVector, normalized: bool = False) -> BetaVector:
     out = [float(n1 - 2)]
     for k in range(1, n1):
         out.append(0.0 if k % 2 else -2.0 * beta.coords[k])
-    if normalized:
-        if n1 == 2:
-            raise ValueError("Phi_1 image is traceless for n1 = 2; cannot normalize")
-        out = [c / (n1 - 2) for c in out]
     return BetaVector(beta.system, out)
 
 

@@ -34,45 +34,35 @@ def _as_fraction(x) -> Fraction:
 
 @dataclass(frozen=True)
 class ExactRadical:
-    """The exact number sign * sqrt(num/den).
+    """The exact number sign * sqrt(radicand).
 
-    Canonical form: num/den in lowest terms, den > 0, and sign == 0 iff
-    num == 0 (in which case num = 0, den = 1).  Two radicals are equal iff
-    their canonical fields are equal.
+    ``radicand`` is a nonnegative Fraction, which keeps itself in lowest
+    terms, and sign == 0 iff radicand == 0.  So each value has one stored
+    form, and two radicals are equal iff their fields are equal.
     """
 
     sign: int
-    num: int
-    den: int
+    radicand: Fraction
 
     def __post_init__(self):
         if self.sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0 or +1, got {self.sign}")
-        if self.num < 0 or self.den <= 0:
-            raise ValueError("radicand must be nonnegative with positive denominator")
-        if (self.sign == 0) != (self.num == 0):
-            raise ValueError("sign == 0 iff num == 0")
-        if self.num == 0 and self.den != 1:
-            raise ValueError("zero must be stored as (0, 0, 1)")
-        if math.gcd(self.num, self.den) != 1:
-            raise ValueError("num/den must be in lowest terms")
+        if not isinstance(self.radicand, Fraction):
+            raise TypeError(f"radicand must be a Fraction, got {type(self.radicand).__name__}")
+        if self.radicand.numerator < 0:
+            raise ValueError(f"radicand must be nonnegative, got {self.radicand}")
+        if (self.sign == 0) != (self.radicand.numerator == 0):
+            raise ValueError("sign == 0 iff radicand == 0")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _make(cls, sign: int, num: int, den: int) -> "ExactRadical":
-        if num == 0 or sign == 0:
-            return cls(0, 0, 1)
-        g = math.gcd(num, den)
-        return cls(sign, num // g, den // g)
-
-    @classmethod
     def zero(cls) -> "ExactRadical":
-        return cls(0, 0, 1)
+        return cls(0, Fraction(0))
 
     @classmethod
     def one(cls) -> "ExactRadical":
-        return cls(1, 1, 1)
+        return cls(1, Fraction(1))
 
     @classmethod
     def sqrt(cls, r) -> "ExactRadical":
@@ -80,16 +70,23 @@ class ExactRadical:
         r = _as_fraction(r)
         if r < 0:
             raise ValueError(f"cannot take a real square root of {r}")
-        return cls._make(1 if r else 0, r.numerator, r.denominator)
+        return cls(1 if r else 0, r)
 
     @classmethod
     def from_rational(cls, r) -> "ExactRadical":
         """The rational r itself, i.e. sign(r) * sqrt(r**2)."""
         r = _as_fraction(r)
-        s = (r > 0) - (r < 0)
-        return cls._make(s, r.numerator**2, r.denominator**2)
+        return cls((r > 0) - (r < 0), r * r)
 
     # -- queries -----------------------------------------------------------
+
+    @property
+    def num(self) -> int:
+        return self.radicand.numerator
+
+    @property
+    def den(self) -> int:
+        return self.radicand.denominator
 
     @property
     def is_zero(self) -> bool:
@@ -97,7 +94,7 @@ class ExactRadical:
 
     def square(self) -> Fraction:
         """The exact value of self**2."""
-        return Fraction(self.num, self.den)
+        return self.radicand
 
     def as_rational(self) -> Fraction | None:
         """The exact rational value, or None if irrational."""
@@ -111,7 +108,7 @@ class ExactRadical:
             raise ZeroDivisionError("ratio to zero radical")
         if self.sign == 0:
             return Fraction(0)
-        q = Fraction(self.num * other.den, self.den * other.num)
+        q = self.radicand / other.radicand
         if _is_square(q.numerator) and _is_square(q.denominator):
             return self.sign * other.sign * Fraction(
                 math.isqrt(q.numerator), math.isqrt(q.denominator)
@@ -127,16 +124,14 @@ class ExactRadical:
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self) -> "ExactRadical":
-        return ExactRadical._make(-self.sign, self.num, self.den)
+        return ExactRadical(-self.sign, self.radicand)
 
     def __abs__(self) -> "ExactRadical":
-        return ExactRadical._make(abs(self.sign), self.num, self.den)
+        return ExactRadical(abs(self.sign), self.radicand)
 
     def __mul__(self, other) -> "ExactRadical":
         if isinstance(other, ExactRadical):
-            return ExactRadical._make(
-                self.sign * other.sign, self.num * other.num, self.den * other.den
-            )
+            return ExactRadical(self.sign * other.sign, self.radicand * other.radicand)
         return self.scale(_as_fraction(other))
 
     __rmul__ = __mul__
@@ -145,20 +140,15 @@ class ExactRadical:
         if isinstance(other, ExactRadical):
             if other.sign == 0:
                 raise ZeroDivisionError("division by zero radical")
-            return ExactRadical._make(
-                self.sign * other.sign, self.num * other.den, self.den * other.num
-            )
+            return ExactRadical(self.sign * other.sign, self.radicand / other.radicand)
         return self.scale(1 / _as_fraction(other))
 
     def scale(self, c) -> "ExactRadical":
         """Multiply by an exact rational c."""
         c = _as_fraction(c)
-        s = (c > 0) - (c < 0)
-        return ExactRadical._make(
-            self.sign * s,
-            self.num * c.numerator**2,
-            self.den * c.denominator**2,
-        )
+        sign = (c.numerator > 0) - (c.numerator < 0)
+        radicand = Fraction(self.num * c.numerator**2, self.den * c.denominator**2)
+        return ExactRadical(self.sign * sign, radicand)
 
     def __add__(self, other) -> "ExactRadical":
         if not isinstance(other, ExactRadical):

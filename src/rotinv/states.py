@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -102,27 +103,42 @@ def _norm_weights(system: SpinPair) -> np.ndarray:
     return w
 
 
-def _coord_tuple(coords) -> tuple[float, ...]:
-    return tuple(float(c) for c in coords)
-
-
 @dataclass(frozen=True)
-class AlphaVector:
-    """Coordinates over the projectors P_J, indexed by increasing J."""
+class _CoordinateVector:
+    """The n1 float coordinates of an invariant state in one basis.
 
+    Each subclass names its basis in the class variable ``basis`` and
+    labels its coordinates; vectors of different subclasses never compare
+    equal.
+    """
+
+    basis: ClassVar[str]
     system: SpinPair
     coords: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", _coord_tuple(self.coords))
+        object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
         if len(self.coords) != self.system.n1:
             raise ValueError(
-                f"alpha for {self.system} needs {self.system.n1} coordinates, "
+                f"{self.basis} for {self.system} needs {self.system.n1} coordinates, "
                 f"got {len(self.coords)}"
             )
 
     def as_array(self) -> np.ndarray:
         return np.array(self.coords)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "system": [self.system.n1, self.system.n2],
+            "basis": self.basis,
+            "coords": list(self.coords),
+        }
+
+
+class AlphaVector(_CoordinateVector):
+    """Coordinates over the projectors P_J, indexed by increasing J."""
+
+    basis = "alpha"
 
     def labeled(self) -> tuple[tuple[str, float], ...]:
         """(J label, value) pairs, e.g. ('J=3/2', 0.25)."""
@@ -130,60 +146,31 @@ class AlphaVector:
             (f"J={j}", c) for j, c in zip(self.system.j_values(), self.coords)
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "system": [self.system.n1, self.system.n2],
-            "basis": "alpha",
-            "coords": list(self.coords),
-        }
 
-
-@dataclass(frozen=True)
-class BetaVector:
+class BetaVector(_CoordinateVector):
     """Coordinates over the invariant tensor operators Q_K, K = 0 .. n1-1."""
 
-    system: SpinPair
-    coords: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _coord_tuple(self.coords))
-        if len(self.coords) != self.system.n1:
-            raise ValueError(
-                f"beta for {self.system} needs {self.system.n1} coordinates, "
-                f"got {len(self.coords)}"
-            )
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.coords)
+    basis = "beta"
 
     def labeled(self) -> tuple[tuple[str, float], ...]:
         return tuple((f"K={k}", c) for k, c in enumerate(self.coords))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "system": [self.system.n1, self.system.n2],
-            "basis": "beta",
-            "coords": list(self.coords),
-        }
 
 
 def vector_from_json_dict(data: dict) -> AlphaVector | BetaVector:
     """Inverse of AlphaVector/BetaVector.to_json_dict."""
     system = SpinPair(*data["system"])
-    basis = data["basis"]
-    if basis == "alpha":
-        return AlphaVector(system, data["coords"])
-    if basis == "beta":
-        return BetaVector(system, data["coords"])
-    raise ValueError(f"unknown basis {basis!r}")
+    for cls in (AlphaVector, BetaVector):
+        if data["basis"] == cls.basis:
+            return cls(system, data["coords"])
+    raise ValueError(f"unknown basis {data['basis']!r}")
 
 
 @dataclass(frozen=True)
 class LMatrix:
     """The orthogonal alpha -> beta basis change, rows K, columns ascending J.
 
-    Entries are carried both as floats (for numerics) and as ExactRadical
-    (for the closed-form geometry checks, which need exact values).
+    Entries are stored as ExactRadical (for the closed-form geometry, which
+    needs exact values); ``values`` holds their floats (for numerics).
     """
 
     system: SpinPair
@@ -206,10 +193,9 @@ def build_l_matrix(system: SpinPair) -> LMatrix:
         row = []
         for j in system.j_values():
             phase = -1 if ((j1.twice + j2.twice + j.twice) // 2) % 2 else 1
-            entry = six_j(j1, j2, j, j2, j1, k).scale(phase) * ExactRadical.sqrt(
-                (2 * k + 1) * (j.twice + 1)
-            )
-            row.append(entry)
+            # sqrt((2K+1)(2J+1)) with the phase as its sign
+            unit = ExactRadical(phase, Fraction((2 * k + 1) * (j.twice + 1)))
+            row.append(six_j(j1, j2, j, j2, j1, k) * unit)
         rows.append(tuple(row))
     return LMatrix(system, tuple(rows))
 

@@ -83,8 +83,7 @@ def _three_j(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) -> Exac
     for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3)):
         radicand *= factorial((tj + tm) // 2) * factorial((tj - tm) // 2)
     sign = _phase(tj1 - tj2 - tm3) * (1 if total > 0 else -1)
-    value = radicand * total * total
-    return ExactRadical._make(sign, value.numerator, value.denominator)
+    return ExactRadical(sign, radicand * total * total)
 
 
 @lru_cache(maxsize=None)
@@ -119,8 +118,7 @@ def _six_j(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> ExactRadical
     radicand = Fraction(1)
     for tri in triads:
         radicand *= _tri_sq(*tri)
-    value = radicand * total * total
-    return ExactRadical._make(1 if total > 0 else -1, value.numerator, value.denominator)
+    return ExactRadical(1 if total > 0 else -1, radicand * total * total)
 
 
 def three_j(j1, j2, j3, m1, m2, m3) -> ExactRadical:

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, and exit codes."""
 
+import collections
 import csv
 import hashlib
 import io
@@ -90,7 +91,7 @@ class TestClassify:
 
     @pytest.mark.parametrize("argv", [
         ["--n1", "4", "--n2", "4", "--alpha", "-0.1,0.5,0.5,0.7997503766195847"],
-        ["--n1", "5", "--n2", "5", "--beta", "-1,0,0,0,0"],
+        ["--n1", "5", "--n2", "5", "--alpha", "-1,0,0,0,2"],
     ])
     def test_coordinates_starting_with_minus(self, argv, capsys):
         code, out, err = run_main(["classify"] + argv, capsys)
@@ -102,10 +103,16 @@ class TestClassify:
     @pytest.mark.parametrize("basis, text, trace", [
         ("alpha", "0.25,0.25,0.25,0.25", "0.49060575393600714"),
         ("beta", "2,0,0.2,0", "2.0"),
+        ("alpha", "0.25,0.25,0.25", "0.4269234789383892"),
+        ("beta", "2,0,0.2,0,0", "2.0"),
+        ("beta", "2,0", "2.0"),
     ])
     def test_unnormalized_input_names_trace_condition(self, basis, text, trace, capsys):
+        # on the system n1 x (n1 + 2), n1 the number of coordinates: odd n1 and
+        # n1 = 2 reject off-trace input as even n1 >= 4 does
+        n1 = text.count(",") + 1
         code, out, err = run_main(
-            ["classify", f"--{basis}={text}", "--n1", "4", "--n2", "6"], capsys)
+            ["classify", f"--{basis}={text}", "--n1", str(n1), "--n2", str(n1 + 2)], capsys)
         assert code == 2 and out == ""
         assert f"the {basis} coordinates given have trace {trace}" in err
         assert "sum_J sqrt((2J+1)/(n1 n2)) alpha_J = 1" in err
@@ -209,6 +216,27 @@ class TestSweep:
         writer.writerows([repr(v) for v in row[:-1]] + [row[-1]] for row in rows)
         buf.write(f"# be_region_fraction={fraction!r}\n")
         assert out.read_text() == buf.getvalue()
+
+    # the coordinate bytes are not pinned: the bounding box comes from LAPACK
+    # solves, whose last bits can differ by platform
+    @pytest.mark.parametrize("n1, n2, grid, counts, fraction", [
+        (4, 9, 200, {"KnownSeparable": 188, "PptBoundEntangledDetected": 12}, "0.06"),
+        (4, 17, 40000, {"KnownSeparable": 39285, "PptBoundEntangledDetected": 715},
+         "0.017875"),
+        (6, 8, 37, {"PptBoundEntangledDetected": 34, "PptUndetermined": 625},
+         "0.051593323216995446"),
+        (6, 14, 260, {"PptBoundEntangledDetected": 5, "PptUndetermined": 34900},
+         "0.00014324595330181923"),
+    ])
+    def test_pinned_class_counts(self, n1, n2, grid, counts, fraction, capsys):
+        code, out, _ = run_main(
+            ["sweep", "--n1", str(n1), "--n2", str(n2), "--grid", str(grid)], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        rows = lines[2:-1]
+        assert len(rows) == sum(counts.values())
+        assert dict(collections.Counter(r.rsplit(",", 1)[1] for r in rows)) == counts
+        assert lines[-1] == f"# be_region_fraction={fraction}"
 
     def test_unsupported_n1_exit_2(self, capsys):
         code, _, _ = run_main(["sweep", "--n1", "8", "--n2", "8"], capsys)

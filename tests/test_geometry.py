@@ -6,6 +6,7 @@ linear algebra (all labelled points are rational in the shared radial
 units), and compares the vertex set with the closed forms.
 """
 
+import dataclasses
 from fractions import Fraction
 from itertools import combinations
 
@@ -14,6 +15,7 @@ import pytest
 
 from rotinv import geometry, maps
 from rotinv.geometry import (
+    Hyperplane,
     alpha_extreme_points,
     be_region_fraction,
     d_tilde_point,
@@ -234,9 +236,8 @@ class TestGammaPlane:
             system = SpinPair(*dims)
             plane = gamma_hyperplane(system)
             box = polytope_bounding_box(system)
-            const, coefs = geometry._polytope_arrays(system)
             pts = np.column_stack([rng.uniform(lo, hi, 800) for lo, hi in box])
-            inside = (const + pts @ coefs).min(axis=1) >= 0
+            inside = geometry._slice_alphas(system, pts)[0].min(axis=1) >= 0
             for x in pts[inside]:
                 value = plane.evaluate_even(x)
                 if abs(value) < 1e-9:
@@ -263,6 +264,19 @@ class TestGammaPlane:
                 assert abs(image.coords[0]) < 1e-10
                 hits += 1
             assert hits == 50
+
+    def test_plane_stores_exact_values_only(self):
+        plane = gamma_hyperplane(SpinPair(6, 8))
+        assert [f.name for f in dataclasses.fields(Hyperplane)] == [
+            "system", "label", "exact_constant", "exact_coeffs"]
+        assert plane.constant == float(plane.exact_constant)
+        assert plane.coeffs == tuple(float(c) for c in plane.exact_coeffs)
+        # a fresh copy, whose floats are not yet converted, is equal with the same hash
+        copy = Hyperplane(plane.system, plane.label, plane.exact_constant, plane.exact_coeffs)
+        assert copy == plane and hash(copy) == hash(plane)
+        negated = Hyperplane(plane.system, plane.label, -plane.exact_constant,
+                             plane.exact_coeffs)
+        assert negated != plane and negated.constant == -plane.constant
 
     def test_rejects_odd_or_small_n1(self):
         with pytest.raises(ValueError):
@@ -393,14 +407,14 @@ class TestPolytope:
 class TestSegment:
     @pytest.mark.parametrize("n", [4, 6, 11, 20])
     def test_breuer_image_min_alpha_matches_closed_form(self, n):
-        # alpha_{Jmin} of the normalized image is sqrt((N-3)/N)(1 - t/t*)
+        # alpha_{Jmin} of the image over its trace n1 - 2 = 2 is sqrt((N-3)/N)(1 - t/t*)
         t_star = Fraction((n - 2) * (n + 5), (n - 1) * (n + 4))
         for t in (0.0, 0.25, 0.5, 0.75, 1.0):
             beta = segment_state_4xn(n, t)
-            image = beta_to_alpha(maps.breuer_map(beta, normalized=True))
+            image = beta_to_alpha(maps.breuer_map(beta)).as_array() / 2
             expected = np.sqrt((n - 3) / n) * (1 - t / float(t_star))
-            assert abs(image.coords[0] - expected) < 1e-12
-            assert min(image.coords[1:]) > -1e-12  # only the lowest block binds
+            assert abs(image[0] - expected) < 1e-12
+            assert image[1:].min() > -1e-12  # only the lowest block binds
 
     def test_flip_point_is_d_double_prime(self):
         named = named_points_4xn(4)

@@ -54,6 +54,24 @@ class TestExactRadical:
         assert (r.num, r.den) == (2, 3)
         assert ExactRadical.sqrt(0) == ExactRadical.zero()
 
+    @pytest.mark.parametrize("sign, radicand, error", [
+        (1, Fraction(-2, 3), ValueError),
+        (1, 0.5, TypeError),
+        (0, Fraction(1, 2), ValueError),
+        (1, Fraction(0), ValueError),
+        (2, Fraction(1, 2), ValueError),
+    ])
+    def test_rejects_invalid_fields(self, sign, radicand, error):
+        with pytest.raises(error):
+            ExactRadical(sign, radicand)
+
+    def test_radicand_is_the_one_stored_form(self):
+        r = ExactRadical(-1, Fraction(8, 12))
+        assert r == -ExactRadical.sqrt(Fraction(2, 3))
+        assert (r.num, r.den) == (2, 3)
+        with pytest.raises(AttributeError):
+            r.num = 4
+
     def test_known_values(self):
         assert float(ExactRadical.sqrt(Fraction(1, 4))) == 0.5
         assert ExactRadical.from_rational(Fraction(-3, 2)).as_rational() == Fraction(-3, 2)

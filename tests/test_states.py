@@ -89,6 +89,14 @@ class TestLMatrix:
             ]
             assert list(l.exact[0]) == expected
 
+    def test_norm_weights_are_row_zero_bitwise(self):
+        # find_detected_invariant_state reads the row L[0, :] as norm_weights()
+        for n1 in range(2, 17):
+            for n2 in range(n1, n1 + 30):
+                system = SpinPair(n1, n2)
+                assert (system.norm_weights().tobytes()
+                        == build_l_matrix(system).values[0].tobytes()), system
+
     def test_values_convert_own_entries(self):
         l = explicit_l_matrix_4xn(7)
         assert np.array_equal(l.values, [[float(e) for e in row] for row in l.exact])
