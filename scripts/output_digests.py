@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Print one sha256 digest per rotinv output over a fixed list of outputs.
+
+Every output is produced in-process by the ``rotinv`` found on the import
+path, and each printed line reads ``<sha256>  <name>``.  A command's
+digest covers its stdout, its stderr and its exit code; a ``classify``
+digest covers ``json.dumps(classify(beta).to_json_dict())`` for every
+seeded state of one n1.  To check that a change leaves every output
+byte-identical, run the script against both trees and diff the listings:
+
+    PYTHONPATH=/path/to/old/src python scripts/output_digests.py > old.txt
+    PYTHONPATH=src python scripts/output_digests.py > new.txt
+    diff old.txt new.txt
+
+``--quick`` runs a short list with a few outputs of each kind.  The seeded
+states come from numpy and the public rotinv API only, so both trees see
+the same inputs.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+
+import numpy as np
+
+from rotinv import SpinPair, BetaVector, build_l_matrix, classify
+from rotinv.cli import main as rotinv_main
+from rotinv.geometry import d_tilde_point, named_points_4xn
+
+
+def seeded_states(seed: int, count: int) -> list[BetaVector]:
+    """``count`` states over 2 <= n1 <= 10, n1 <= n2 <= n1 + 8, with beta_0 = 1.
+
+    Mixes random states, stretched non-states, states pulled towards the
+    maximally mixed state, states past D~'' (detected for even n1 >= 4),
+    points of the 4 x N separable tetrahedron DD'EE', and theta_1-invariant
+    states whose odd coordinates are exactly zero.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        n1 = int(rng.integers(2, 11))
+        system = SpinPair(n1, n1 + int(rng.integers(0, 9)))
+        l, w = build_l_matrix(system).values, system.norm_weights()
+
+        def random_beta(conc=0.5):
+            return l @ (rng.dirichlet(np.full(n1, conc)) / w)
+
+        kind = int(rng.integers(0, 6))
+        beta = random_beta()
+        if kind == 1:
+            beta[1:] *= rng.uniform(1.5, 4.0)
+        elif kind == 2:
+            mixed = l @ w
+            beta = mixed + rng.uniform(0.0, 1.0) * (beta - mixed)
+        elif kind == 3 and system.breuer_applicable:
+            d = np.array(d_tilde_point(system).beta.coords)
+            other = random_beta(1.0)
+            other[1::2] = 0.0
+            beta = d + np.exp(rng.uniform(np.log(1e-6), np.log(0.3))) * (d - other)
+        elif kind == 4 and n1 == 4:
+            points = named_points_4xn(system.n2)
+            vertices = np.array([points[label].beta.coords for label in ("D", "D'", "E", "E'")])
+            beta = rng.dirichlet(np.ones(4)) @ vertices
+        elif kind >= 3:
+            beta[1::2] = 0.0
+        beta[0] = 1.0
+        out.append(BetaVector(system, beta.tolist()))
+    return out
+
+
+def _classify_digests(seed: int, count: int) -> list[tuple[str, bytes]]:
+    by_n1: dict[int, list[str]] = {}
+    for beta in seeded_states(seed, count):
+        by_n1.setdefault(beta.system.n1, []).append(json.dumps(classify(beta).to_json_dict()))
+    return [(f"classify n1={n1} ({len(lines)} states, seed {seed})",
+             "\n".join(lines).encode())
+            for n1, lines in sorted(by_n1.items())]
+
+
+def _command(argv: list[str]) -> bytes:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = rotinv_main(argv)
+    return json.dumps({"exit": code, "stdout": out.getvalue(),
+                       "stderr": err.getvalue()}).encode()
+
+
+def _system(n1: int, n2: int) -> list[str]:
+    return ["--n1", str(n1), "--n2", str(n2)]
+
+
+def command_list(quick: bool) -> list[list[str]]:
+    """The CLI invocations whose outputs are digested."""
+    if quick:
+        sweeps = [(4, 5, 200), (6, 8, 30)]
+        geometries = [(4, 4), (6, 11)]
+        verifies = [["verify", "--perturb-l"]]
+    else:
+        sweeps = ([(4, n2, 200) for n2 in range(4, 41)]
+                  + [(4, n2, 40000) for n2 in (4, 5, 9, 17, 20, 40)]
+                  + [(6, n2, 260) for n2 in range(6, 17)])
+        geometries = [(n1, n2) for n1 in range(4, 13, 2)
+                      for n2 in (n1, n1 + 5, 2 * n1 + 8)]
+        verifies = [["verify"], ["verify", "--deep", "--seed", "7"], ["verify", "--perturb-l"]]
+    commands = [["sweep", *_system(n1, n2), "--grid", str(grid)] for n1, n2, grid in sweeps]
+    commands.append(["sweep", *_system(6, 8), "--grid", "15", "--format", "json"])
+    commands += [["geometry", *_system(n1, n2), "--format", fmt]
+                 for n1, n2 in geometries for fmt in ("csv", "json")]
+    return commands + verifies
+
+
+def run(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--quick", action="store_true", help="digest a short list")
+    parser.add_argument("--seed", type=int, default=8, help="seed of the classify states")
+    args = parser.parse_args(argv)
+
+    for name, data in _classify_digests(args.seed, 200 if args.quick else 10_000):
+        print(f"{hashlib.sha256(data).hexdigest()}  {name}")
+    for command in command_list(args.quick):
+        print(f"{hashlib.sha256(_command(command)).hexdigest()}  rotinv {' '.join(command)}",
+              flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(run())

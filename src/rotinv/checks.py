@@ -10,6 +10,7 @@ nothing.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -51,16 +52,23 @@ def orthogonality_sums(cases) -> float:
 
 
 def appendix_sum(systems) -> float:
-    """sum_K (2K+1)(1 + (-1)**K) {j1 j2 j2-j1; j2 j1 K} {j1 j2 j1+j2; j2 j1 K} = -1/n2."""
+    """sum_K (2K+1)(1 + (-1)**K) {j1 j2 j2-j1; j2 j1 K} {j1 j2 j1+j2; j2 j1 K} = -1/n2.
+
+    1 + (-1)**K is 2 for even K and 0 for odd K, so only even K are
+    summed.  The sum is compared exactly: the residual is 0.0 only if it
+    equals -1/n2 exactly.
+    """
     def residual(system):
         j1, j2 = system.j1, system.j2
         total = ExactRadical.zero()
-        for k in range(system.n1):
+        for k in range(0, system.n1, 2):
             a = wigner.six_j(j1, j2, j2 - j1, j2, j1, k)
             b = wigner.six_j(j1, j2, j1 + j2, j2, j1, k)
-            term = (a * b).scale(2 * k + 1)
-            total = total + term + term.scale(-1 if k % 2 else 1)
-        return abs(float(total) + 1.0 / system.n2)
+            total = total + (a * b).scale(2 * (2 * k + 1))
+        want = ExactRadical.from_rational(Fraction(-1, system.n2))
+        if total == want:
+            return 0.0
+        return abs(float(total) - float(want)) or math.inf
     return _worst(residual(s) for s in systems)
 
 

@@ -190,9 +190,15 @@ def partial_transpose_1(rho: np.ndarray, system: SpinPair) -> np.ndarray:
     return rho.reshape(n1, n2, n1, n2).transpose(2, 1, 0, 3).reshape(rho.shape)
 
 
+@lru_cache(maxsize=None)
+def _time_reversal_1(system: SpinPair) -> np.ndarray:
+    """V (x) 1, the unitary of partial time reversal; real and read-only."""
+    return _frozen(np.kron(time_reversal(system.n1), np.eye(system.n2)))
+
+
 def theta1(rho: np.ndarray, system: SpinPair) -> np.ndarray:
     """Partial time reversal (V (x) 1) rho^T1 (V (x) 1)^dag."""
-    v = np.kron(time_reversal(system.n1), np.eye(system.n2))
+    v = _time_reversal_1(system)
     return v @ partial_transpose_1(rho, system) @ v.conj().T
 
 

@@ -14,6 +14,13 @@ which in beta coordinates sends (1, beta_1, beta_2, ...) to the
 unnormalized coefficient vector (n1 - 2, 0, -2 beta_2, 0, -2 beta_4, ...).
 The map is positive only for even n1, so a negative alpha coordinate of
 the image certifies entanglement (possibly bound) for even n1 >= 4.
+
+Each coordinate rule has one home, a private function on the coordinate
+tuple: ``_theta1_coords`` for the sign flip and ``_breuer_coords`` for the
+Breuer image with its trace check.  The public maps wrap their result in a
+BetaVector; :func:`classify` takes the alpha images of the state, of its
+theta_1 image and of its Breuer image straight from the coordinates, one
+``L.T @ v`` product each, without building intermediate vectors.
 """
 
 from __future__ import annotations
@@ -29,11 +36,10 @@ from .halfint import halfint
 from .radical import ExactRadical
 from .states import (
     DEFAULT_TOL,
-    AlphaVector,
     BetaVector,
     SpinPair,
-    beta_to_alpha,
-    check_state,
+    _normalized_positive,
+    build_l_matrix,
 )
 from .wigner import three_j
 
@@ -61,12 +67,41 @@ class BreuerNotApplicableError(ValueError):
     """The Breuer map is not positive on this system (odd or too small n1)."""
 
 
+def _theta1_coords(coords) -> tuple[float, ...]:
+    """theta_1 on tensor coordinates: beta_K -> (-1)**K beta_K."""
+    return tuple(-c if k % 2 else c for k, c in enumerate(coords))
+
+
+def _breuer_coords(coords) -> list[float]:
+    """Phi_1 on the tensor coordinates of a unit-trace state: (n1-2, 0, -2 beta_2, 0, ...)."""
+    if abs(coords[0] - 1.0) > TRACE_TOL:
+        raise ValueError(f"breuer_map needs a normalized input (beta_0 = 1), got {coords[0]}")
+    n1 = len(coords)
+    return [float(n1 - 2)] + [0.0 if k % 2 else -2.0 * coords[k] for k in range(1, n1)]
+
+
+def _min_alpha(lt: np.ndarray, coords) -> float:
+    """min_J alpha_J for tensor coordinates, given lt = L^T.
+
+    A Python min over the floats, so a tie between 0.0 and -0.0 keeps the
+    first one, as a min over an AlphaVector's coordinates does.
+    """
+    return min((lt @ np.array(coords)).tolist())
+
+
+def _min_theta1_alpha(lt: np.ndarray, coords) -> float:
+    """min_J alpha_J(theta_1 rho)."""
+    return _min_alpha(lt, _theta1_coords(coords))
+
+
+def _min_breuer_alpha(lt: np.ndarray, coords) -> float:
+    """min_J alpha_J(Phi_1 rho), unnormalized image; needs the map to apply."""
+    return _min_alpha(lt, _breuer_coords(coords))
+
+
 def partial_time_reversal(beta: BetaVector) -> BetaVector:
     """theta_1 in tensor coordinates: beta_K -> (-1)**K beta_K (an involution)."""
-    return BetaVector(
-        beta.system,
-        tuple(-c if k % 2 else c for k, c in enumerate(beta.coords)),
-    )
+    return BetaVector(beta.system, _theta1_coords(beta.coords))
 
 
 def symmetrize(beta: BetaVector) -> BetaVector:
@@ -85,13 +120,7 @@ def breuer_map(beta: BetaVector) -> BetaVector:
     (n1-2, 0, -2 beta_2, 0, -2 beta_4, ...), whose trace n1-2 vanishes for
     n1 = 2.  Depends on the input only through its theta_1-symmetrization.
     """
-    n1 = beta.system.n1
-    if abs(beta.coords[0] - 1.0) > TRACE_TOL:
-        raise ValueError(f"breuer_map needs a normalized input (beta_0 = 1), got {beta.coords[0]}")
-    out = [float(n1 - 2)]
-    for k in range(1, n1):
-        out.append(0.0 if k % 2 else -2.0 * beta.coords[k])
-    return BetaVector(beta.system, out)
+    return BetaVector(beta.system, _breuer_coords(beta.coords))
 
 
 def breuer_detects(beta: BetaVector, tol: float = DEFAULT_TOL) -> bool:
@@ -106,22 +135,12 @@ def breuer_detects(beta: BetaVector, tol: float = DEFAULT_TOL) -> bool:
         raise BreuerNotApplicableError(
             f"Breuer criterion needs even n1 >= 4, got n1 = {beta.system.n1}"
         )
-    return _min_breuer_alpha(beta) < -tol
+    return _min_breuer_alpha(build_l_matrix(beta.system).values.T, beta.coords) < -tol
 
 
 def is_ppt(beta: BetaVector, tol: float = DEFAULT_TOL) -> bool:
     """Whether the partial time reversal of the state is still positive."""
-    return _min_theta1_alpha(beta) >= -tol
-
-
-def _min_theta1_alpha(beta: BetaVector) -> float:
-    """min_J alpha_J(theta_1 rho)."""
-    return min(beta_to_alpha(partial_time_reversal(beta)).coords)
-
-
-def _min_breuer_alpha(beta: BetaVector) -> float:
-    """min_J alpha_J(Phi_1 rho), unnormalized image; needs the map to apply."""
-    return min(beta_to_alpha(breuer_map(beta)).coords)
+    return _min_theta1_alpha(build_l_matrix(beta.system).values.T, beta.coords) >= -tol
 
 
 def tensor_matrix_element(j, m, K, q, mp) -> ExactRadical:
@@ -266,24 +285,32 @@ def classify(beta: BetaVector, tol: float = DEFAULT_TOL) -> Classification:
     > KnownSeparable > PptUndetermined.  Undetected PPT states outside the
     known separable set stay PptUndetermined: the Breuer criterion is not
     known to be sufficient, so "undetected" is never reported as separable.
+
+    Works on the coordinate tuple: one L lookup, then alpha, the theta_1
+    image's alpha and (where the Breuer map applies) the Breuer image's
+    alpha, each one ``L.T @ v`` product; the coordinate rules and the state
+    test are the ones the public maps and :func:`check_state` use.
     """
     sys_ = beta.system
-    alpha = beta_to_alpha(beta)
-    state = check_state(alpha, tol)
-    min_theta1 = _min_theta1_alpha(beta)
+    coords = beta.coords
+    lt = build_l_matrix(sys_).values.T
+    alpha = lt @ np.array(coords)
+    normalized, positive = _normalized_positive(sys_, alpha, tol)
+    is_state = normalized and positive
+    min_theta1 = _min_theta1_alpha(lt, coords)
     ppt = min_theta1 >= -tol
 
     detected: bool | None = None
     min_breuer: float | None = None
     if sys_.breuer_applicable:
-        min_breuer = _min_breuer_alpha(beta)
+        min_breuer = _min_breuer_alpha(lt, coords)
         detected = min_breuer < -tol
 
     separable = False
-    if sys_.n1 == 4 and state.is_state and ppt and not detected:
+    if sys_.n1 == 4 and is_state and ppt and not detected:
         separable = minimal_separable_membership_4xn(beta, tol)
 
-    if not state.is_state:
+    if not is_state:
         verdict = Verdict.NOT_A_STATE
     elif not ppt:
         verdict = Verdict.NPT_ENTANGLED
@@ -296,12 +323,12 @@ def classify(beta: BetaVector, tol: float = DEFAULT_TOL) -> Classification:
 
     return Classification(
         system=sys_,
-        is_state=state.is_state,
+        is_state=is_state,
         is_ppt=ppt,
         breuer_detected=detected,
         known_separable=separable,
         verdict=verdict,
-        min_alpha=min(alpha.coords),
+        min_alpha=min(alpha.tolist()),
         min_theta1_alpha=min_theta1,
         min_breuer_alpha=min_breuer,
         tol=tol,

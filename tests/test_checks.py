@@ -24,3 +24,12 @@ def test_l_orthogonality_sees_a_perturbed_entry():
     assert checks.l_orthogonality([l]) < 1e-15
     l[1, 1] += 1e-6
     assert 1e-6 < checks.l_orthogonality([l]) < 3e-6
+
+
+def test_appendix_sum_is_exact():
+    # the identity holds for even n1 (2K runs over the even ranks); every sum
+    # equals -1/n2 exactly
+    systems = [SpinPair(n1, n2) for n1 in range(2, 11, 2) for n2 in range(n1, n1 + 5)]
+    assert checks.appendix_sum(systems) == 0.0
+    # for odd n1 the sum is +1/n2, and the residual is the float distance
+    assert checks.appendix_sum([SpinPair(3, 3)]) == pytest.approx(2 / 3, rel=1e-15)

@@ -159,6 +159,17 @@ class TestTimeReversal:
             s2 = dense.spectrum(dense.partial_transpose_1(rho, system))
             assert np.abs(s1 - s2).max() < 1e-10
 
+    def test_theta1_uses_one_cached_unitary_bitwise(self):
+        rng = np.random.default_rng(11)
+        for system in SMALL:
+            rho = dense.from_alpha(random_state(system, rng))
+            v = np.kron(dense.time_reversal(system.n1), np.eye(system.n2))
+            expected = v @ dense.partial_transpose_1(rho, system) @ v.conj().T
+            assert dense.theta1(rho, system).tobytes() == expected.tobytes()
+            cached = dense._time_reversal_1(system)
+            assert cached is dense._time_reversal_1(SpinPair(system.n1, system.n2))
+            assert not cached.flags.writeable
+
     def test_theta1_matches_parameter_space(self):
         rng = np.random.default_rng(10)
         system = SpinPair(6, 8)

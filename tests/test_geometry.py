@@ -565,6 +565,47 @@ class TestRegionSweeps:
         assert "PptBoundEntangledDetected" in classes
 
 
+class TestSeparableBand4xN:
+    """The 4 x N sweep marks KnownSeparable exactly where classify's rule,
+    minimal_separable_membership_4xn, accepts (1, 0, beta_2, 0)."""
+
+    @pytest.mark.parametrize("n", [9, 17])
+    def test_sweep_and_classify_agree_on_a_fine_grid(self, n):
+        system = SpinPair(4, n)
+        _, rows, _ = sweep_rows(system, 40000)
+        assert {row[-1] for row in rows} == {"KnownSeparable", "PptBoundEntangledDetected"}
+        for beta2, cls in rows:
+            beta = BetaVector(system, (1.0, 0.0, beta2, 0.0))
+            assert maps.classify(beta).verdict.value == cls, beta2
+
+    @pytest.mark.parametrize("n", [9, 17])
+    def test_band_is_the_rule_around_plus_minus_r2(self, n):
+        system = SpinPair(4, n)
+        lo, hi = geometry._separable_band_4xn(n, 1e-10)
+        r2 = geometry._radial_unit_floats(n)[1]
+        for centre in (-r2, r2):
+            for offset in (0.0, 1e-10, 1.5e-10, 2e-10, 2.9e-10, 3e-10):
+                for beta2 in (centre - offset, centre + offset):
+                    beta = BetaVector(system, (1.0, 0.0, beta2, 0.0))
+                    inside = lo <= beta2 <= hi
+                    assert minimal_separable_membership_4xn(beta) == inside, beta2
+                    result = maps.classify(beta)
+                    if result.is_state and result.is_ppt and not result.breuer_detected:
+                        assert result.known_separable == inside, beta2
+        # the ends are tight: the next float outward is rejected
+        for edge, outward in ((lo, -np.inf), (hi, np.inf)):
+            beta = BetaVector(system, (1.0, 0.0, float(np.nextafter(edge, outward)), 0.0))
+            assert not minimal_separable_membership_4xn(beta)
+
+    def test_state_just_below_e_is_separable_in_both(self):
+        e2 = named_points_4xn(9)["E"].beta.coords[2]
+        beta2 = e2 - 1.5e-10
+        assert maps.classify(BetaVector(SpinPair(4, 9), (1.0, 0.0, beta2, 0.0))).verdict \
+            is maps.Verdict.KNOWN_SEPARABLE
+        lo, hi = geometry._separable_band_4xn(9, 1e-10)
+        assert lo <= beta2 <= hi
+
+
 class TestDetectionExistence:
     @pytest.mark.parametrize("n1", [4, 6, 8, 10])
     def test_found_state_is_detected_invariant_ppt(self, n1):

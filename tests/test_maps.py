@@ -1,5 +1,8 @@
 """Partial time reversal, the Breuer map, PPT, the twirl, and the classifier."""
 
+import hashlib
+import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +30,7 @@ from rotinv.states import (
     SpinPair,
     alpha_to_beta,
     beta_to_alpha,
+    build_l_matrix,
     check_state,
     maximally_mixed,
 )
@@ -289,11 +293,97 @@ class TestClassify:
         assert result.verdict is Verdict.PPT_UNDETERMINED
 
     def test_json_round_trip_fields(self):
-        import json
-
         beta = geometry.segment_state_4xn(4, 1.0)
         data = json.loads(json.dumps(classify(beta).to_json_dict()))
         assert data["verdict"] == "PptBoundEntangledDetected"
         assert data["is_state"] and data["is_ppt"]
         assert data["breuer_detected"] is True
         assert data["min_breuer_alpha"] < 0
+
+
+FUSED_SYSTEMS = ((2, 2), (2, 5), (3, 4), (4, 4), (4, 9), (5, 7), (6, 8), (8, 12), (10, 12))
+
+
+def seeded_betas(seed: int = 20, per_system: int = 60) -> list[BetaVector]:
+    """Random, stretched, mixed-in, theta_1-invariant, past-D~'' and DD'EE' states."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for n1, n2 in FUSED_SYSTEMS:
+        system = SpinPair(n1, n2)
+        l, w = build_l_matrix(system).values, system.norm_weights()
+        mixed = l @ w
+        if system.breuer_applicable:
+            d_tilde = np.array(geometry.d_tilde_point(system).beta.coords)
+        if n1 == 4:
+            named = geometry.named_points_4xn(n2)
+            corners = np.array([named[label].beta.coords for label in ("D", "D'", "E", "E'")])
+        for i in range(per_system):
+            beta = l @ (rng.dirichlet(np.full(n1, 0.5)) / w)
+            kind = i % 6
+            if kind == 1:
+                beta[1:] *= rng.uniform(1.5, 4.0)
+            elif kind == 2:
+                beta = mixed + rng.uniform(0.0, 1.0) * (beta - mixed)
+            elif kind == 3:
+                beta[1::2] = 0.0
+            elif kind == 4 and system.breuer_applicable:
+                beta[1::2] = 0.0
+                beta = d_tilde + rng.uniform(1e-6, 0.3) * (d_tilde - beta)
+            elif kind == 5 and n1 == 4:
+                beta = rng.dirichlet(np.ones(4)) @ corners
+            beta[0] = 1.0
+            out.append(BetaVector(system, beta.tolist()))
+    return out
+
+
+class TestClassifyFromCoordinates:
+    """classify works on the coordinate tuple; its bytes and minima stay those
+    of the long route through BetaVector and AlphaVector."""
+
+    def test_golden_bytes(self):
+        betas = seeded_betas()
+        results = [classify(b) for b in betas]
+        assert {r.verdict for r in results} == set(Verdict)
+        assert {b.system.n1 for b in betas} >= {2, 3, 5}
+        assert any(all(c == 0.0 for c in b.coords[1::2]) for b in betas)
+        text = "\n".join(json.dumps(r.to_json_dict()) for r in results)
+        # recorded before classify skipped the intermediate vectors; the floats
+        # are L.T @ v products of this numpy build
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "0b79f20ad7e8c5ddb51bb91763ae1d0a76e857044bfe101fb8caaaf96a6d4c35")
+
+    def test_minima_equal_the_public_route_bitwise(self):
+        for beta in seeded_betas(seed=21, per_system=30):
+            result = classify(beta)
+            assert result.min_alpha.hex() == min(beta_to_alpha(beta).coords).hex()
+            flipped = beta_to_alpha(partial_time_reversal(beta))
+            assert result.min_theta1_alpha.hex() == min(flipped.coords).hex()
+            if beta.system.breuer_applicable:
+                image = beta_to_alpha(breuer_map(beta))
+                assert result.min_breuer_alpha.hex() == min(image.coords).hex()
+            else:
+                assert result.min_breuer_alpha is None
+
+    @pytest.mark.parametrize("n1, n2", [(4, 6), (6, 8), (10, 12)])
+    def test_off_trace_raises_the_breuer_map_error(self, n1, n2):
+        beta = BetaVector(SpinPair(n1, n2), (1.5, 0.0, 0.2) + (0.0,) * (n1 - 3))
+        message = re.escape("breuer_map needs a normalized input (beta_0 = 1), got 1.5")
+        for call in (classify, breuer_detects, breuer_map):
+            with pytest.raises(ValueError, match=message) as err:
+                call(beta)
+            assert err.type is ValueError
+
+    @pytest.mark.parametrize("n1, n2", [(4, 6), (5, 7), (6, 8)])
+    def test_at_most_two_spin_pair_hashes(self, n1, n2, monkeypatch):
+        beta = alpha_to_beta(maximally_mixed(SpinPair(n1, n2)))
+        classify(beta)
+        calls = []
+        original = SpinPair.__hash__
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(SpinPair, "__hash__", counted)
+        classify(BetaVector(SpinPair(n1, n2), beta.coords))
+        assert len(calls) <= 2

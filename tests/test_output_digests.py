@@ -1,0 +1,39 @@
+"""scripts/output_digests.py: one stable digest line per output."""
+
+import json
+import pathlib
+import re
+import runpy
+
+SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "output_digests.py"
+
+
+def load():
+    return runpy.run_path(str(SCRIPT), run_name="output_digests")
+
+
+def test_quick_list_prints_one_stable_digest_per_output(capsys):
+    run = load()["run"]
+    assert run(["--quick"]) == 0
+    first = capsys.readouterr().out.splitlines()
+    assert run(["--quick"]) == 0
+    assert capsys.readouterr().out.splitlines() == first
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S.*", line) for line in first)
+    names = [line.split("  ", 1)[1] for line in first]
+    assert len(set(names)) == len(names)
+    assert sum(name.startswith("classify n1=") for name in names) == 9
+    assert "rotinv verify --perturb-l" in names
+    assert "rotinv sweep --n1 6 --n2 8 --grid 15 --format json" in names
+
+
+def test_command_digest_covers_exit_code_and_stderr():
+    record = json.loads(load()["_command"](["geometry", "--n1", "5", "--n2", "7"]))
+    assert record["exit"] == 2
+    assert record["stdout"] == ""
+    assert record["stderr"].startswith("error: ")
+
+
+def test_seeded_states_are_normalized_and_span_the_sizes():
+    betas = load()["seeded_states"](3, 300)
+    assert {b.system.n1 for b in betas} == set(range(2, 11))
+    assert all(b.coords[0] == 1.0 and b.system.n2 - b.system.n1 <= 8 for b in betas)
