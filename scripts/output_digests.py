@@ -5,7 +5,8 @@ Every output is produced in-process by the ``rotinv`` found on the import
 path, and each printed line reads ``<sha256>  <name>``.  A command's
 digest covers its stdout, its stderr and its exit code; a ``classify``
 digest covers ``json.dumps(classify(beta).to_json_dict())`` for every
-seeded state of one n1.  To check that a change leaves every output
+seeded state of one n1; a ``dense oracle`` digest covers the bytes of the
+dense-matrix arrays of one system.  To check that a change leaves every output
 byte-identical, run the script against both trees and diff the listings:
 
     PYTHONPATH=/path/to/old/src python scripts/output_digests.py > old.txt
@@ -13,8 +14,9 @@ byte-identical, run the script against both trees and diff the listings:
     diff old.txt new.txt
 
 ``--quick`` runs a short list with a few outputs of each kind.  The seeded
-states come from numpy and the public rotinv API only, so both trees see
-the same inputs.
+states come from numpy and the public rotinv API only, and the oracle is
+reached as ``rotinv.dense``, ``rotinv.pi_project`` and
+``rotinv.PureProductState``, so both trees see the same inputs.
 """
 
 import argparse
@@ -26,7 +28,8 @@ import sys
 
 import numpy as np
 
-from rotinv import SpinPair, BetaVector, build_l_matrix, classify
+from rotinv import (AlphaVector, BetaVector, PureProductState, SpinPair, build_l_matrix,
+                    classify, dense, pi_project)
 from rotinv.cli import main as rotinv_main
 from rotinv.geometry import d_tilde_point, named_points_4xn
 
@@ -81,6 +84,28 @@ def _classify_digests(seed: int, count: int) -> list[tuple[str, bytes]]:
             for n1, lines in sorted(by_n1.items())]
 
 
+def _dense_digest(system: SpinPair, seed: int, count: int = 4) -> tuple[str, bytes]:
+    """The oracle's arrays for one system: the coupled basis, every Q_K, both
+    time-reversal unitaries, the twirl of seeded product states, and
+    from_alpha, theta1 and breuer_phi1 of seeded states."""
+    rng = np.random.default_rng([seed, system.n1, system.n2])
+    arrays = [dense.coupled_basis(system)]
+    arrays += [dense.invariant_q(system, k) for k in system.k_values()]
+    arrays += [dense.time_reversal(system.n1), dense.time_reversal(system.n2)]
+    w = system.norm_weights()
+    for _ in range(count):
+        amps = []
+        for n in (system.n1, system.n2):
+            v = rng.normal(size=n) + 1j * rng.normal(size=n)
+            amps.append(tuple((v / np.linalg.norm(v)).tolist()))
+        arrays.append(np.array(pi_project(PureProductState(system, *amps)).coords))
+        alpha = AlphaVector(system, (rng.dirichlet(np.ones(system.n1)) / w).tolist())
+        rho = dense.from_alpha(alpha)
+        arrays += [rho, dense.theta1(rho, system), dense.breuer_phi1(rho, system)]
+    return (f"dense oracle {system.n1}x{system.n2} (seed {seed})",
+            b"".join(np.ascontiguousarray(a).tobytes() for a in arrays))
+
+
 def _command(argv: list[str]) -> bytes:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -119,7 +144,10 @@ def run(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=8, help="seed of the classify states")
     args = parser.parse_args(argv)
 
-    for name, data in _classify_digests(args.seed, 200 if args.quick else 10_000):
+    dense_systems = [(4, 4)] if args.quick else [(4, 4), (4, 6), (6, 6), (6, 8)]
+    digests = _classify_digests(args.seed, 200 if args.quick else 10_000)
+    digests += [_dense_digest(SpinPair(n1, n2), args.seed) for n1, n2 in dense_systems]
+    for name, data in digests:
         print(f"{hashlib.sha256(data).hexdigest()}  {name}")
     for command in command_list(args.quick):
         print(f"{hashlib.sha256(_command(command)).hexdigest()}  rotinv {' '.join(command)}",

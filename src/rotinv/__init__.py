@@ -37,17 +37,15 @@ from .states import (
 from .maps import (
     BreuerNotApplicableError,
     Classification,
-    PureProductState,
     Verdict,
     breuer_detects,
     breuer_map,
     classify,
     is_ppt,
     partial_time_reversal,
-    pi_project,
     symmetrize,
-    tensor_matrix_element,
 )
+from .dense import PureProductState, pi_project, tensor_matrix_element
 from .geometry import (
     Hyperplane,
     NamedPoint,

@@ -3,10 +3,12 @@
 Builds every object explicitly on the full n1*n2-dimensional product space:
 the coupled |J M> basis via Clebsch-Gordan coefficients, the projectors
 P_J, the tensor operators T_{K,q} and invariants Q_K, the time-reversal
-unitary V, partial transposition, the Breuer map and the rotation twirl.
-The methods here are deliberately different from the exact parameter-space
-path (floating linear algebra vs. exact radicals), so agreement between
-the two is a genuine two-route check rather than a tautology.
+unitary V, partial transposition, the Breuer map and the rotation twirl of
+an operator or of a pure product state.  The methods here are deliberately
+different from the exact parameter-space path (floating linear algebra vs.
+exact radicals), so agreement between the two is a genuine two-route check
+rather than a tautology; to keep it one, this module imports no
+parameter-space module (``maps``, ``geometry``).
 
 Product-basis convention: index i = i1*n2 + i2 with m1 = j1 - i1 and
 m2 = j2 - i2 (projections descending within each factor).
@@ -14,20 +16,22 @@ m2 = j2 - i2 (projections descending within each factor).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .halfint import halfint
-from .maps import _tensor_matrix
+from .radical import ExactRadical
 from .states import AlphaVector, BetaVector, SpinPair
-from .wigner import clebsch_gordan
+from .wigner import clebsch_gordan, three_j
 
 __all__ = [
     "NonInvariantError",
     "coupled_basis",
     "projector",
+    "tensor_matrix_element",
     "invariant_q",
     "from_alpha",
     "from_beta",
@@ -37,6 +41,8 @@ __all__ = [
     "partial_transpose_1",
     "breuer_phi1",
     "twirl_alpha",
+    "PureProductState",
+    "pi_project",
     "spin_operators",
     "product_rotation",
     "spectrum",
@@ -107,6 +113,40 @@ def _projector_cached(system: SpinPair, tj: int) -> np.ndarray:
 def projector(system: SpinPair, J) -> np.ndarray:
     """P_J = sum_M |J M><J M|: Hermitian idempotent with trace 2J+1."""
     return _projector_cached(system, halfint(J).twice)
+
+
+def tensor_matrix_element(j, m, K, q, mp) -> ExactRadical:
+    """<j, m| T_{K,q} |j, m'> for the unit-normalized irreducible tensor T_{K,q}.
+
+    Wigner-Eckart form with Tr(T_{K,q} T_{K',q'}^dag) = delta delta:
+
+        <j, m| T_{K,q} |j, m'> = (-1)**(j-m) sqrt(2K+1) (j K j; -m q m'),
+
+    nonzero only for q = m - m', with T_{K,q}^dag = (-1)**q T_{K,-q}.
+    (The 3-j argument order is fixed by requiring that the resulting Q_K
+    are Hermitian, rotation invariant, and consistent with the L basis
+    change; see the dense-oracle tests.)
+    """
+    j, m, K, q, mp = (halfint(x) for x in (j, m, K, q, mp))
+    phase = -1 if ((j.twice - m.twice) // 2) % 2 else 1
+    symbol = three_j(j, K, j, -m, q, mp)
+    return symbol.scale(phase) * ExactRadical.sqrt(K.twice + 1)
+
+
+def _tensor_matrix(two_j: int, K: int, q: int) -> np.ndarray:
+    """Dense T_{K,q} for spin j, rows/cols ordered m = j, j-1, ..., -j."""
+    dim = two_j + 1
+    out = np.zeros((dim, dim))
+    for r in range(dim):
+        tm = two_j - 2 * r
+        tmp = tm - 2 * q  # selection rule q = m - m'
+        if abs(tmp) > two_j:
+            continue
+        c = (two_j - tmp) // 2
+        out[r, c] = float(
+            tensor_matrix_element(Fraction(two_j, 2), Fraction(tm, 2), K, q, Fraction(tmp, 2))
+        )
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -220,6 +260,60 @@ def twirl_alpha(rho: np.ndarray, system: SpinPair) -> AlphaVector:
         for j in system.j_values()
     ]
     return AlphaVector(system, coords)
+
+
+@dataclass(frozen=True)
+class PureProductState:
+    """|phi1> (x) |phi2> with amplitudes over m = j, j-1, ..., -j per factor."""
+
+    system: SpinPair
+    amps1: tuple[complex, ...]
+    amps2: tuple[complex, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "amps1", tuple(complex(a) for a in self.amps1))
+        object.__setattr__(self, "amps2", tuple(complex(a) for a in self.amps2))
+        if len(self.amps1) != self.system.n1 or len(self.amps2) != self.system.n2:
+            raise ValueError("amplitude lengths must be (n1, n2)")
+        for amps in (self.amps1, self.amps2):
+            norm = sum(abs(a) ** 2 for a in amps)
+            if abs(norm - 1.0) > 1e-9:
+                raise ValueError(f"amplitudes are not normalized (|phi|^2 = {norm})")
+
+    @classmethod
+    def basis_state(cls, system: SpinPair, m1, m2) -> "PureProductState":
+        """|j1, m1> (x) |j2, m2>."""
+        m1, m2 = halfint(m1), halfint(m2)
+        a1 = [0.0] * system.n1
+        a2 = [0.0] * system.n2
+        a1[(system.j1.twice - m1.twice) // 2] = 1.0
+        a2[(system.j2.twice - m2.twice) // 2] = 1.0
+        return cls(system, tuple(a1), tuple(a2))
+
+
+def pi_project(product: PureProductState) -> BetaVector:
+    """Tensor coordinates of the rotation twirl of a pure product state.
+
+    beta_K = sqrt(n1 n2 / (2K+1)) sum_q <T_{K,q}>_phi1 <T_{K,q}^dag>_phi2.
+    The twirl preserves separability, so the image of any product state is
+    a separable invariant state; beta_0 comes out 1.
+    """
+    sys_ = product.system
+    v1 = np.array(product.amps1)
+    v2 = np.array(product.amps2)
+    coords = []
+    for K in sys_.k_values():
+        total = 0.0 + 0.0j
+        for q in range(-K, K + 1):
+            t1 = _tensor_matrix(sys_.j1.twice, K, q)
+            t2 = _tensor_matrix(sys_.j2.twice, K, q)
+            e1 = np.vdot(v1, t1 @ v1)
+            e2 = np.vdot(v2, t2 @ v2)
+            total += e1 * np.conj(e2)
+        if abs(total.imag) > 1e-9:
+            raise AssertionError(f"twirl produced a non-real coordinate at K={K}: {total}")
+        coords.append(np.sqrt(sys_.dim / (2 * K + 1)) * total.real)
+    return BetaVector(sys_, coords)
 
 
 @lru_cache(maxsize=None)

@@ -23,8 +23,6 @@ region to be nonempty for every even n1 >= 4, n2 >= n1.
 
 from __future__ import annotations
 
-import math
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -38,6 +36,7 @@ from .states import (
     AlphaVector,
     BetaVector,
     SpinPair,
+    _theta1_coords,
     build_l_matrix,
 )
 
@@ -76,10 +75,8 @@ class NamedPoint:
 
     def flipped(self, label: str) -> "NamedPoint":
         """The partial-time-reversal image (odd-K signs change)."""
-        def flip(values):
-            return tuple(-v if k % 2 else v for k, v in enumerate(values))
-        return NamedPoint(label, BetaVector(self.system, flip(self.beta.coords)),
-                          flip(self.exact))
+        return NamedPoint(label, BetaVector(self.system, _theta1_coords(self.beta.coords)),
+                          _theta1_coords(self.exact))
 
 
 @dataclass(frozen=True)
@@ -353,52 +350,11 @@ def minimal_separable_membership_4xn(beta: BetaVector, tol: float = DEFAULT_TOL)
     return min(_hull_weights_x20(x)) / 20 >= -tol
 
 
-def _float_key(x: float) -> int:
-    """An int that orders the floats as their values do; adjacent floats differ by 1."""
-    bits = struct.unpack("<q", struct.pack("<d", x))[0]
-    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
-
-
-def _key_float(key: int) -> float:
-    bits = key if key >= 0 else -key | 0x8000_0000_0000_0000
-    return struct.unpack("<d", struct.pack("<Q", bits))[0]
-
-
-def _accepted_edge(accepts, inside: float, outside: float) -> float:
-    """The last float from inside towards outside that accepts; accepts(inside) holds.
-
-    accepts must be monotone along the floats between the two, so the
-    accepted ones form one run; it is found by bisecting over their keys.
-    """
-    if accepts(outside):
-        return outside
-    good, bad = _float_key(inside), _float_key(outside)
-    while abs(bad - good) > 1:
-        mid = (good + bad) // 2
-        if accepts(_key_float(mid)):
-            good = mid
-        else:
-            bad = mid
-    return _key_float(good)
-
-
-@lru_cache(maxsize=None)
-def _separable_band_4xn(n: int, tol: float) -> tuple[float, float]:
-    """[lo, hi]: the beta_2 that minimal_separable_membership_4xn accepts at (1, 0, beta_2, 0).
-
-    On this slice the rule reads min(5x + 5, -5x + 5) / 20 >= -tol with
-    x = beta_2 / r_2.  Each step is correctly rounded and monotone in
-    beta_2, so the accepted floats form one interval, whose ends are read
-    off the rule itself once per (N, tol).  (inf, -inf) if it accepts none.
-    """
-    system = SpinPair(4, n)
-
-    def accepts(beta2: float) -> bool:
-        return minimal_separable_membership_4xn(BetaVector(system, (1.0, 0.0, beta2, 0.0)), tol)
-
-    if not accepts(0.0):  # then tol < -1/4, and no beta_2 is accepted
-        return math.inf, -math.inf
-    return _accepted_edge(accepts, 0.0, -math.inf), _accepted_edge(accepts, 0.0, math.inf)
+def _separable_mask_4xn(n: int, beta2: np.ndarray, tol: float) -> np.ndarray:
+    """minimal_separable_membership_4xn at each (1, 0, beta_2, 0), its float steps in its order."""
+    r1, r2, r3 = _radial_unit_floats(n)
+    weights = _hull_weights_x20((0.0 / r1, beta2 / r2, 0.0 / r3))
+    return np.minimum.reduce(weights) / 20 >= -tol
 
 
 def exact_hull_membership_4xn(point: NamedPoint) -> bool:
@@ -491,10 +447,8 @@ def _sweep_columns(system: SpinPair, grid: int, tol: float
     detected = alpha_phi[flat].min(axis=1) < -tol
     separable = np.zeros(len(flat), dtype=bool)
     if system.n1 == 4:
-        # the theta_1-invariant slice of DD'EE' is a segment in beta_2
-        lo, hi = _separable_band_4xn(system.n2, tol)
-        beta2 = axes[0][index[0]]
-        separable = (beta2 >= lo) & (beta2 <= hi)
+        # classify's DD'EE' rule: the shared weights _hull_weights_x20 on the beta_2 column
+        separable = _separable_mask_4xn(system.n2, axes[0][index[0]], tol)
     codes = np.where(detected, 0, np.where(separable, 1, 2))
     fraction = float(detected.sum() / len(flat)) if len(flat) else 0.0
     header = tuple(f"beta_K={2 * (k + 1)}" for k in range(len(axes))) + ("class",)

@@ -16,32 +16,31 @@ The map is positive only for even n1, so a negative alpha coordinate of
 the image certifies entanglement (possibly bound) for even n1 >= 4.
 
 Each coordinate rule has one home, a private function on the coordinate
-tuple: ``_theta1_coords`` for the sign flip and ``_breuer_coords`` for the
-Breuer image with its trace check.  The public maps wrap their result in a
-BetaVector; :func:`classify` takes the alpha images of the state, of its
-theta_1 image and of its Breuer image straight from the coordinates, one
-``L.T @ v`` product each, without building intermediate vectors.
+tuple: ``states._theta1_coords`` for the sign flip and ``_breuer_coords``
+for the Breuer image with its trace check.  The public maps wrap their
+result in a BetaVector; :func:`classify` takes the alpha images of the
+state, of its theta_1 image and of its Breuer image straight from the
+coordinates, one ``L.T @ v`` product each, without building intermediate
+vectors.  Dense matrices, the tensor operators included, live in
+:mod:`rotinv.dense`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .geometry import minimal_separable_membership_4xn
-from .halfint import halfint
-from .radical import ExactRadical
 from .states import (
     DEFAULT_TOL,
     BetaVector,
     SpinPair,
     _normalized_positive,
+    _theta1_coords,
     build_l_matrix,
 )
-from .wigner import three_j
 
 __all__ = [
     "BreuerNotApplicableError",
@@ -50,9 +49,6 @@ __all__ = [
     "breuer_map",
     "breuer_detects",
     "is_ppt",
-    "tensor_matrix_element",
-    "PureProductState",
-    "pi_project",
     "Verdict",
     "Classification",
     "classify",
@@ -65,11 +61,6 @@ TRACE_TOL = 1e-9
 
 class BreuerNotApplicableError(ValueError):
     """The Breuer map is not positive on this system (odd or too small n1)."""
-
-
-def _theta1_coords(coords) -> tuple[float, ...]:
-    """theta_1 on tensor coordinates: beta_K -> (-1)**K beta_K."""
-    return tuple(-c if k % 2 else c for k, c in enumerate(coords))
 
 
 def _breuer_coords(coords) -> list[float]:
@@ -141,94 +132,6 @@ def breuer_detects(beta: BetaVector, tol: float = DEFAULT_TOL) -> bool:
 def is_ppt(beta: BetaVector, tol: float = DEFAULT_TOL) -> bool:
     """Whether the partial time reversal of the state is still positive."""
     return _min_theta1_alpha(build_l_matrix(beta.system).values.T, beta.coords) >= -tol
-
-
-def tensor_matrix_element(j, m, K, q, mp) -> ExactRadical:
-    """<j, m| T_{K,q} |j, m'> for the unit-normalized irreducible tensor T_{K,q}.
-
-    Wigner-Eckart form with Tr(T_{K,q} T_{K',q'}^dag) = delta delta:
-
-        <j, m| T_{K,q} |j, m'> = (-1)**(j-m) sqrt(2K+1) (j K j; -m q m'),
-
-    nonzero only for q = m - m', with T_{K,q}^dag = (-1)**q T_{K,-q}.
-    (The 3-j argument order is fixed by requiring that the resulting Q_K
-    are Hermitian, rotation invariant, and consistent with the L basis
-    change; see the dense-oracle tests.)
-    """
-    j, m, K, q, mp = (halfint(x) for x in (j, m, K, q, mp))
-    phase = -1 if ((j.twice - m.twice) // 2) % 2 else 1
-    symbol = three_j(j, K, j, -m, q, mp)
-    return symbol.scale(phase) * ExactRadical.sqrt(K.twice + 1)
-
-
-def _tensor_matrix(two_j: int, K: int, q: int) -> np.ndarray:
-    """Dense T_{K,q} for spin j, rows/cols ordered m = j, j-1, ..., -j."""
-    dim = two_j + 1
-    out = np.zeros((dim, dim))
-    for r in range(dim):
-        tm = two_j - 2 * r
-        tmp = tm - 2 * q  # selection rule q = m - m'
-        if abs(tmp) > two_j:
-            continue
-        c = (two_j - tmp) // 2
-        out[r, c] = float(
-            tensor_matrix_element(Fraction(two_j, 2), Fraction(tm, 2), K, q, Fraction(tmp, 2))
-        )
-    return out
-
-
-@dataclass(frozen=True)
-class PureProductState:
-    """|phi1> (x) |phi2> with amplitudes over m = j, j-1, ..., -j per factor."""
-
-    system: SpinPair
-    amps1: tuple[complex, ...]
-    amps2: tuple[complex, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "amps1", tuple(complex(a) for a in self.amps1))
-        object.__setattr__(self, "amps2", tuple(complex(a) for a in self.amps2))
-        if len(self.amps1) != self.system.n1 or len(self.amps2) != self.system.n2:
-            raise ValueError("amplitude lengths must be (n1, n2)")
-        for amps in (self.amps1, self.amps2):
-            norm = sum(abs(a) ** 2 for a in amps)
-            if abs(norm - 1.0) > 1e-9:
-                raise ValueError(f"amplitudes are not normalized (|phi|^2 = {norm})")
-
-    @classmethod
-    def basis_state(cls, system: SpinPair, m1, m2) -> "PureProductState":
-        """|j1, m1> (x) |j2, m2>."""
-        m1, m2 = halfint(m1), halfint(m2)
-        a1 = [0.0] * system.n1
-        a2 = [0.0] * system.n2
-        a1[(system.j1.twice - m1.twice) // 2] = 1.0
-        a2[(system.j2.twice - m2.twice) // 2] = 1.0
-        return cls(system, tuple(a1), tuple(a2))
-
-
-def pi_project(product: PureProductState) -> BetaVector:
-    """Tensor coordinates of the rotation twirl of a pure product state.
-
-    beta_K = sqrt(n1 n2 / (2K+1)) sum_q <T_{K,q}>_phi1 <T_{K,q}^dag>_phi2.
-    The twirl preserves separability, so the image of any product state is
-    a separable invariant state; beta_0 comes out 1.
-    """
-    sys_ = product.system
-    v1 = np.array(product.amps1)
-    v2 = np.array(product.amps2)
-    coords = []
-    for K in sys_.k_values():
-        total = 0.0 + 0.0j
-        for q in range(-K, K + 1):
-            t1 = _tensor_matrix(sys_.j1.twice, K, q)
-            t2 = _tensor_matrix(sys_.j2.twice, K, q)
-            e1 = np.vdot(v1, t1 @ v1)
-            e2 = np.vdot(v2, t2 @ v2)
-            total += e1 * np.conj(e2)
-        if abs(total.imag) > 1e-9:
-            raise AssertionError(f"twirl produced a non-real coordinate at K={K}: {total}")
-        coords.append(np.sqrt(sys_.dim / (2 * K + 1)) * total.real)
-    return BetaVector(sys_, coords)
 
 
 class Verdict(enum.Enum):

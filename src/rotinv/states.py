@@ -25,7 +25,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .halfint import HalfInt, halfint, halfint_range
+from .halfint import HalfInt, halfint_range
 from .radical import ExactRadical
 from .wigner import six_j
 
@@ -154,6 +154,11 @@ class BetaVector(_CoordinateVector):
 
     def labeled(self) -> tuple[tuple[str, float], ...]:
         return tuple((f"K={k}", c) for k, c in enumerate(self.coords))
+
+
+def _theta1_coords(coords) -> tuple:
+    """theta_1 on tensor coordinates: beta_K -> (-1)**K beta_K."""
+    return tuple(-c if k % 2 else c for k, c in enumerate(coords))
 
 
 def vector_from_json_dict(data: dict) -> AlphaVector | BetaVector:

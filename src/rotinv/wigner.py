@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .halfint import HalfInt, halfint
+from .halfint import halfint
 from .radical import ExactRadical
 
 __all__ = [

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from rotinv import checks, geometry, maps, states
+from rotinv import checks, dense, geometry, maps, states
 from rotinv.states import AlphaVector, SpinPair, alpha_to_beta, beta_to_alpha, build_l_matrix
 
 
@@ -145,8 +145,8 @@ def test_criterion_7_separability_anchors():
     worst_e = 0.0
     for n in range(4, 21):
         system = SpinPair(4, n)
-        prod = maps.PureProductState.basis_state(system, -0.5, (n - 1) / 2)
-        beta = maps.pi_project(prod)
+        prod = dense.PureProductState.basis_state(system, -0.5, (n - 1) / 2)
+        beta = dense.pi_project(prod)
         expected = geometry.named_points_4xn(n)["E"].beta
         worst_e = max(worst_e, float(np.abs(
             beta.as_array() - expected.as_array()).max()))
@@ -157,10 +157,10 @@ def test_criterion_7_separability_anchors():
             if n1 * n2 > 64:
                 break
             system = SpinPair(n1, n2)
-            prod = maps.PureProductState.basis_state(
+            prod = dense.PureProductState.basis_state(
                 system, system.j1.value, system.j2.value
             )
-            beta = maps.pi_project(prod)
+            beta = dense.pi_project(prod)
             top = geometry.alpha_extreme_points(system)[-1]
             expected = alpha_to_beta(top)
             worst_d = max(worst_d, float(np.abs(

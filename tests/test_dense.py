@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rotinv import dense
-from rotinv.maps import breuer_map, partial_time_reversal, pi_project, PureProductState
+from rotinv.dense import pi_project, PureProductState
+from rotinv.maps import breuer_map, partial_time_reversal
 from rotinv.states import (
     AlphaVector,
     BetaVector,

@@ -581,29 +581,36 @@ class TestSeparableBand4xN:
     @pytest.mark.parametrize("n", [9, 17])
     def test_band_is_the_rule_around_plus_minus_r2(self, n):
         system = SpinPair(4, n)
-        lo, hi = geometry._separable_band_4xn(n, 1e-10)
         r2 = geometry._radial_unit_floats(n)[1]
-        for centre in (-r2, r2):
-            for offset in (0.0, 1e-10, 1.5e-10, 2e-10, 2.9e-10, 3e-10):
-                for beta2 in (centre - offset, centre + offset):
-                    beta = BetaVector(system, (1.0, 0.0, beta2, 0.0))
-                    inside = lo <= beta2 <= hi
-                    assert minimal_separable_membership_4xn(beta) == inside, beta2
-                    result = maps.classify(beta)
-                    if result.is_state and result.is_ppt and not result.breuer_detected:
-                        assert result.known_separable == inside, beta2
-        # the ends are tight: the next float outward is rejected
-        for edge, outward in ((lo, -np.inf), (hi, np.inf)):
-            beta = BetaVector(system, (1.0, 0.0, float(np.nextafter(edge, outward)), 0.0))
-            assert not minimal_separable_membership_4xn(beta)
+        points = [centre + sign * offset for centre in (-r2, r2)
+                  for offset in (0.0, 1e-10, 1.5e-10, 2e-10, 2.9e-10, 3e-10) for sign in (-1, 1)]
+        mask = geometry._separable_mask_4xn(n, np.array(points), 1e-10)
+        for beta2, inside in zip(points, mask.tolist()):
+            beta = BetaVector(system, (1.0, 0.0, beta2, 0.0))
+            assert minimal_separable_membership_4xn(beta) == inside, beta2
+            result = maps.classify(beta)
+            if result.is_state and result.is_ppt and not result.breuer_detected:
+                assert result.known_separable == inside, beta2
+
+    @pytest.mark.parametrize("n", [4, 9, 17, 40])
+    def test_mask_is_the_rule_float_by_float_at_both_edges(self, n):
+        system = SpinPair(4, n)
+        r2 = geometry._radial_unit_floats(n)[1]
+        for edge in (-r2 * (1 + 4e-10), r2 * (1 + 4e-10)):  # where (5 -+ 5 x) / 20 = -tol
+            points = edge + np.arange(-40, 41) * np.spacing(edge)
+            mask = geometry._separable_mask_4xn(n, points, 1e-10).tolist()
+            assert set(mask) == {True, False}, edge
+            for beta2, inside in zip(points.tolist(), mask):
+                beta = BetaVector(system, (1.0, 0.0, beta2, 0.0))
+                assert minimal_separable_membership_4xn(beta) == inside, beta2
 
     def test_state_just_below_e_is_separable_in_both(self):
         e2 = named_points_4xn(9)["E"].beta.coords[2]
         beta2 = e2 - 1.5e-10
-        assert maps.classify(BetaVector(SpinPair(4, 9), (1.0, 0.0, beta2, 0.0))).verdict \
-            is maps.Verdict.KNOWN_SEPARABLE
-        lo, hi = geometry._separable_band_4xn(9, 1e-10)
-        assert lo <= beta2 <= hi
+        beta = BetaVector(SpinPair(4, 9), (1.0, 0.0, beta2, 0.0))
+        assert maps.classify(beta).verdict is maps.Verdict.KNOWN_SEPARABLE
+        assert minimal_separable_membership_4xn(beta)
+        assert geometry._separable_mask_4xn(9, np.array([beta2]), 1e-10).tolist() == [True]
 
 
 class TestDetectionExistence:

@@ -10,18 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rotinv.dense import PureProductState, pi_project, tensor_matrix_element
 from rotinv.maps import (
     BreuerNotApplicableError,
-    PureProductState,
     Verdict,
     breuer_detects,
     breuer_map,
     classify,
     is_ppt,
     partial_time_reversal,
-    pi_project,
     symmetrize,
-    tensor_matrix_element,
 )
 from rotinv.radical import ExactRadical
 from rotinv.states import (
