@@ -3,7 +3,8 @@
 
 Every output is produced in-process by the ``rotinv`` found on the import
 path, and each printed line reads ``<sha256>  <name>``.  A command's
-digest covers its stdout, its stderr and its exit code; a ``classify``
+digest covers its stdout, its stderr and its exit code, a usage error's
+exit code 2 from argparse included; a ``classify``
 digest covers ``json.dumps(classify(beta).to_json_dict())`` for every
 seeded state of one n1; a ``dense oracle`` digest covers the bytes of the
 dense-matrix arrays of one system.  To check that a change leaves every output
@@ -109,7 +110,10 @@ def _dense_digest(system: SpinPair, seed: int, count: int = 4) -> tuple[str, byt
 def _command(argv: list[str]) -> bytes:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = rotinv_main(argv)
+        try:
+            code = rotinv_main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
     return json.dumps({"exit": code, "stdout": out.getvalue(),
                        "stderr": err.getvalue()}).encode()
 
@@ -118,12 +122,30 @@ def _system(n1: int, n2: int) -> list[str]:
     return ["--n1", str(n1), "--n2", str(n2)]
 
 
+# invocations that exit 2: input off the trace condition, a bad tolerance,
+# unsupported systems, a coarse grid, a small --n2-max, and --tol where the
+# command takes none
+ERROR_COMMANDS = [
+    ["classify", *_system(4, 6), "--beta", "2,0,0.2,0"],
+    ["classify", *_system(5, 7), "--beta", "2,0,0.2,0,0"],
+    ["classify", *_system(4, 4), "--beta", "1,0,0,0", "--tol", "0"],
+    ["geometry", *_system(5, 7)],
+    ["sweep", *_system(8, 8)],
+    ["sweep", *_system(6, 8), "--grid", "5"],
+    ["sweep", *_system(6, 8), "--grid", "5", "--format", "json"],
+    ["verify", "--n2-max", "5"],
+    ["geometry", *_system(6, 8), "--tol", "1e-8"],
+    ["verify", "--tol", "1e-8"],
+]
+
+
 def command_list(quick: bool) -> list[list[str]]:
     """The CLI invocations whose outputs are digested."""
     if quick:
         sweeps = [(4, 5, 200), (6, 8, 30)]
         geometries = [(4, 4), (6, 11)]
         verifies = [["verify", "--perturb-l"]]
+        errors = [["geometry", *_system(6, 8), "--tol", "1e-8"]]
     else:
         sweeps = ([(4, n2, 200) for n2 in range(4, 41)]
                   + [(4, n2, 40000) for n2 in (4, 5, 9, 17, 20, 40)]
@@ -131,11 +153,12 @@ def command_list(quick: bool) -> list[list[str]]:
         geometries = [(n1, n2) for n1 in range(4, 13, 2)
                       for n2 in (n1, n1 + 5, 2 * n1 + 8)]
         verifies = [["verify"], ["verify", "--deep", "--seed", "7"], ["verify", "--perturb-l"]]
+        errors = ERROR_COMMANDS
     commands = [["sweep", *_system(n1, n2), "--grid", str(grid)] for n1, n2, grid in sweeps]
     commands.append(["sweep", *_system(6, 8), "--grid", "15", "--format", "json"])
     commands += [["geometry", *_system(n1, n2), "--format", fmt]
                  for n1, n2 in geometries for fmt in ("csv", "json")]
-    return commands + verifies
+    return commands + verifies + errors
 
 
 def run(argv=None) -> int:

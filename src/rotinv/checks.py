@@ -36,6 +36,13 @@ def _worst(residuals) -> float:
     return max(residuals, default=math.inf)
 
 
+def _exact_residual(got: ExactRadical, want: ExactRadical) -> float:
+    """0.0 on exact equality, else the float distance, or inf if it rounds to 0."""
+    if got == want:
+        return 0.0
+    return abs(float(got) - float(want)) or math.inf
+
+
 def orthogonality_sums(cases) -> float:
     """sum_K (2J+1)(2K+1) {a b J; c d K} {a b J'; c d K} = delta(J, J').
 
@@ -43,11 +50,8 @@ def orthogonality_sums(cases) -> float:
     the residual is 0.0 only if every sum equals its delta exactly.
     """
     def residual(a, b, c, d, j, jp):
-        got = wigner.verify_orthogonality_sum(a, b, c, d, j, jp)
-        want = ExactRadical.one() if j == jp else ExactRadical.zero()
-        if got == want:
-            return 0.0
-        return abs(float(got) - float(want)) or math.inf
+        return _exact_residual(wigner.verify_orthogonality_sum(a, b, c, d, j, jp),
+                               ExactRadical.one() if j == jp else ExactRadical.zero())
     return _worst(residual(*case) for case in cases)
 
 
@@ -65,10 +69,7 @@ def appendix_sum(systems) -> float:
             a = wigner.six_j(j1, j2, j2 - j1, j2, j1, k)
             b = wigner.six_j(j1, j2, j1 + j2, j2, j1, k)
             total = total + (a * b).scale(2 * (2 * k + 1))
-        want = ExactRadical.from_rational(Fraction(-1, system.n2))
-        if total == want:
-            return 0.0
-        return abs(float(total) - float(want)) or math.inf
+        return _exact_residual(total, ExactRadical.from_rational(Fraction(-1, system.n2)))
     return _worst(residual(s) for s in systems)
 
 
@@ -170,7 +171,7 @@ def dense_equivalence(alphas) -> float:
         min_eig, _ = dense.min_eigenvalue(dense.breuer_phi1(rho, system))
         beta = states.alpha_to_beta(alpha)
         min_alpha = min(states.beta_to_alpha(maps.breuer_map(beta)).coords)
-        signs = float((min_eig < -1e-10) != (min_alpha < -1e-10))
+        signs = float((min_eig < -states.DEFAULT_TOL) != (min_alpha < -states.DEFAULT_TOL))
         spectra = float(np.abs(dense.spectrum(dense.theta1(rho, system))
                                - dense.spectrum(dense.partial_transpose_1(rho, system))).max())
         return max(extract, signs, spectra)

@@ -42,7 +42,7 @@ class RunConfig:
     n2: int = 0
     basis: str | None = None
     coords: tuple[float, ...] | None = None
-    tol: float = 1e-10
+    tol: float = states.DEFAULT_TOL
     grid: int = 200
     seed: int = 12345
     fmt: str = "csv"
@@ -103,15 +103,13 @@ def _config_comment(cfg: RunConfig) -> str:
 
 def cmd_classify(cfg: RunConfig) -> int:
     system = SpinPair(cfg.n1, cfg.n2)
-    if cfg.coords is None:
-        raise ValueError("classify needs --alpha or --beta coordinates")
     if cfg.basis == "alpha":
         beta = states.alpha_to_beta(AlphaVector(system, cfg.coords))
     else:
         beta = BetaVector(system, cfg.coords)
     # input off the trace condition is bad input on every system
     trace = beta.coords[0]  # = sum_J sqrt((2J+1)/(n1 n2)) alpha_J
-    if abs(trace - 1.0) > maps.TRACE_TOL:
+    if abs(trace - 1.0) > states.TRACE_TOL:
         raise ValueError(f"the {cfg.basis} coordinates given have trace {trace!r}, but a "
                          "state needs sum_J sqrt((2J+1)/(n1 n2)) alpha_J = 1")
     result = maps.classify(beta, cfg.tol)
@@ -190,7 +188,7 @@ def _geometry_json(cfg: RunConfig, points, planes) -> str:
 
 def cmd_geometry(cfg: RunConfig) -> int:
     system = SpinPair(cfg.n1, cfg.n2)
-    if system.n1 % 2 or system.n1 < 4:
+    if not system.breuer_applicable:
         raise ValueError(f"geometry needs an even n1 >= 4, got {system.n1}")
     points, planes = _geometry_data(system)
     if cfg.fmt == "json":
@@ -312,7 +310,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if with_system:
             p.add_argument("--n1", type=int, required=True, help="first subsystem dimension")
             p.add_argument("--n2", type=int, required=True, help="second subsystem dimension (>= n1)")
-        p.add_argument("--tol", type=float, help="numerical tolerance")
+        if name in ("classify", "sweep"):  # geometry is exact; verify runs at the library default
+            p.add_argument("--tol", type=float, help="numerical tolerance")
         p.add_argument("--out", type=str, help="output file (default stdout)")
         return p
 
@@ -373,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg)
         return cmd_verify(cfg)
-    except (ValueError, maps.BreuerNotApplicableError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,6 +33,7 @@ import numpy as np
 from .radical import ExactRadical
 from .states import (
     DEFAULT_TOL,
+    TRACE_TOL,
     AlphaVector,
     BetaVector,
     SpinPair,
@@ -117,8 +118,13 @@ class Hyperplane:
 
 
 def _require_even(system: SpinPair, what: str):
-    if system.n1 % 2 or system.n1 < 4:
+    if not system.breuer_applicable:
         raise ValueError(f"{what} needs an even n1 >= 4, got n1 = {system.n1}")
+
+
+def _require_4xn(n: int):
+    if n < 4:
+        raise ValueError(f"4 x N geometry needs N >= 4, got {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +191,7 @@ def _exact_point(label: str, system: SpinPair, exact) -> NamedPoint:
 
 def _points_and_flips(n: int, labels: str) -> dict[str, NamedPoint]:
     """The closed-form 4 x N points X and their time-reversal images X'."""
-    if n < 4:
-        raise ValueError(f"4 x N geometry needs N >= 4, got {n}")
+    _require_4xn(n)
     units, coords = _radial_units(n), _scaled_coords(n)
     out: dict[str, NamedPoint] = {}
     for label in labels:
@@ -287,8 +292,7 @@ def theta1_polytope(system: SpinPair) -> tuple[Hyperplane, ...]:
 @lru_cache(maxsize=None)
 def _beta2(n: int, label: str) -> float:
     """beta_2 of a labelled 4 x N point, without building the point."""
-    if n < 4:
-        raise ValueError(f"4 x N geometry needs N >= 4, got {n}")
+    _require_4xn(n)
     return float(_radial_units(n)[1].scale(_scaled_coords(n)[label][1]))
 
 
@@ -297,8 +301,7 @@ def segment_detection_threshold(n: int) -> float:
 
     The segment state at t* is the midpoint D'' of DD'.
     """
-    if n < 4:
-        raise ValueError(f"needs N >= 4, got {n}")
+    _require_4xn(n)
     return float(Fraction((n - 2) * (n + 5), (n - 1) * (n + 4)))
 
 
@@ -343,7 +346,7 @@ def minimal_separable_membership_4xn(beta: BetaVector, tol: float = DEFAULT_TOL)
     sys_ = beta.system
     if sys_.n1 != 4:
         raise ValueError(f"minimal separable set is only known for n1 = 4, got {sys_.n1}")
-    if abs(beta.coords[0] - 1.0) > max(tol, 1e-9):
+    if abs(beta.coords[0] - 1.0) > max(tol, TRACE_TOL):
         return False
     units = _radial_unit_floats(sys_.n2)
     x = [beta.coords[k + 1] / units[k] for k in range(3)]
@@ -369,8 +372,7 @@ def exact_hull_membership_4xn(point: NamedPoint) -> bool:
     units = _radial_units(sys_.n2)
     x = []
     for k in range(3):
-        coord = point.exact[k + 1]
-        ratio = Fraction(0) if coord.is_zero else coord.ratio(units[k])
+        ratio = point.exact[k + 1].ratio(units[k])
         if ratio is None:
             raise ValueError(f"{point.label}: coordinate {k + 1} is not in the radial lattice")
         x.append(ratio)

@@ -28,19 +28,11 @@ class HalfInt:
     def __add__(self, other) -> "HalfInt":
         return HalfInt(self.twice + halfint(other).twice)
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "HalfInt":
         return HalfInt(self.twice - halfint(other).twice)
 
-    def __rsub__(self, other) -> "HalfInt":
-        return HalfInt(halfint(other).twice - self.twice)
-
     def __neg__(self) -> "HalfInt":
         return HalfInt(-self.twice)
-
-    def __abs__(self) -> "HalfInt":
-        return HalfInt(abs(self.twice))
 
     def __float__(self) -> float:
         return self.twice / 2.0

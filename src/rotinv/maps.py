@@ -35,6 +35,7 @@ import numpy as np
 from .geometry import minimal_separable_membership_4xn
 from .states import (
     DEFAULT_TOL,
+    TRACE_TOL,
     BetaVector,
     SpinPair,
     _normalized_positive,
@@ -53,10 +54,6 @@ __all__ = [
     "Classification",
     "classify",
 ]
-
-
-# largest |beta_0 - 1|, i.e. |trace - 1|, that breuer_map accepts
-TRACE_TOL = 1e-9
 
 
 class BreuerNotApplicableError(ValueError):

@@ -8,6 +8,9 @@ differ by a perfect square of a rational -- which is exactly the situation
 in the 6-j orthogonality/recoupling sums, where the K-dependent triangle
 factors enter squared.  Sums outside that domain raise ValueError instead
 of silently degrading to floats.
+
+Operators take ExactRadical operands only (``r * 2`` raises TypeError): a
+rational factor goes through ``scale``, a rational value through ``from_rational``.
 """
 
 from __future__ import annotations
@@ -17,11 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-def _is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
+def _rational_sqrt(q: Fraction) -> Fraction | None:
+    """The square root of a rational q >= 0 if it is rational, else None."""
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return Fraction(num, den) if num * num == q.numerator and den * den == q.denominator else None
 
 
 def _as_fraction(x) -> Fraction:
@@ -98,22 +100,15 @@ class ExactRadical:
 
     def as_rational(self) -> Fraction | None:
         """The exact rational value, or None if irrational."""
-        if _is_square(self.num) and _is_square(self.den):
-            return self.sign * Fraction(math.isqrt(self.num), math.isqrt(self.den))
-        return None
+        root = _rational_sqrt(self.radicand)
+        return None if root is None else self.sign * root
 
     def ratio(self, other: "ExactRadical") -> Fraction | None:
         """self/other as an exact Fraction if that quotient is rational."""
         if other.sign == 0:
             raise ZeroDivisionError("ratio to zero radical")
-        if self.sign == 0:
-            return Fraction(0)
-        q = self.radicand / other.radicand
-        if _is_square(q.numerator) and _is_square(q.denominator):
-            return self.sign * other.sign * Fraction(
-                math.isqrt(q.numerator), math.isqrt(q.denominator)
-            )
-        return None
+        root = _rational_sqrt(self.radicand / other.radicand)
+        return None if root is None else self.sign * other.sign * root
 
     def __float__(self) -> float:
         if self.sign == 0:
@@ -126,22 +121,17 @@ class ExactRadical:
     def __neg__(self) -> "ExactRadical":
         return ExactRadical(-self.sign, self.radicand)
 
-    def __abs__(self) -> "ExactRadical":
-        return ExactRadical(abs(self.sign), self.radicand)
-
     def __mul__(self, other) -> "ExactRadical":
-        if isinstance(other, ExactRadical):
-            return ExactRadical(self.sign * other.sign, self.radicand * other.radicand)
-        return self.scale(_as_fraction(other))
-
-    __rmul__ = __mul__
+        if not isinstance(other, ExactRadical):
+            return NotImplemented
+        return ExactRadical(self.sign * other.sign, self.radicand * other.radicand)
 
     def __truediv__(self, other) -> "ExactRadical":
-        if isinstance(other, ExactRadical):
-            if other.sign == 0:
-                raise ZeroDivisionError("division by zero radical")
-            return ExactRadical(self.sign * other.sign, self.radicand / other.radicand)
-        return self.scale(1 / _as_fraction(other))
+        if not isinstance(other, ExactRadical):
+            return NotImplemented
+        if other.sign == 0:
+            raise ZeroDivisionError("division by zero radical")
+        return ExactRadical(self.sign * other.sign, self.radicand / other.radicand)
 
     def scale(self, c) -> "ExactRadical":
         """Multiply by an exact rational c."""
@@ -152,7 +142,7 @@ class ExactRadical:
 
     def __add__(self, other) -> "ExactRadical":
         if not isinstance(other, ExactRadical):
-            other = ExactRadical.from_rational(_as_fraction(other))
+            return NotImplemented
         if other.sign == 0:
             return self
         if self.sign == 0:
@@ -164,15 +154,10 @@ class ExactRadical:
             )
         return other.scale(1 + rho)
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "ExactRadical":
         if not isinstance(other, ExactRadical):
-            other = ExactRadical.from_rational(_as_fraction(other))
+            return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other) -> "ExactRadical":
-        return (-self) + other
 
     # -- formatting --------------------------------------------------------
 

@@ -47,6 +47,9 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 
+# largest |beta_0 - 1|, i.e. |trace - 1|, that still counts as unit trace
+TRACE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SpinPair:

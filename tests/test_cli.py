@@ -82,12 +82,18 @@ class TestClassify:
     @pytest.mark.parametrize("command", [
         ["classify", "--n1", "4", "--n2", "4", "--beta", "1,0,0,0"],
         ["sweep", "--n1", "6", "--n2", "8"],
-        ["verify"],
     ])
     def test_non_finite_tolerance_exit_2(self, command, tol, capsys):
         code, out, err = run_main(command + ["--tol", tol], capsys)
         assert code == 2 and out == ""
         assert err == f"error: tolerance must be finite, got {float(tol)}\n"
+
+    @pytest.mark.parametrize("tol", ["0", "-1e-3"])
+    def test_non_positive_tolerance_exit_2(self, tol, capsys):
+        code, out, err = run_main(
+            ["classify", "--n1", "4", "--n2", "4", "--beta", "1,0,0,0", "--tol", tol], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: tolerance must be positive, got {float(tol)}\n"
 
     @pytest.mark.parametrize("argv", [
         ["--n1", "4", "--n2", "4", "--alpha", "-0.1,0.5,0.5,0.7997503766195847"],
@@ -242,6 +248,13 @@ class TestSweep:
         code, _, _ = run_main(["sweep", "--n1", "8", "--n2", "8"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_coarse_grid_exit_2(self, fmt, capsys):
+        code, out, err = run_main(
+            ["sweep", "--n1", "6", "--n2", "8", "--grid", "5", "--format", fmt], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: grid must be >= 10, got 5\n"
+
     def test_byte_identical_outputs(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["sweep", "--n1", "6", "--n2", "8", "--grid", "20"]
@@ -333,6 +346,30 @@ class TestConfig:
         cfg = _config_from_args(_build_parser().parse_args(argv))
         assert _config_comment(cfg) == f"# rotinv {comment}\n"
         assert (cfg.fmt, cfg.out, cfg.perturb_l) == ("csv", None, False)
+
+
+class TestTolOption:
+    """--tol belongs to classify and sweep: geometry is exact, and verify runs
+    every check at the library default."""
+
+    @pytest.mark.parametrize("argv", [
+        ["geometry", "--n1", "6", "--n2", "8", "--tol", "1e-8"],
+        ["verify", "--tol", "1e-8"],
+    ])
+    def test_tol_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "unrecognized arguments: --tol 1e-8" in captured.err
+
+    @pytest.mark.parametrize("command, listed", [
+        ("classify", True), ("sweep", True), ("geometry", False), ("verify", False)])
+    def test_help_lists_tol(self, command, listed, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert ("--tol" in capsys.readouterr().out) is listed
 
 
 class TestEntryPoint:

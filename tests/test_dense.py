@@ -236,6 +236,12 @@ class TestTwirl:
             beta = alpha_to_beta(alpha)
             assert np.abs(beta.as_array() - pi_project(prod).as_array()).max() < 1e-10
 
+    @pytest.mark.parametrize("n_amps1, n_amps2", [(3, 6), (4, 5), (6, 4)])
+    def test_product_state_amplitude_lengths(self, n_amps1, n_amps2):
+        with pytest.raises(ValueError, match="amplitude lengths must be"):
+            PureProductState(SpinPair(4, 6), (1.0,) + (0.0,) * (n_amps1 - 1),
+                             (1.0,) + (0.0,) * (n_amps2 - 1))
+
     def test_point_e_from_dense_twirl(self):
         from rotinv import geometry
 

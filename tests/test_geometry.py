@@ -203,6 +203,15 @@ class TestExtremePointsAndVertices:
             vertices_4xn(3)
         with pytest.raises(ValueError):
             intersection_points_4xn(2)
+        with pytest.raises(ValueError, match="4 x N geometry needs N >= 4, got 3"):
+            segment_state_4xn(3, 0.5)
+        with pytest.raises(ValueError, match="4 x N geometry needs N >= 4, got 3"):
+            segment_detection_threshold(3)
+
+    def test_hyperplane_needs_one_coefficient_per_even_coordinate(self):
+        system = SpinPair(6, 8)
+        with pytest.raises(ValueError, match="one coefficient per even coordinate"):
+            Hyperplane(system, "h", ExactRadical.one(), (ExactRadical.one(),))
 
 
 class TestGammaPlane:
@@ -493,6 +502,23 @@ class TestMinimalSeparableSet:
         beta = alpha_to_beta(maximally_mixed(SpinPair(6, 6)))
         with pytest.raises(ValueError):
             minimal_separable_membership_4xn(beta)
+        with pytest.raises(ValueError, match="4 x N operation"):
+            exact_hull_membership_4xn(d_tilde_point(SpinPair(6, 8)))
+
+    def test_off_trace_point_is_not_a_member(self):
+        # D'' scaled to beta_0 = 1.5: the weights alone would accept it
+        d = named_points_4xn(6)["D''"].beta.coords
+        assert minimal_separable_membership_4xn(BetaVector(SpinPair(4, 6), d))
+        assert not minimal_separable_membership_4xn(BetaVector(SpinPair(4, 6), (1.5,) + d[1:]))
+
+    def test_exact_membership_needs_the_radial_lattice(self):
+        # r_1 = sqrt(3)/5 at N = 4, so beta_1 = sqrt(2)/5 is an irrational multiple
+        exact = (ExactRadical.one(), ExactRadical.sqrt(Fraction(2, 25)),
+                 ExactRadical.zero(), ExactRadical.zero())
+        point = geometry.NamedPoint("X", BetaVector(SpinPair(4, 4), [float(e) for e in exact]),
+                                    exact)
+        with pytest.raises(ValueError, match="X: coordinate 1 is not in the radial lattice"):
+            exact_hull_membership_4xn(point)
 
 
 class TestRegionSweeps:
@@ -639,3 +665,10 @@ class TestDetectionExistence:
         assert beta is not None
         assert maps.classify(beta).verdict is maps.Verdict.PPT_BOUND_ENTANGLED_DETECTED
         assert gamma_hyperplane(system).evaluate(beta) < 0
+
+    # ladder sizes where float64 no longer confirms the radial witness: the
+    # search returns None rather than an unconfirmed point; an exact
+    # certificate of existence will turn these into found witnesses
+    @pytest.mark.parametrize("dims", [(22, 22), (16, 32), (20, 40)])
+    def test_unconfirmed_witness_is_none(self, dims):
+        assert find_detected_invariant_state(SpinPair(*dims)) is None

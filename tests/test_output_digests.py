@@ -25,6 +25,7 @@ def test_quick_list_prints_one_stable_digest_per_output(capsys):
     assert "rotinv verify --perturb-l" in names
     assert "dense oracle 4x4 (seed 8)" in names
     assert "rotinv sweep --n1 6 --n2 8 --grid 15 --format json" in names
+    assert "rotinv geometry --n1 6 --n2 8 --tol 1e-8" in names
 
 
 def test_command_digest_covers_exit_code_and_stderr():
@@ -32,6 +33,14 @@ def test_command_digest_covers_exit_code_and_stderr():
     assert record["exit"] == 2
     assert record["stdout"] == ""
     assert record["stderr"].startswith("error: ")
+
+
+def test_usage_error_digests_with_exit_2():
+    # argparse raises SystemExit(2); the digest records the code and the usage text
+    record = json.loads(load()["_command"](["verify", "--tol", "1e-8"]))
+    assert record["exit"] == 2
+    assert record["stdout"] == ""
+    assert "unrecognized arguments: --tol 1e-8" in record["stderr"]
 
 
 def test_seeded_states_are_normalized_and_span_the_sizes():

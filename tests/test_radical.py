@@ -47,6 +47,21 @@ class TestHalfInt:
         assert values == (HalfInt(1), HalfInt(3), HalfInt(5))
         assert halfint_range(2, 1) == ()
 
+    def test_rejects_non_int_fields_and_bool(self):
+        with pytest.raises(TypeError):
+            HalfInt(1.0)
+        with pytest.raises(TypeError):
+            halfint(True)
+
+    @pytest.mark.parametrize("expr", [
+        lambda h: 1 + h,
+        lambda h: 1 - h,
+        lambda h: abs(h),
+    ], ids=["1 + h", "1 - h", "abs(h)"])
+    def test_no_reflected_or_abs_operators(self, expr):
+        with pytest.raises(TypeError):
+            expr(HalfInt(-3))
+
 
 class TestExactRadical:
     def test_canonical_form(self):
@@ -137,3 +152,69 @@ class TestExactRadical:
         assert ExactRadical.sqrt(2).ratio(ExactRadical.sqrt(3)) is None
         with pytest.raises(ZeroDivisionError):
             a.ratio(ExactRadical.zero())
+
+    def test_ratio_of_zero_rational_and_irrational_quotients(self):
+        b = -ExactRadical.sqrt(Fraction(2, 3))
+        zero = ExactRadical.zero().ratio(b)
+        assert zero == 0 and isinstance(zero, Fraction)
+        assert ExactRadical.sqrt(Fraction(8, 27)).ratio(b) == Fraction(-2, 3)
+        assert (-ExactRadical.sqrt(Fraction(8, 27))).ratio(b) == Fraction(2, 3)
+        assert ExactRadical.sqrt(Fraction(1, 3)).ratio(b) is None  # sqrt(1/2)
+        assert ExactRadical.sqrt(Fraction(4, 9)).ratio(b) is None  # sqrt(2/3), square numerator
+        with pytest.raises(ZeroDivisionError):
+            ExactRadical.zero().ratio(ExactRadical.zero())
+
+    @pytest.mark.parametrize("radicand, sign, want", [
+        (Fraction(0), 0, Fraction(0)),
+        (Fraction(9, 4), 1, Fraction(3, 2)),
+        (Fraction(9, 4), -1, Fraction(-3, 2)),
+        (Fraction(49), 1, Fraction(7)),
+        (Fraction(2), 1, None),
+        (Fraction(4, 3), -1, None),  # square numerator only
+        (Fraction(2, 9), 1, None),  # square denominator only
+    ])
+    def test_as_rational(self, radicand, sign, want):
+        got = ExactRadical(sign, radicand).as_rational()
+        assert got == want and type(got) is type(want)
+
+    def test_sqrt_rejects_non_rationals_and_negatives(self):
+        with pytest.raises(TypeError):
+            ExactRadical.sqrt(1.5)
+        with pytest.raises(ValueError):
+            ExactRadical.sqrt(-1)
+
+
+R = -ExactRadical.sqrt(Fraction(2, 3))
+Q = ExactRadical.from_rational(Fraction(-3, 4))
+
+
+class TestRadicalOperandsOnly:
+    """Operators take ExactRadical operands; rationals go through scale or from_rational."""
+
+    @pytest.mark.parametrize("expr", [
+        lambda: R * 2,
+        lambda: 2 * R,
+        lambda: R / 2,
+        lambda: Q + 1,
+        lambda: 1 + Q,
+        lambda: Q - 1,
+        lambda: 1 - Q,
+        lambda: abs(R),
+        lambda: Fraction(1, 2) * R,
+    ], ids=["r * 2", "2 * r", "r / 2", "r + 1", "1 + r", "r - 1", "1 - r", "abs(r)",
+            "Fraction(1, 2) * r"])
+    def test_non_radical_operand_raises_type_error(self, expr):
+        with pytest.raises(TypeError):
+            expr()
+
+    def test_scale_and_from_rational_give_the_mixed_operator_values(self):
+        # the values r * 2, r / 2, Fraction(1, 2) * r, abs(r), q + 1, q - 1 and
+        # 1 - q had while those operators coerced rationals
+        one = ExactRadical.from_rational(1)
+        assert R.scale(2) == ExactRadical(-1, Fraction(8, 3))
+        assert R.scale(Fraction(1, 2)) == ExactRadical(-1, Fraction(1, 6))
+        assert ExactRadical.sqrt(R.square()) == ExactRadical(1, Fraction(2, 3))
+        assert Q + one == ExactRadical.from_rational(Fraction(1, 4))
+        assert Q - one == ExactRadical.from_rational(Fraction(-7, 4))
+        assert one - Q == ExactRadical.from_rational(Fraction(7, 4))
+        assert str(R.scale(2)) == "-sqrt(8/3)" and str(one - Q) == "7/4"

@@ -46,6 +46,10 @@ class TestSpinPair:
             SpinPair(4, 3)
         with pytest.raises(ValueError):
             SpinPair(1, 5)
+        with pytest.raises(TypeError):
+            SpinPair(4.0, 4)
+        with pytest.raises(TypeError):
+            SpinPair(4, 6.0)
 
     def test_breuer_applicability_flag(self):
         assert SpinPair(4, 4).breuer_applicable
