@@ -152,7 +152,9 @@ def command_list(quick: bool) -> list[list[str]]:
                   + [(6, n2, 260) for n2 in range(6, 17)])
         geometries = [(n1, n2) for n1 in range(4, 13, 2)
                       for n2 in (n1, n1 + 5, 2 * n1 + 8)]
-        verifies = [["verify"], ["verify", "--deep", "--seed", "7"], ["verify", "--perturb-l"]]
+        verifies = [["verify"],
+                    *(["verify", "--deep", "--seed", str(seed)] for seed in (1, 2, 7, 12345)),
+                    ["verify", "--perturb-l"]]
         errors = ERROR_COMMANDS
     commands = [["sweep", *_system(n1, n2), "--grid", str(grid)] for n1, n2, grid in sweeps]
     commands.append(["sweep", *_system(6, 8), "--grid", "15", "--format", "json"])

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import dense, geometry, maps, states, wigner
-from .radical import ExactRadical
+from .radical import ExactRadical, exact_sum
 from .states import SpinPair
 
 __all__ = [
@@ -64,11 +64,9 @@ def appendix_sum(systems) -> float:
     """
     def residual(system):
         j1, j2 = system.j1, system.j2
-        total = ExactRadical.zero()
-        for k in range(0, system.n1, 2):
-            a = wigner.six_j(j1, j2, j2 - j1, j2, j1, k)
-            b = wigner.six_j(j1, j2, j1 + j2, j2, j1, k)
-            total = total + (a * b).scale(2 * (2 * k + 1))
+        total = exact_sum((2 * (2 * k + 1), wigner.six_j(j1, j2, j2 - j1, j2, j1, k),
+                           wigner.six_j(j1, j2, j1 + j2, j2, j1, k))
+                          for k in range(0, system.n1, 2))
         return _exact_residual(total, ExactRadical.from_rational(Fraction(-1, system.n2)))
     return _worst(residual(s) for s in systems)
 
@@ -159,8 +157,8 @@ def dense_equivalence(alphas) -> float:
     """The dense-matrix oracle against the parameter-space maps, per alpha state.
 
     The residual covers the extracted beta against L alpha and the theta_1
-    spectrum against the partial-transpose spectrum; a disagreement on the
-    sign of the Breuer image (beyond 1e-10) counts 1.0.
+    spectrum against the partial-transpose spectrum; a disagreement on the sign
+    of the Breuer image (beyond 1e-10), read off its eigenvalues alone, counts 1.0.
     """
     def residual(alpha):
         system = alpha.system
@@ -168,7 +166,7 @@ def dense_equivalence(alphas) -> float:
         extracted = dense.extract_beta(rho, system).as_array()
         extract = float(np.abs(
             extracted - states.build_l_matrix(system).values @ alpha.as_array()).max())
-        min_eig, _ = dense.min_eigenvalue(dense.breuer_phi1(rho, system))
+        min_eig = dense.spectrum(dense.breuer_phi1(rho, system))[0]
         beta = states.alpha_to_beta(alpha)
         min_alpha = min(states.beta_to_alpha(maps.breuer_map(beta)).coords)
         signs = float((min_eig < -states.DEFAULT_TOL) != (min_alpha < -states.DEFAULT_TOL))

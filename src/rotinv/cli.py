@@ -296,13 +296,23 @@ def cmd_verify(cfg: RunConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it reports arguments it does not take with its own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rotinv",
         description="Rotationally invariant bipartite states: classification, "
                     "geometry and Breuer-map bound-entanglement detection.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     def add_command(name, summary, with_system=True):
         # an option left out stays out of the namespace, so RunConfig supplies its default

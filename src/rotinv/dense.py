@@ -169,19 +169,19 @@ def invariant_q(system: SpinPair, K: int) -> np.ndarray:
 def from_alpha(alpha: AlphaVector) -> np.ndarray:
     """Assemble the dense operator sum_J alpha_J P_J / sqrt(n1 n2 (2J+1))."""
     sys_ = alpha.system
-    rho = np.zeros((sys_.dim, sys_.dim), dtype=complex)
+    rho = np.zeros((sys_.dim, sys_.dim))  # summed in float64, cast to complex once
     for j, a in zip(sys_.j_values(), alpha.coords):
         rho += (a / np.sqrt(sys_.dim * (j.twice + 1))) * projector(sys_, j)
-    return rho
+    return rho.astype(complex)
 
 
 def from_beta(beta: BetaVector) -> np.ndarray:
     """Assemble the dense operator sum_K beta_K Q_K / sqrt(n1 n2 (2K+1))."""
     sys_ = beta.system
-    rho = np.zeros((sys_.dim, sys_.dim), dtype=complex)
+    rho = np.zeros((sys_.dim, sys_.dim))  # summed in float64, cast to complex once
     for k, b in zip(sys_.k_values(), beta.coords):
         rho += (b / np.sqrt(sys_.dim * (2 * k + 1))) * invariant_q(sys_, k)
-    return rho
+    return rho.astype(complex)
 
 
 # largest entry of |rho - twirl(rho)| that extract_beta accepts as invariant
@@ -232,14 +232,14 @@ def partial_transpose_1(rho: np.ndarray, system: SpinPair) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _time_reversal_1(system: SpinPair) -> np.ndarray:
-    """V (x) 1, the unitary of partial time reversal; real and read-only."""
-    return _frozen(np.kron(time_reversal(system.n1), np.eye(system.n2)))
+    """V (x) 1, the unitary of partial time reversal: real, stored complex, read-only."""
+    return _frozen(np.kron(time_reversal(system.n1), np.eye(system.n2)).astype(complex))
 
 
 def theta1(rho: np.ndarray, system: SpinPair) -> np.ndarray:
-    """Partial time reversal (V (x) 1) rho^T1 (V (x) 1)^dag."""
+    """Partial time reversal (V (x) 1) rho^T1 (V (x) 1)^dag; V is real, so V^dag = V^T."""
     v = _time_reversal_1(system)
-    return v @ partial_transpose_1(rho, system) @ v.conj().T
+    return v @ partial_transpose_1(rho, system) @ v.T
 
 
 def breuer_phi1(rho: np.ndarray, system: SpinPair) -> np.ndarray:

@@ -254,8 +254,9 @@ def gamma_hyperplane(system: SpinPair) -> Hyperplane:
                       tuple(row[0].scale(Fraction(-2, system.n1 - 2)) * unit for row in l[2::2]))
 
 
+@lru_cache(maxsize=None)
 def d_tilde_point(system: SpinPair) -> NamedPoint:
-    """The symmetrized maximal-momentum extreme state D~''.
+    """The symmetrized maximal-momentum extreme state D~'', cached per system.
 
     beta_2K = sqrt(n1 n2 / (n1+n2-1)) L[2K, Jmax], read off the Jmax column
     of the exact L matrix (beta_0 = 1); odd coordinates vanish.  It is an

@@ -7,7 +7,8 @@ under products and quotients, and under sums whenever the two radicands
 differ by a perfect square of a rational -- which is exactly the situation
 in the 6-j orthogonality/recoupling sums, where the K-dependent triangle
 factors enter squared.  Sums outside that domain raise ValueError instead
-of silently degrading to floats.
+of silently degrading to floats.  ``exact_sum`` is the one home for sums:
+``+`` and the verification sums all go through it.
 
 Operators take ExactRadical operands only (``r * 2`` raises TypeError): a
 rational factor goes through ``scale``, a rational value through ``from_rational``.
@@ -143,16 +144,7 @@ class ExactRadical:
     def __add__(self, other) -> "ExactRadical":
         if not isinstance(other, ExactRadical):
             return NotImplemented
-        if other.sign == 0:
-            return self
-        if self.sign == 0:
-            return other
-        rho = self.ratio(other)
-        if rho is None:
-            raise ValueError(
-                f"cannot add incompatible radicals {self} and {other} exactly"
-            )
-        return other.scale(1 + rho)
+        return exact_sum(((1, self), (1, other)))
 
     def __sub__(self, other) -> "ExactRadical":
         if not isinstance(other, ExactRadical):
@@ -175,3 +167,38 @@ class ExactRadical:
 
     def __repr__(self) -> str:
         return f"ExactRadical({self})"
+
+
+def _signed_sqrt(signed: int, square: Fraction) -> ExactRadical:
+    """sign(signed) * sqrt(square), for square > 0."""
+    return ExactRadical((signed > 0) - (signed < 0), square)
+
+
+def exact_sum(terms) -> ExactRadical:
+    """sum of c * f1 * f2 * ... over terms (c, f1, f2, ...), c an int and each f an ExactRadical.
+
+    With r0 = a0/b0 the first nonzero term's radicand, c * sqrt(a/b) is
+    (c * isqrt(a*b*a0*b0) / b) * sqrt(r0) / a0: one integer numerator runs over a
+    common denominator and one Fraction is built at the end.  A term off r0's class
+    raises ValueError as the fold of ``+`` would, unless the partial sum is exactly 0.
+    """
+    num, den, s0 = 0, 1, 0  # partial sum = num / (den * a0) * sqrt(a0 / b0), s0 = a0 * b0
+    for c, *factors in terms:
+        a = b = 1
+        for f in factors:
+            c, a, b = c * f.sign, a * f.radicand.numerator, b * f.radicand.denominator
+        if c == 0:
+            continue
+        root = math.isqrt(a * b * s0)
+        if s0 == 0 or root * root != a * b * s0:
+            if num:
+                raise ValueError(
+                    "cannot add incompatible radicals "
+                    f"{_signed_sqrt(num, Fraction(num * num, den * den * s0))} and "
+                    f"{_signed_sqrt(c, Fraction(c * c * a, b))} exactly")
+            num, den, s0 = c * a, 1, a * b
+        elif den % b:
+            num, den = num * b + c * root * den, den * b
+        else:
+            num += c * root * (den // b)
+    return _signed_sqrt(num, Fraction(num * num, den * den * s0)) if num else ExactRadical.zero()

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import factorial
 
 from .halfint import halfint
-from .radical import ExactRadical
+from .radical import ExactRadical, exact_sum
 
 __all__ = [
     "three_j",
@@ -170,11 +170,8 @@ def verify_orthogonality_sum(a, b, c, d, J, Jp) -> ExactRadical:
     """
     ta, tb, tc, td = (halfint(x).twice for x in (a, b, c, d))
     tJ, tJp = halfint(J).twice, halfint(Jp).twice
-    total = ExactRadical.zero()
-    for tK in _k_range(ta, td, tb, tc):
-        term = _six_j(ta, tb, tJ, tc, td, tK) * _six_j(ta, tb, tJp, tc, td, tK)
-        total = total + term.scale((tJ + 1) * (tK + 1))
-    return total
+    return exact_sum(((tJ + 1) * (tK + 1), _six_j(ta, tb, tJ, tc, td, tK),
+                      _six_j(ta, tb, tJp, tc, td, tK)) for tK in _k_range(ta, td, tb, tc))
 
 
 def verify_recoupling_sum(a, b, c, d, J, Jp) -> ExactRadical:
@@ -188,8 +185,5 @@ def verify_recoupling_sum(a, b, c, d, J, Jp) -> ExactRadical:
     tJ, tJp = halfint(J).twice, halfint(Jp).twice
     if (ta + td) % 2 != 0 or (tb + tc) % 2 != 0:
         raise ValueError("recoupling sum needs integer K: a+d and b+c must be integers")
-    total = ExactRadical.zero()
-    for tK in _k_range(ta, td, tb, tc):
-        term = _six_j(ta, tb, tJ, tc, td, tK) * _six_j(ta, tc, tJp, tb, td, tK)
-        total = total + term.scale(_phase(tK) * (tK + 1))
-    return total
+    return exact_sum((_phase(tK) * (tK + 1), _six_j(ta, tb, tJ, tc, td, tK),
+                      _six_j(ta, tc, tJp, tb, td, tK)) for tK in _k_range(ta, td, tb, tc))

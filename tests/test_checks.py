@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from rotinv import checks
-from rotinv.states import SpinPair, build_l_matrix
+from rotinv import checks, cli, dense
+from rotinv.states import DEFAULT_TOL, SpinPair, build_l_matrix
 
 
 @pytest.mark.parametrize("name", checks.__all__)
@@ -33,3 +33,19 @@ def test_appendix_sum_is_exact():
     assert checks.appendix_sum(systems) == 0.0
     # for odd n1 the sum is +1/n2, and the residual is the float distance
     assert checks.appendix_sum([SpinPair(3, 3)]) == pytest.approx(2 / 3, rel=1e-15)
+
+
+def test_dense_equivalence_sees_a_negated_breuer_image(monkeypatch):
+    # the oracle check decides the Breuer sign from eigenvalues alone; a wrong
+    # sign on the dense side must still fail it
+    assert checks.dense_equivalence(cli._seeded_states(7)) < 1e-10
+    breuer_phi1 = dense.breuer_phi1
+    monkeypatch.setattr(dense, "breuer_phi1", lambda rho, system: -breuer_phi1(rho, system))
+    assert checks.dense_equivalence(cli._seeded_states(7)) == 1.0
+
+
+def test_eigenvalue_sign_agrees_with_min_eigenvalue():
+    for alpha in cli._seeded_states(7):
+        image = dense.breuer_phi1(dense.from_alpha(alpha), alpha.system)
+        min_eig, _ = dense.min_eigenvalue(image)
+        assert (dense.spectrum(image)[0] < -DEFAULT_TOL) == (min_eig < -DEFAULT_TOL)

@@ -363,6 +363,18 @@ class TestTolOption:
         assert exc.value.code == 2 and captured.out == ""
         assert "unrecognized arguments: --tol 1e-8" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["geometry", "--n1", "6", "--n2", "8", "--tol", "1e-8"],
+        ["verify", "--tol", "1e-8"],
+    ])
+    def test_usage_error_names_the_subcommand(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith(f"usage: rotinv {argv[0]} ")
+        assert f"rotinv {argv[0]}: error: unrecognized arguments: --tol 1e-8" in err
+
     @pytest.mark.parametrize("command, listed", [
         ("classify", True), ("sweep", True), ("geometry", False), ("verify", False)])
     def test_help_lists_tol(self, command, listed, capsys):

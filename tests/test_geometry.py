@@ -364,6 +364,14 @@ class TestDTildePoint:
             alpha = beta_to_alpha(d_tilde_point(SpinPair(*dims)).beta)
             assert min(alpha.coords) > 1e-6, dims
 
+    def test_cached_per_system(self):
+        assert d_tilde_point(SpinPair(6, 8)) is d_tilde_point(SpinPair(6, 8))
+
+    def test_odd_n1_raises_on_every_call(self):
+        for _ in range(2):  # a failed call leaves nothing in the cache
+            with pytest.raises(ValueError, match="needs an even n1"):
+                d_tilde_point(SpinPair(5, 7))
+
 
 class TestPolytope:
     def test_halfspace_count_and_membership(self):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotinv.halfint import HalfInt, halfint, halfint_range
-from rotinv.radical import ExactRadical
+from rotinv.radical import ExactRadical, exact_sum
 
 
 rationals = st.fractions(
@@ -218,3 +218,92 @@ class TestRadicalOperandsOnly:
         assert Q - one == ExactRadical.from_rational(Fraction(-7, 4))
         assert one - Q == ExactRadical.from_rational(Fraction(7, 4))
         assert str(R.scale(2)) == "-sqrt(8/3)" and str(one - Q) == "7/4"
+
+
+def fold(terms):
+    """The left fold of ``+`` over c * f1 * f2 * ..., each term built with ``*`` and scale."""
+    total = ExactRadical.zero()
+    for c, *factors in terms:
+        product = ExactRadical.one()
+        for f in factors:
+            product = product * f
+        total = total + product.scale(c)
+    return total
+
+
+def ratio_fold(terms):
+    """The same fold by the ratio rule: x + y = y * (1 + x/y) when x/y is rational."""
+    total = ExactRadical.zero()
+    for c, *factors in terms:
+        term = ExactRadical.one()
+        for f in factors:
+            term = term * f
+        term = term.scale(c)
+        if not term.is_zero:
+            total = term if total.is_zero else term.scale(1 + total.ratio(term))
+    return total
+
+
+small_rationals = st.fractions(min_value=Fraction(-20), max_value=Fraction(20),
+                               max_denominator=12)
+compatible_terms = st.lists(st.tuples(
+    st.integers(-6, 6),                        # coefficient, zero included
+    small_rationals,                           # rational multiple of the base
+    st.one_of(st.none(), st.integers(1, 30)),  # None: one factor; k: base*sqrt(k) and sqrt(k)
+), max_size=8)
+
+
+def build_terms(base, raw):
+    terms = []
+    for c, q, k in raw:
+        if k is None:
+            terms.append((c, base.scale(q)))
+        else:
+            terms.append((c, base.scale(q) * ExactRadical.sqrt(k), ExactRadical.sqrt(k)))
+    return terms
+
+
+class TestExactSum:
+    @given(base=nonneg_rationals, raw=compatible_terms)
+    @settings(max_examples=200)
+    def test_equals_left_fold(self, base, raw):
+        terms = build_terms(ExactRadical.sqrt(base), raw)
+        got = exact_sum(terms)
+        assert got == fold(terms) == ratio_fold(terms)
+        assert math.isclose(float(got), sum(c * math.prod(map(float, fs)) for c, *fs in terms),
+                            rel_tol=1e-9, abs_tol=1e-9)
+
+    @given(base=nonneg_rationals, raw=compatible_terms)
+    @settings(max_examples=50)
+    def test_exact_cancellation_to_zero(self, base, raw):
+        terms = build_terms(ExactRadical.sqrt(base), raw)
+        assert exact_sum(terms + [(-c, *fs) for c, *fs in terms]) == ExactRadical.zero()
+
+    def test_edge_terms(self):
+        r = -ExactRadical.sqrt(Fraction(8, 3))
+        zero = ExactRadical.zero()
+        assert exact_sum([]) == zero
+        assert exact_sum([(1, r)]) == r
+        assert exact_sum([(-3, r)]) == r.scale(-3)
+        assert exact_sum([(0, r), (2, zero), (5, r, zero)]) == zero
+        assert exact_sum([(0, ExactRadical.sqrt(2)), (1, r)]) == r  # a zero term sets no radicand
+        assert exact_sum([(2, r), (-1, r.scale(2))]) == zero
+        assert exact_sum([(1, r, r), (-3, r, ExactRadical.sqrt(6))]) == ExactRadical.from_rational(
+            Fraction(8, 3) + 12)  # r * r = 8/3 and r * sqrt(6) = -4
+        # an exactly cancelled partial sum takes the next radicand, as the fold does
+        terms = [(1, ExactRadical.sqrt(2)), (-1, ExactRadical.sqrt(2)), (1, ExactRadical.sqrt(3))]
+        assert exact_sum(terms) == fold(terms) == ExactRadical.sqrt(3)
+
+    def test_incompatible_radicands_raise_the_fold_message(self):
+        two, three = ExactRadical.sqrt(2), ExactRadical.sqrt(3)
+        for add in (lambda: exact_sum([(1, two), (1, three)]), lambda: two + three):
+            with pytest.raises(ValueError, match=r"^cannot add incompatible radicals sqrt\(2\) "
+                                                 r"and sqrt\(3\) exactly$"):
+                add()
+        terms = [(1, ExactRadical.sqrt(2)), (1, ExactRadical.sqrt(8)), (-2, ExactRadical.sqrt(3))]
+        with pytest.raises(ValueError) as from_fold:
+            fold(terms)
+        with pytest.raises(ValueError) as from_sum:
+            exact_sum(terms)
+        assert str(from_sum.value) == str(from_fold.value) == (
+            "cannot add incompatible radicals sqrt(18) and -sqrt(12) exactly")
