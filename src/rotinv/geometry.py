@@ -347,10 +347,14 @@ def minimal_separable_membership_4xn(beta: BetaVector, tol: float = DEFAULT_TOL)
     sys_ = beta.system
     if sys_.n1 != 4:
         raise ValueError(f"minimal separable set is only known for n1 = 4, got {sys_.n1}")
-    if abs(beta.coords[0] - 1.0) > max(tol, TRACE_TOL):
+    return _in_separable_hull_4xn(beta.coords, _radial_unit_floats(sys_.n2), tol)
+
+
+def _in_separable_hull_4xn(coords, units, tol: float) -> bool:
+    """The DD'EE' test on 4xN coordinates, given the radial unit floats r_1, r_2, r_3."""
+    if abs(coords[0] - 1.0) > max(tol, TRACE_TOL):
         return False
-    units = _radial_unit_floats(sys_.n2)
-    x = [beta.coords[k + 1] / units[k] for k in range(3)]
+    x = [coords[k + 1] / units[k] for k in range(3)]
     return min(_hull_weights_x20(x)) / 20 >= -tol
 
 

@@ -51,22 +51,27 @@ def halfint(x) -> HalfInt:
 
     Floats and Fractions must be exact multiples of 1/2.
     """
+    return x if isinstance(x, HalfInt) else HalfInt(twice(x))
+
+
+def twice(x) -> int:
+    """2x as an int for what :func:`halfint` accepts, without building a HalfInt."""
     if isinstance(x, HalfInt):
-        return x
+        return x.twice
     if isinstance(x, bool):
         raise TypeError("bool is not a spin value")
     if isinstance(x, int):
-        return HalfInt(2 * x)
+        return 2 * x
     if isinstance(x, Fraction):
-        twice = 2 * x
-        if twice.denominator != 1:
+        doubled = 2 * x
+        if doubled.denominator != 1:
             raise ValueError(f"{x} is not a half-integer")
-        return HalfInt(int(twice))
+        return int(doubled)
     if isinstance(x, float):
-        twice = 2.0 * x
-        if twice != round(twice):
+        doubled = 2.0 * x
+        if doubled != round(doubled):
             raise ValueError(f"{x} is not a half-integer")
-        return HalfInt(round(twice))
+        return round(doubled)
     raise TypeError(f"cannot interpret {x!r} as a half-integer")
 
 

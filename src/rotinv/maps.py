@@ -18,27 +18,28 @@ the image certifies entanglement (possibly bound) for even n1 >= 4.
 Each coordinate rule has one home, a private function on the coordinate
 tuple: ``states._theta1_coords`` for the sign flip and ``_breuer_coords``
 for the Breuer image with its trace check.  The public maps wrap their
-result in a BetaVector; :func:`classify` takes the alpha images of the
-state, of its theta_1 image and of its Breuer image straight from the
-coordinates, one ``L.T @ v`` product each, without building intermediate
-vectors.  Dense matrices, the tensor operators included, live in
-:mod:`rotinv.dense`.
+result in a BetaVector.  :func:`classify`, :func:`is_ppt` and
+:func:`breuer_detects` read one cached plan per system instead (L^T, the
+theta_1 matrix L^T diag((-1)**K), the norm weights and flags), so a call
+makes one lookup and takes each alpha image as one product.  Dense
+matrices, the tensor operators included, live in :mod:`rotinv.dense`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import minimal_separable_membership_4xn
+from .geometry import _in_separable_hull_4xn, _radial_unit_floats
 from .states import (
     DEFAULT_TOL,
     TRACE_TOL,
     BetaVector,
     SpinPair,
-    _normalized_positive,
     _theta1_coords,
     build_l_matrix,
 )
@@ -68,23 +69,29 @@ def _breuer_coords(coords) -> list[float]:
     return [float(n1 - 2)] + [0.0 if k % 2 else -2.0 * coords[k] for k in range(1, n1)]
 
 
-def _min_alpha(lt: np.ndarray, coords) -> float:
-    """min_J alpha_J for tensor coordinates, given lt = L^T.
+class _Plan(NamedTuple):
+    """What the per-state tests read of one system, built once from the float L."""
 
-    A Python min over the floats, so a tie between 0.0 and -0.0 keeps the
-    first one, as a min over an AlphaVector's coordinates does.
+    lt: np.ndarray
+    lt_theta1: np.ndarray
+    weights: np.ndarray
+    breuer_applicable: bool
+    units_4xn: tuple[float, float, float] | None
+
+
+@lru_cache(maxsize=None)
+def _plan(system: SpinPair) -> _Plan:
+    """L^T, the read-only theta_1 matrix L^T diag((-1)**K), weights and flags.
+
+    The theta_1 matrix is a signed copy of L, transposed: it keeps the
+    F-ordered layout of L^T, so its products are bitwise those of L^T on the
+    flipped coordinates (a C-ordered copy or a stacked product are not).
     """
-    return min((lt @ np.array(coords)).tolist())
-
-
-def _min_theta1_alpha(lt: np.ndarray, coords) -> float:
-    """min_J alpha_J(theta_1 rho)."""
-    return _min_alpha(lt, _theta1_coords(coords))
-
-
-def _min_breuer_alpha(lt: np.ndarray, coords) -> float:
-    """min_J alpha_J(Phi_1 rho), unnormalized image; needs the map to apply."""
-    return _min_alpha(lt, _breuer_coords(coords))
+    values = build_l_matrix(system).values
+    lt_theta1 = (values * np.array(_theta1_coords((1.0,) * system.n1))[:, None]).T
+    lt_theta1.flags.writeable = False
+    units = _radial_unit_floats(system.n2) if system.n1 == 4 else None
+    return _Plan(values.T, lt_theta1, system.norm_weights(), system.breuer_applicable, units)
 
 
 def partial_time_reversal(beta: BetaVector) -> BetaVector:
@@ -119,16 +126,17 @@ def breuer_detects(beta: BetaVector, tol: float = DEFAULT_TOL) -> bool:
     cases within ``tol`` report False (a witness must not claim
     entanglement inside numerical noise).
     """
-    if not beta.system.breuer_applicable:
+    plan = _plan(beta.system)
+    if not plan.breuer_applicable:
         raise BreuerNotApplicableError(
             f"Breuer criterion needs even n1 >= 4, got n1 = {beta.system.n1}"
         )
-    return _min_breuer_alpha(build_l_matrix(beta.system).values.T, beta.coords) < -tol
+    return min((plan.lt @ np.array(_breuer_coords(beta.coords))).tolist()) < -tol
 
 
 def is_ppt(beta: BetaVector, tol: float = DEFAULT_TOL) -> bool:
     """Whether the partial time reversal of the state is still positive."""
-    return _min_theta1_alpha(build_l_matrix(beta.system).values.T, beta.coords) >= -tol
+    return min((_plan(beta.system).lt_theta1 @ np.array(beta.coords)).tolist()) >= -tol
 
 
 class Verdict(enum.Enum):
@@ -186,29 +194,31 @@ def classify(beta: BetaVector, tol: float = DEFAULT_TOL) -> Classification:
     known separable set stay PptUndetermined: the Breuer criterion is not
     known to be sufficient, so "undetected" is never reported as separable.
 
-    Works on the coordinate tuple: one L lookup, then alpha, the theta_1
-    image's alpha and (where the Breuer map applies) the Breuer image's
-    alpha, each one ``L.T @ v`` product; the coordinate rules and the state
-    test are the ones the public maps and :func:`check_state` use.
+    Works on the coordinate tuple and the system's plan: alpha and the
+    theta_1 image's alpha are L^T and the theta_1 matrix times one array,
+    the Breuer image's alpha is L^T times its coordinate list.  Minima are
+    Python ``min`` over the floats, as over an AlphaVector (a 0.0/-0.0 tie
+    keeps the first); the state test reads that minimum.  The record skips
+    the frozen ``__init__`` and its per-field ``object.__setattr__``.
     """
-    sys_ = beta.system
-    coords = beta.coords
-    lt = build_l_matrix(sys_).values.T
-    alpha = lt @ np.array(coords)
-    normalized, positive = _normalized_positive(sys_, alpha, tol)
-    is_state = normalized and positive
-    min_theta1 = _min_theta1_alpha(lt, coords)
+    sys_, coords = beta.system, beta.coords
+    lt, lt_theta1, weights, breuer_applicable, units_4xn = _plan(sys_)
+    c = np.array(coords)
+    alpha = lt @ c
+    min_alpha = min(alpha.tolist())
+    is_state = abs(float(weights @ alpha) - 1.0) <= tol and min_alpha >= -tol
+    min_theta1 = min((lt_theta1 @ c).tolist())
     ppt = min_theta1 >= -tol
 
     detected: bool | None = None
     min_breuer: float | None = None
-    if sys_.breuer_applicable:
-        min_breuer = _min_breuer_alpha(lt, coords)
+    if breuer_applicable:
+        min_breuer = min((lt @ np.array(_breuer_coords(coords))).tolist())
         detected = min_breuer < -tol
 
     separable = False
-    if sys_.n1 == 4 and is_state and ppt and not detected:
-        separable = minimal_separable_membership_4xn(beta, tol)
+    if units_4xn is not None and is_state and ppt and not detected:
+        separable = _in_separable_hull_4xn(coords, units_4xn, tol)
 
     if not is_state:
         verdict = Verdict.NOT_A_STATE
@@ -221,15 +231,17 @@ def classify(beta: BetaVector, tol: float = DEFAULT_TOL) -> Classification:
     else:
         verdict = Verdict.PPT_UNDETERMINED
 
-    return Classification(
+    record = object.__new__(Classification)
+    vars(record).update(
         system=sys_,
         is_state=is_state,
         is_ppt=ppt,
         breuer_detected=detected,
         known_separable=separable,
         verdict=verdict,
-        min_alpha=min(alpha.tolist()),
+        min_alpha=min_alpha,
         min_theta1_alpha=min_theta1,
         min_breuer_alpha=min_breuer,
         tol=tol,
     )
+    return record

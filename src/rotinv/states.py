@@ -273,15 +273,11 @@ class StateCheck:
         return self.normalized and self.positive
 
 
-def _normalized_positive(system: SpinPair, a: np.ndarray, tol: float) -> tuple[bool, bool]:
-    """(w . a = 1 within tol, every a_J >= -tol) for the alpha coordinates a."""
-    return abs(float(system.norm_weights() @ a) - 1.0) <= tol, bool(a.min() >= -tol)
-
-
 def check_state(alpha: AlphaVector, tol: float = DEFAULT_TOL) -> StateCheck:
     """Whether alpha is normalized (w . alpha = 1) and entrywise nonnegative."""
-    normalized, positive = _normalized_positive(alpha.system, alpha.as_array(), tol)
-    return StateCheck(normalized=normalized, positive=positive)
+    a = alpha.as_array()
+    return StateCheck(normalized=abs(float(alpha.system.norm_weights() @ a) - 1.0) <= tol,
+                      positive=bool(a.min() >= -tol))
 
 
 def spectrum_from_alpha(alpha: AlphaVector) -> tuple[tuple[float, int], ...]:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .halfint import halfint
+from .halfint import halfint, twice
 from .radical import ExactRadical, exact_sum
 
 __all__ = [
@@ -168,8 +168,7 @@ def verify_orthogonality_sum(a, b, c, d, J, Jp) -> ExactRadical:
     Equals delta(J, J') whenever the triads (a,b,J), (c,d,J) and the primed
     pair are all admissible (the 6-j orthogonality relation).
     """
-    ta, tb, tc, td = (halfint(x).twice for x in (a, b, c, d))
-    tJ, tJp = halfint(J).twice, halfint(Jp).twice
+    ta, tb, tc, td, tJ, tJp = map(twice, (a, b, c, d, J, Jp))
     return exact_sum(((tJ + 1) * (tK + 1), _six_j(ta, tb, tJ, tc, td, tK),
                       _six_j(ta, tb, tJp, tc, td, tK)) for tK in _k_range(ta, td, tb, tc))
 
@@ -181,8 +180,7 @@ def verify_recoupling_sum(a, b, c, d, J, Jp) -> ExactRadical:
     Requires the K range to consist of integers, otherwise the alternating
     sign is undefined; raises ValueError in that case.
     """
-    ta, tb, tc, td = (halfint(x).twice for x in (a, b, c, d))
-    tJ, tJp = halfint(J).twice, halfint(Jp).twice
+    ta, tb, tc, td, tJ, tJp = map(twice, (a, b, c, d, J, Jp))
     if (ta + td) % 2 != 0 or (tb + tc) % 2 != 0:
         raise ValueError("recoupling sum needs integer K: a+d and b+c must be integers")
     return exact_sum((_phase(tK) * (tK + 1), _six_j(ta, tb, tJ, tc, td, tK),

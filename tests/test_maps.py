@@ -1,5 +1,6 @@
 """Partial time reversal, the Breuer map, PPT, the twirl, and the classifier."""
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -10,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rotinv import maps
 from rotinv.dense import PureProductState, pi_project, tensor_matrix_element
 from rotinv.maps import (
     BreuerNotApplicableError,
+    Classification,
     Verdict,
     breuer_detects,
     breuer_map,
@@ -23,6 +26,8 @@ from rotinv.maps import (
 )
 from rotinv.radical import ExactRadical
 from rotinv.states import (
+    DEFAULT_TOL,
+    TRACE_TOL,
     AlphaVector,
     BetaVector,
     SpinPair,
@@ -334,6 +339,33 @@ def seeded_betas(seed: int = 20, per_system: int = 60) -> list[BetaVector]:
     return out
 
 
+def edge_betas():
+    """nan and +-inf in beta_0, beta_1 and beta_2, and +-0.0 in every slot, on 4x6, 5x7, 6x8."""
+    for n1, n2 in ((4, 6), (5, 7), (6, 8)):
+        system = SpinPair(n1, n2)
+        base = [1.0] + [0.5 / k for k in range(1, n1)]
+        for value in (float("nan"), float("inf"), float("-inf")):
+            for k in (0, 1, 2):
+                yield BetaVector(system, base[:k] + [value] + base[k + 1:])
+        for zero in (0.0, -0.0):
+            for k in range(n1):
+                yield BetaVector(system, base[:k] + [zero] + base[k + 1:])
+                yield BetaVector(system, [-zero] * k + [zero] + [-zero] * (n1 - k - 1))
+
+
+EDGE_FLOATS = (0.0, -0.0, 1e-300, -1e-300, 1e150, -1e150)
+
+
+@st.composite
+def fused_betas(draw) -> BetaVector:
+    """A state on one of FUSED_SYSTEMS whose coordinates mix signed zeros, tiny and huge values."""
+    n1, n2 = draw(st.sampled_from(FUSED_SYSTEMS))
+    coord = st.sampled_from(EDGE_FLOATS) | st.floats(-4.0, 4.0)
+    head = draw(st.just(1.0) | coord)
+    return BetaVector(SpinPair(n1, n2), [head, *draw(st.lists(coord, min_size=n1 - 1,
+                                                              max_size=n1 - 1))])
+
+
 class TestClassifyFromCoordinates:
     """classify works on the coordinate tuple; its bytes and minima stay those
     of the long route through BetaVector and AlphaVector."""
@@ -362,6 +394,55 @@ class TestClassifyFromCoordinates:
             else:
                 assert result.min_breuer_alpha is None
 
+    def test_nonfinite_and_signed_zero_inputs(self):
+        lines = []
+        with np.errstate(invalid="ignore"):
+            for beta in edge_betas():
+                try:
+                    lines.append(json.dumps(classify(beta).to_json_dict()))
+                except Exception as err:  # the type and the message are part of the record
+                    lines.append(f"{type(err).__name__}: {err}")
+        assert len(lines) == 87
+        assert "ValueError: breuer_map needs a normalized input (beta_0 = 1), got -0.0" in lines
+        # recorded before classify read its per-system plan
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "b364320a6d8c9bfd8ed4f7a0f26b9a36de2c65cb0d8a797a7de4c571b23fa35a")
+
+    @settings(max_examples=300, deadline=None)
+    @given(fused_betas())
+    def test_plan_route_equals_the_public_route_bitwise(self, beta):
+        theta1 = maps._plan(beta.system).lt_theta1
+        assert not theta1.flags.writeable and theta1.flags.f_contiguous
+        flipped = min(beta_to_alpha(partial_time_reversal(beta)).coords)
+        assert is_ppt(beta) == (flipped >= -DEFAULT_TOL)
+        applicable = beta.system.breuer_applicable
+        if applicable and abs(beta.coords[0] - 1.0) > TRACE_TOL:
+            for call in (classify, breuer_detects, breuer_map):
+                with pytest.raises(ValueError, match="breuer_map needs a normalized input"):
+                    call(beta)
+            return
+        result = classify(beta)
+        assert result.min_alpha.hex() == min(beta_to_alpha(beta).coords).hex()
+        assert result.min_theta1_alpha.hex() == flipped.hex()
+        assert result.is_ppt == is_ppt(beta)
+        if applicable:
+            image = min(beta_to_alpha(breuer_map(beta)).coords)
+            assert result.min_breuer_alpha.hex() == image.hex()
+            assert result.breuer_detected == breuer_detects(beta) == (image < -DEFAULT_TOL)
+        else:
+            assert result.min_breuer_alpha is None
+
+    def test_record_is_a_frozen_classification(self):
+        for beta in seeded_betas(seed=22, per_system=6):
+            result = classify(beta)
+            same = Classification(**{f.name: getattr(result, f.name)
+                                     for f in dataclasses.fields(Classification)})
+            assert type(result) is Classification
+            assert result == same and hash(result) == hash(same)
+            assert result.to_json_dict() == same.to_json_dict()
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                result.verdict = Verdict.NOT_A_STATE
+
     @pytest.mark.parametrize("n1, n2", [(4, 6), (6, 8), (10, 12)])
     def test_off_trace_raises_the_breuer_map_error(self, n1, n2):
         beta = BetaVector(SpinPair(n1, n2), (1.5, 0.0, 0.2) + (0.0,) * (n1 - 3))
@@ -372,9 +453,14 @@ class TestClassifyFromCoordinates:
             assert err.type is ValueError
 
     @pytest.mark.parametrize("n1, n2", [(4, 6), (5, 7), (6, 8)])
-    def test_at_most_two_spin_pair_hashes(self, n1, n2, monkeypatch):
+    def test_at_most_one_spin_pair_hash(self, n1, n2, monkeypatch):
+        """One plan lookup per warm classify, is_ppt and breuer_detects."""
         beta = alpha_to_beta(maximally_mixed(SpinPair(n1, n2)))
-        classify(beta)
+        calls_under_test = [classify, is_ppt]
+        if beta.system.breuer_applicable:
+            calls_under_test.append(breuer_detects)
+        for call in calls_under_test:
+            call(beta)
         calls = []
         original = SpinPair.__hash__
 
@@ -383,5 +469,7 @@ class TestClassifyFromCoordinates:
             return original(self)
 
         monkeypatch.setattr(SpinPair, "__hash__", counted)
-        classify(BetaVector(SpinPair(n1, n2), beta.coords))
-        assert len(calls) <= 2
+        for call in calls_under_test:
+            calls.clear()
+            call(BetaVector(SpinPair(n1, n2), beta.coords))
+            assert len(calls) <= 1, call.__name__

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotinv.halfint import HalfInt, halfint, halfint_range
+from rotinv.halfint import HalfInt, halfint, halfint_range, twice
 from rotinv.radical import ExactRadical, exact_sum
+from rotinv.wigner import verify_orthogonality_sum, verify_recoupling_sum
 
 
 rationals = st.fractions(
@@ -33,6 +34,25 @@ class TestHalfInt:
             halfint(Fraction(1, 3))
         with pytest.raises(TypeError):
             halfint("1/2")
+
+    def test_twice_is_halfint_twice(self):
+        for x in (2, -3, 0.5, -1.5, Fraction(3, 2), HalfInt(5)):
+            assert twice(x) == halfint(x).twice
+            assert type(twice(x)) is int
+
+    @pytest.mark.parametrize("bad, error, message", [
+        (0.25, ValueError, "0.25 is not a half-integer"),
+        (True, TypeError, "bool is not a spin value"),
+        ("x", TypeError, "cannot interpret 'x' as a half-integer"),
+        (Fraction(1, 3), ValueError, "1/3 is not a half-integer"),
+    ])
+    def test_twice_raises_what_halfint_raises(self, bad, error, message):
+        for parse in (twice, halfint,
+                      lambda x: verify_orthogonality_sum(1, 1, 1, 1, 0, x),
+                      lambda x: verify_recoupling_sum(x, 1, 1, 1, 0, 0)):
+            with pytest.raises(error) as err:
+                parse(bad)
+            assert err.type is error and str(err.value) == message
 
     def test_arithmetic_and_order(self):
         assert HalfInt(3) + HalfInt(1) == HalfInt(4)
