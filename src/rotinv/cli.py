@@ -109,7 +109,7 @@ def cmd_classify(cfg: RunConfig) -> int:
         beta = BetaVector(system, cfg.coords)
     # input off the trace condition is bad input on every system
     trace = beta.coords[0]  # = sum_J sqrt((2J+1)/(n1 n2)) alpha_J
-    if abs(trace - 1.0) > states.TRACE_TOL:
+    if not states._unit_trace(trace):
         raise ValueError(f"the {cfg.basis} coordinates given have trace {trace!r}, but a "
                          "state needs sum_J sqrt((2J+1)/(n1 n2)) alpha_J = 1")
     result = maps.classify(beta, cfg.tol)

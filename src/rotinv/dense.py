@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .halfint import halfint
+from .halfint import halfint, twice
 from .radical import ExactRadical
 from .states import AlphaVector, BetaVector, SpinPair
 from .wigner import clebsch_gordan, three_j
@@ -112,7 +112,7 @@ def _projector_cached(system: SpinPair, tj: int) -> np.ndarray:
 
 def projector(system: SpinPair, J) -> np.ndarray:
     """P_J = sum_M |J M><J M|: Hermitian idempotent with trace 2J+1."""
-    return _projector_cached(system, halfint(J).twice)
+    return _projector_cached(system, twice(J))
 
 
 def tensor_matrix_element(j, m, K, q, mp) -> ExactRadical:

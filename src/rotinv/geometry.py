@@ -38,6 +38,7 @@ from .states import (
     BetaVector,
     SpinPair,
     _theta1_coords,
+    _unit_trace,
     build_l_matrix,
 )
 
@@ -347,14 +348,9 @@ def minimal_separable_membership_4xn(beta: BetaVector, tol: float = DEFAULT_TOL)
     sys_ = beta.system
     if sys_.n1 != 4:
         raise ValueError(f"minimal separable set is only known for n1 = 4, got {sys_.n1}")
-    return _in_separable_hull_4xn(beta.coords, _radial_unit_floats(sys_.n2), tol)
-
-
-def _in_separable_hull_4xn(coords, units, tol: float) -> bool:
-    """The DD'EE' test on 4xN coordinates, given the radial unit floats r_1, r_2, r_3."""
-    if abs(coords[0] - 1.0) > max(tol, TRACE_TOL):
+    if not _unit_trace(beta.coords[0], max(tol, TRACE_TOL)):
         return False
-    x = [coords[k + 1] / units[k] for k in range(3)]
+    x = [c / r for c, r in zip(beta.coords[1:], _radial_unit_floats(sys_.n2))]
     return min(_hull_weights_x20(x)) / 20 >= -tol
 
 
@@ -482,8 +478,7 @@ def be_region_fraction(system: SpinPair, grid: int, tol: float = DEFAULT_TOL) ->
     return fraction
 
 
-def find_detected_invariant_state(system: SpinPair,
-                                  tol: float = DEFAULT_TOL) -> BetaVector | None:
+def find_detected_invariant_state(system: SpinPair) -> BetaVector | None:
     """A theta_1-invariant PPT state beyond Gamma that the Breuer map detects.
 
     Takes x_s = (1+s) x_D on the ray from the maximally mixed state (x = 0)
@@ -497,7 +492,7 @@ def find_detected_invariant_state(system: SpinPair,
     below min alpha_D,J / (w_J - alpha_D,J) over the J with w_J > alpha_D,J
     (never empty: w . (w - alpha_D) = 0 and w > 0).  s is half that bound.
     Returns None unless float64 confirms the point: every alpha >= tol and
-    some alpha_Phi < -tol.
+    some alpha_Phi < -tol, with tol = DEFAULT_TOL.
     """
     _require_even(system, "detection search")
     w = system.norm_weights()
@@ -507,7 +502,7 @@ def find_detected_invariant_state(system: SpinPair,
     s = 0.5 * float((alpha_d[below] / (w[below] - alpha_d[below])).min())
     x = (1.0 + s) * d_even
     alpha, alpha_phi = _slice_alphas(system, x)
-    if alpha.min() >= tol and alpha_phi.min() < -tol:
+    if alpha.min() >= DEFAULT_TOL and alpha_phi.min() < -DEFAULT_TOL:
         return _beta_from_even(system, x)
     return None
 

@@ -26,10 +26,10 @@ class HalfInt:
         return Fraction(self.twice, 2)
 
     def __add__(self, other) -> "HalfInt":
-        return HalfInt(self.twice + halfint(other).twice)
+        return HalfInt(self.twice + twice(other))
 
     def __sub__(self, other) -> "HalfInt":
-        return HalfInt(self.twice - halfint(other).twice)
+        return HalfInt(self.twice - twice(other))
 
     def __neg__(self) -> "HalfInt":
         return HalfInt(-self.twice)
@@ -77,5 +77,4 @@ def twice(x) -> int:
 
 def halfint_range(lo, hi) -> tuple[HalfInt, ...]:
     """All half-integers lo, lo+1, ..., hi (inclusive, empty if hi < lo)."""
-    lo, hi = halfint(lo), halfint(hi)
-    return tuple(HalfInt(t) for t in range(lo.twice, hi.twice + 1, 2))
+    return tuple(HalfInt(t) for t in range(twice(lo), twice(hi) + 1, 2))

@@ -17,12 +17,14 @@ the image certifies entanglement (possibly bound) for even n1 >= 4.
 
 Each coordinate rule has one home, a private function on the coordinate
 tuple: ``states._theta1_coords`` for the sign flip and ``_breuer_coords``
-for the Breuer image with its trace check.  The public maps wrap their
-result in a BetaVector.  :func:`classify`, :func:`is_ppt` and
-:func:`breuer_detects` read one cached plan per system instead (L^T, the
-theta_1 matrix L^T diag((-1)**K), the norm weights and flags), so a call
-makes one lookup and takes each alpha image as one product.  Dense
-matrices, the tensor operators included, live in :mod:`rotinv.dense`.
+for the Breuer image with its trace check (``states._unit_trace``); the
+public maps wrap their result in a BetaVector.  :func:`classify`,
+:func:`is_ppt` and :func:`breuer_detects` read one cached plan per system
+instead, with four fields: ``lt`` (L^T), ``lt_theta1`` (L^T diag((-1)**K)),
+``weights`` (the norm weights) and ``breuer_applicable``.  So a call makes
+one lookup and takes each alpha image as one product.  The 4 x N separable
+rule is ``geometry.minimal_separable_membership_4xn``; dense matrices live
+in :mod:`rotinv.dense`.
 """
 
 from __future__ import annotations
@@ -34,13 +36,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import _in_separable_hull_4xn, _radial_unit_floats
+from .geometry import minimal_separable_membership_4xn
 from .states import (
     DEFAULT_TOL,
-    TRACE_TOL,
     BetaVector,
     SpinPair,
     _theta1_coords,
+    _unit_trace,
     build_l_matrix,
 )
 
@@ -63,7 +65,7 @@ class BreuerNotApplicableError(ValueError):
 
 def _breuer_coords(coords) -> list[float]:
     """Phi_1 on the tensor coordinates of a unit-trace state: (n1-2, 0, -2 beta_2, 0, ...)."""
-    if abs(coords[0] - 1.0) > TRACE_TOL:
+    if not _unit_trace(coords[0]):
         raise ValueError(f"breuer_map needs a normalized input (beta_0 = 1), got {coords[0]}")
     n1 = len(coords)
     return [float(n1 - 2)] + [0.0 if k % 2 else -2.0 * coords[k] for k in range(1, n1)]
@@ -76,12 +78,11 @@ class _Plan(NamedTuple):
     lt_theta1: np.ndarray
     weights: np.ndarray
     breuer_applicable: bool
-    units_4xn: tuple[float, float, float] | None
 
 
 @lru_cache(maxsize=None)
 def _plan(system: SpinPair) -> _Plan:
-    """L^T, the read-only theta_1 matrix L^T diag((-1)**K), weights and flags.
+    """L^T, the read-only theta_1 matrix L^T diag((-1)**K), weights and the Breuer flag.
 
     The theta_1 matrix is a signed copy of L, transposed: it keeps the
     F-ordered layout of L^T, so its products are bitwise those of L^T on the
@@ -90,8 +91,7 @@ def _plan(system: SpinPair) -> _Plan:
     values = build_l_matrix(system).values
     lt_theta1 = (values * np.array(_theta1_coords((1.0,) * system.n1))[:, None]).T
     lt_theta1.flags.writeable = False
-    units = _radial_unit_floats(system.n2) if system.n1 == 4 else None
-    return _Plan(values.T, lt_theta1, system.norm_weights(), system.breuer_applicable, units)
+    return _Plan(values.T, lt_theta1, system.norm_weights(), system.breuer_applicable)
 
 
 def partial_time_reversal(beta: BetaVector) -> BetaVector:
@@ -202,7 +202,7 @@ def classify(beta: BetaVector, tol: float = DEFAULT_TOL) -> Classification:
     the frozen ``__init__`` and its per-field ``object.__setattr__``.
     """
     sys_, coords = beta.system, beta.coords
-    lt, lt_theta1, weights, breuer_applicable, units_4xn = _plan(sys_)
+    lt, lt_theta1, weights, breuer_applicable = _plan(sys_)
     c = np.array(coords)
     alpha = lt @ c
     min_alpha = min(alpha.tolist())
@@ -217,8 +217,8 @@ def classify(beta: BetaVector, tol: float = DEFAULT_TOL) -> Classification:
         detected = min_breuer < -tol
 
     separable = False
-    if units_4xn is not None and is_state and ppt and not detected:
-        separable = _in_separable_hull_4xn(coords, units_4xn, tol)
+    if sys_.n1 == 4 and is_state and ppt and not detected:
+        separable = minimal_separable_membership_4xn(beta, tol)
 
     if not is_state:
         verdict = Verdict.NOT_A_STATE

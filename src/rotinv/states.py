@@ -27,7 +27,7 @@ import numpy as np
 
 from .halfint import HalfInt, halfint_range
 from .radical import ExactRadical
-from .wigner import six_j
+from .wigner import _racah_six_j
 
 __all__ = [
     "SpinPair",
@@ -49,6 +49,11 @@ DEFAULT_TOL = 1e-10
 
 # largest |beta_0 - 1|, i.e. |trace - 1|, that still counts as unit trace
 TRACE_TOL = 1e-9
+
+
+def _unit_trace(beta0: float, bound: float = TRACE_TOL) -> bool:
+    """Whether beta_0, the trace, is within ``bound`` of 1; nan is not."""
+    return abs(beta0 - 1.0) <= bound
 
 
 @dataclass(frozen=True)
@@ -195,15 +200,16 @@ class LMatrix:
 @lru_cache(maxsize=None)
 def build_l_matrix(system: SpinPair) -> LMatrix:
     """L[K, J] = sqrt((2K+1)(2J+1)) (-1)**(j1+j2+J) {j1 j2 J; j2 j1 K}."""
-    j1, j2 = system.j1, system.j2
+    tj1, tj2 = system.n1 - 1, system.n2 - 1
     rows = []
-    for k in system.k_values():
+    for k in range(system.n1):
         row = []
-        for j in system.j_values():
-            phase = -1 if ((j1.twice + j2.twice + j.twice) // 2) % 2 else 1
-            # sqrt((2K+1)(2J+1)) with the phase as its sign
-            unit = ExactRadical(phase, Fraction((2 * k + 1) * (j.twice + 1)))
-            row.append(six_j(j1, j2, j, j2, j1, k) * unit)
+        for tj in range(tj2 - tj1, tj1 + tj2 + 1, 2):
+            # the Racah kernel, not the six_j memo: L is the only store of its symbols
+            s = _racah_six_j(tj1, tj2, tj, tj2, tj1, 2 * k)
+            # times sqrt((2K+1)(2J+1)) with the phase as its sign
+            phase = -1 if ((tj1 + tj2 + tj) // 2) % 2 else 1
+            row.append(ExactRadical(phase * s.sign, s.radicand * ((2 * k + 1) * (tj + 1))))
         rows.append(tuple(row))
     return LMatrix(system, tuple(rows))
 

@@ -10,6 +10,9 @@ in Quantum Mechanics".
 Arguments may be ints, half-integer floats/Fractions, or HalfInt.  Tuples
 that violate triangle or projection rules evaluate to exact zero, matching
 the usual mathematical convention.
+
+``states.build_l_matrix`` calls the Racah kernel ``_racah_six_j``, so L is the
+only store of its symbols; the memo ``_six_j`` serves :func:`six_j` and the sums.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .halfint import halfint, twice
+from .halfint import twice
 from .radical import ExactRadical, exact_sum
 
 __all__ = [
@@ -86,8 +89,8 @@ def _three_j(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) -> Exac
     return ExactRadical(sign, radicand * total * total)
 
 
-@lru_cache(maxsize=None)
-def _six_j(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> ExactRadical:
+def _racah_six_j(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> ExactRadical:
+    """Racah's sum for {a b c; d e f} on doubled ints; no memo (``_six_j`` is the memo)."""
     triads = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
     for tri in triads:
         if not _triangle_ok(*tri):
@@ -121,20 +124,17 @@ def _six_j(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> ExactRadical
     return ExactRadical(1 if total > 0 else -1, radicand * total * total)
 
 
+_six_j = lru_cache(maxsize=None)(_racah_six_j)
+
+
 def three_j(j1, j2, j3, m1, m2, m3) -> ExactRadical:
     """Wigner 3-j symbol (j1 j2 j3; m1 m2 m3), exact."""
-    return _three_j(
-        halfint(j1).twice, halfint(j2).twice, halfint(j3).twice,
-        halfint(m1).twice, halfint(m2).twice, halfint(m3).twice,
-    )
+    return _three_j(*map(twice, (j1, j2, j3, m1, m2, m3)))
 
 
 def six_j(a, b, c, d, e, f) -> ExactRadical:
     """Wigner 6-j symbol {a b c; d e f}, exact."""
-    return _six_j(
-        halfint(a).twice, halfint(b).twice, halfint(c).twice,
-        halfint(d).twice, halfint(e).twice, halfint(f).twice,
-    )
+    return _six_j(*map(twice, (a, b, c, d, e, f)))
 
 
 def clebsch_gordan(j1, m1, j2, m2, J, M) -> ExactRadical:
@@ -143,13 +143,11 @@ def clebsch_gordan(j1, m1, j2, m2, J, M) -> ExactRadical:
     Related to the 3-j symbol by
     <j1 m1; j2 m2 | J M> = (-1)**(j1-j2+M) sqrt(2J+1) (j1 j2 J; m1 m2 -M).
     """
-    j1, j2, J = halfint(j1), halfint(j2), halfint(J)
-    m1, m2, M = halfint(m1), halfint(m2), halfint(M)
-    symbol = _three_j(j1.twice, j2.twice, J.twice, m1.twice, m2.twice, -M.twice)
+    tj1, tj2, tJ, tm1, tm2, tM = map(twice, (j1, j2, J, m1, m2, M))
+    symbol = _three_j(tj1, tj2, tJ, tm1, tm2, -tM)
     if symbol.is_zero:
         return symbol
-    sign = _phase(j1.twice - j2.twice + M.twice)
-    return symbol.scale(sign) * ExactRadical.sqrt(J.twice + 1)
+    return symbol.scale(_phase(tj1 - tj2 + tM)) * ExactRadical.sqrt(tJ + 1)
 
 
 def _k_range(ta: int, td: int, tb: int, tc: int):

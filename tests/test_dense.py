@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rotinv import dense
+from rotinv.geometry import find_detected_invariant_state
 from rotinv.dense import pi_project, PureProductState
 from rotinv.maps import breuer_map, partial_time_reversal
 from rotinv.states import (
@@ -252,3 +253,23 @@ class TestTwirl:
         beta = alpha_to_beta(dense.twirl_alpha(rho, system))
         expected = geometry.named_points_4xn(6)["E"].beta
         assert np.abs(beta.as_array() - expected.as_array()).max() < 1e-12
+
+
+# verify's default sweep (even n1 in 4..10, n2 from n1 to 20) cut to n1 n2 <= 80
+WITNESS_SYSTEMS = [SpinPair(n1, n2) for n1 in (4, 6, 8, 10) for n2 in range(n1, 21)
+                   if n1 * n2 <= 80]
+
+
+class TestWitnessOracle:
+    """The existence witness checked by the dense route alone: rho and its
+    partial transpose are positive, its Breuer image is not."""
+
+    def test_system_count(self):
+        assert len(WITNESS_SYSTEMS) == 28
+
+    @pytest.mark.parametrize("system", WITNESS_SYSTEMS, ids=str)
+    def test_witness_is_ppt_and_breuer_detected(self, system):
+        rho = dense.from_beta(find_detected_invariant_state(system))
+        assert dense.spectrum(rho)[0] >= 1e-12
+        assert dense.spectrum(dense.partial_transpose_1(rho, system))[0] >= 1e-12
+        assert dense.spectrum(dense.breuer_phi1(rho, system))[0] < -1e-12

@@ -49,6 +49,18 @@ def test_maps_imports_only_states_and_geometry():
     assert package_imports("maps") <= {"states", "geometry"}, package_imports("maps")
 
 
+def test_maps_imports_no_private_geometry_name():
+    """maps reaches geometry through its public names only (the 4xN separable rule)."""
+    tree = TREES["maps"]
+    private = [alias.name for node in _imports(tree)
+               if isinstance(node, ast.ImportFrom) and node.module in ("geometry", "rotinv.geometry")
+               for alias in node.names if alias.name.startswith("_")]
+    private += [node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "geometry" and node.attr.startswith("_")]
+    assert not private, private
+
+
 def test_import_graph_has_no_cycle():
     graph = {name: package_imports(name) - {"__init__"} for name in TREES if name != "__init__"}
     done: set[str] = set()

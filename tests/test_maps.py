@@ -25,6 +25,7 @@ from rotinv.maps import (
     symmetrize,
 )
 from rotinv.radical import ExactRadical
+from rotinv.wigner import six_j, verify_recoupling_sum
 from rotinv.states import (
     DEFAULT_TOL,
     TRACE_TOL,
@@ -404,9 +405,20 @@ class TestClassifyFromCoordinates:
                     lines.append(f"{type(err).__name__}: {err}")
         assert len(lines) == 87
         assert "ValueError: breuer_map needs a normalized input (beta_0 = 1), got -0.0" in lines
-        # recorded before classify read its per-system plan
+        assert lines.count("ValueError: breuer_map needs a normalized input (beta_0 = 1), "
+                           "got nan") == 2
+        # recorded when the trace tests became one rule that fails nan (4x6 and 6x8
+        # with beta_0 = nan raise); every other line is as before the per-system plan
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-            "b364320a6d8c9bfd8ed4f7a0f26b9a36de2c65cb0d8a797a7de4c571b23fa35a")
+            "6bc9a20a8e80e038ed1f2c6ec286c6666c2e534b934e81b0b7eb22a5a817db0d")
+
+    def test_nan_trace_is_not_unit_trace(self):
+        beta = BetaVector(SpinPair(4, 6), (float("nan"), 0.5, 0.25, 0.0))
+        message = re.escape("breuer_map needs a normalized input (beta_0 = 1), got nan")
+        for call in (breuer_map, breuer_detects, classify):
+            with pytest.raises(ValueError, match=message):
+                call(beta)
+        assert geometry.minimal_separable_membership_4xn(beta) is False
 
     @settings(max_examples=300, deadline=None)
     @given(fused_betas())
@@ -473,3 +485,27 @@ class TestClassifyFromCoordinates:
             calls.clear()
             call(BetaVector(SpinPair(n1, n2), beta.coords))
             assert len(calls) <= 1, call.__name__
+
+
+class TestTheta1Gate:
+    """theta_1 in alpha coordinates, L^T diag((-1)**K) L, against the 6-j recoupling relation.
+
+    Entry (J, J') is (-1)**(n1+n2) sqrt((2J+1)(2J'+1)) {j1 j2 J; j1 j2 J'}: the
+    exact recoupling sum gives the symbol, the plan's theta_1 matrix the floats.
+    """
+
+    @pytest.mark.parametrize("n1", range(2, 13))
+    def test_recoupling_sum_and_plan_matrix(self, n1):
+        for n2 in sorted({n1, n1 + 1, n1 + 4, 2 * n1}):
+            system = SpinPair(n1, n2)
+            j1, j2 = system.j1, system.j2
+            got = maps._plan(system).lt_theta1 @ build_l_matrix(system).values
+            sign = -1 if (n1 + n2) % 2 else 1
+            for a, j in enumerate(system.j_values()):
+                for b, jp in enumerate(system.j_values()):
+                    symbol = six_j(j1, j2, j, j1, j2, jp)
+                    phase = (-1) ** int((j + jp).value)
+                    assert verify_recoupling_sum(j1, j2, j2, j1, j, jp) == symbol.scale(phase), \
+                        (system, j, jp)
+                    want = sign * float(symbol) * np.sqrt((j.twice + 1) * (jp.twice + 1))
+                    assert abs(got[a, b] - want) <= 1e-14, (system, j, jp)

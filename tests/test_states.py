@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rotinv import wigner
 from rotinv.radical import ExactRadical
 from rotinv.states import (
     AlphaVector,
@@ -113,6 +114,27 @@ class TestLMatrix:
     def test_smallest_system(self):
         l = build_l_matrix(SpinPair(2, 2)).values
         assert np.abs(l @ l.T - np.eye(2)).max() < 1e-15
+
+    def test_build_neither_fills_nor_reads_the_six_j_memo(self):
+        """L is the only store of its symbols: a build bypassing L's own cache
+        adds no memo entry and makes no memo lookup (hits, misses, size)."""
+        before = wigner._six_j.cache_info()
+        l = build_l_matrix.__wrapped__(SpinPair(12, 17))
+        assert len(l.exact) == 12
+        assert wigner._six_j.cache_info() == before
+
+    @pytest.mark.parametrize("n1", range(2, 9))
+    def test_entries_equal_the_public_six_j_route(self, n1):
+        for n2 in range(n1, n1 + 7):
+            system = SpinPair(n1, n2)
+            j1, j2 = system.j1, system.j2
+            exact = build_l_matrix(system).exact
+            for k in system.k_values():
+                for idx, j in enumerate(system.j_values()):
+                    phase = (-1) ** int((j1 + j2 + j).value)
+                    unit = ExactRadical(phase, Fraction((2 * k + 1) * (j.twice + 1)))
+                    assert exact[k][idx] == wigner.six_j(j1, j2, j, j2, j1, k) * unit, \
+                        (system, k, j)
 
 
 class TestConversions:
