@@ -277,7 +277,7 @@ class PureProductState:
             raise ValueError("amplitude lengths must be (n1, n2)")
         for amps in (self.amps1, self.amps2):
             norm = sum(abs(a) ** 2 for a in amps)
-            if abs(norm - 1.0) > 1e-9:
+            if not abs(norm - 1.0) <= 1e-9:
                 raise ValueError(f"amplitudes are not normalized (|phi|^2 = {norm})")
 
     @classmethod

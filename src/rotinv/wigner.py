@@ -1,25 +1,24 @@
 """Exact Wigner 3-j and 6-j symbols and Clebsch-Gordan coefficients.
 
-All symbols are evaluated with Racah's single-sum formulas over
-big-integer factorials and returned as :class:`ExactRadical` values
-(signed square roots of rationals), so selection-rule zeros and the 6-j
-orthogonality/recoupling identities hold exactly, not just to rounding.
-Phase conventions follow Condon-Shortley as in Edmonds, "Angular Momentum
-in Quantum Mechanics".
+Both symbols are Racah single sums, evaluated by one integer kernel
+(``_racah_sum``) and returned as :class:`ExactRadical` values, so
+selection-rule zeros and the 6-j orthogonality/recoupling identities hold
+exactly, not just to rounding. Phase conventions follow Condon-Shortley as
+in Edmonds, "Angular Momentum in Quantum Mechanics".
 
 Arguments may be ints, half-integer floats/Fractions, or HalfInt.  Tuples
 that violate triangle or projection rules evaluate to exact zero, matching
 the usual mathematical convention.
 
-``states.build_l_matrix`` calls the Racah kernel ``_racah_six_j``, so L is the
-only store of its symbols; the memo ``_six_j`` serves :func:`six_j` and the sums.
+``states.build_l_matrix`` calls ``_racah_six_j``, so L is the only store of
+its symbols; the memo ``_six_j`` serves :func:`six_j` and the sums.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .halfint import twice
 from .radical import ExactRadical, exact_sum
@@ -55,6 +54,20 @@ def _tri_sq(ta: int, tb: int, tc: int) -> Fraction:
     )
 
 
+def _racah_sum(lows: tuple[int, ...], highs: tuple[int, ...], rising: int) -> Fraction:
+    """Racah's sum of (-1)**t (t+1)!**rising / (prod_l (t-l)! prod_h (h-t)!), exact.
+
+    t runs over max(lows)..min(highs); term(t+1) = -term(t) p/q in ints, summed by Horner."""
+    lo, hi = max(lows), min(highs)
+    num = den = 1
+    for t in range(hi - 1, lo - 1, -1):
+        p = (t + 2) ** rising * prod(h - t for h in highs)
+        q = prod(t + 1 - l for l in lows)
+        num, den = den * q - p * num, den * q
+    first = prod(factorial(lo - l) for l in lows) * prod(factorial(h - lo) for h in highs)
+    return Fraction((-1 if lo % 2 else 1) * factorial(lo + 1) ** rising * num, first * den)
+
+
 @lru_cache(maxsize=None)
 def _three_j(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) -> ExactRadical:
     if tm1 + tm2 + tm3 != 0:
@@ -65,20 +78,9 @@ def _three_j(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) -> Exac
     if not _triangle_ok(tj1, tj2, tj3):
         return ExactRadical.zero()
 
-    # Racah sum; all factorial arguments below are ints by the parity checks.
-    t_min = max(0, (tj2 - tj3 - tm1) // 2, (tj1 - tj3 + tm2) // 2)
-    t_max = min((tj1 + tj2 - tj3) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2)
-    total = Fraction(0)
-    for t in range(t_min, t_max + 1):
-        den = (
-            factorial(t)
-            * factorial((tj1 + tj2 - tj3) // 2 - t)
-            * factorial((tj1 - tm1) // 2 - t)
-            * factorial((tj2 + tm2) // 2 - t)
-            * factorial((tj3 - tj2 + tm1) // 2 + t)
-            * factorial((tj3 - tj1 - tm2) // 2 + t)
-        )
-        total += Fraction(-1 if t % 2 else 1, den)
+    # all doubled differences below are even by the parity checks
+    total = _racah_sum((0, (tj2 - tj3 - tm1) // 2, (tj1 - tj3 + tm2) // 2),
+                       ((tj1 + tj2 - tj3) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2), 0)
     if total == 0:
         return ExactRadical.zero()
 
@@ -96,25 +98,8 @@ def _racah_six_j(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> ExactR
         if not _triangle_ok(*tri):
             return ExactRadical.zero()
 
-    t1 = (ta + tb + tc) // 2
-    t2 = (ta + te + tf) // 2
-    t3 = (td + tb + tf) // 2
-    t4 = (td + te + tc) // 2
-    t5 = (ta + tb + td + te) // 2
-    t6 = (tb + tc + te + tf) // 2
-    t7 = (tc + ta + tf + td) // 2
-    total = Fraction(0)
-    for t in range(max(t1, t2, t3, t4), min(t5, t6, t7) + 1):
-        den = (
-            factorial(t - t1)
-            * factorial(t - t2)
-            * factorial(t - t3)
-            * factorial(t - t4)
-            * factorial(t5 - t)
-            * factorial(t6 - t)
-            * factorial(t7 - t)
-        )
-        total += Fraction((-1 if t % 2 else 1) * factorial(t + 1), den)
+    columns = (ta + tb + td + te, tb + tc + te + tf, tc + ta + tf + td)
+    total = _racah_sum(tuple(sum(tri) // 2 for tri in triads), tuple(c // 2 for c in columns), 1)
     if total == 0:
         return ExactRadical.zero()
 

@@ -243,6 +243,12 @@ class TestTwirl:
             PureProductState(SpinPair(4, 6), (1.0,) + (0.0,) * (n_amps1 - 1),
                              (1.0,) + (0.0,) * (n_amps2 - 1))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 2.0])
+    def test_product_state_rejects_unnormalized(self, bad):
+        # a nan norm fails the check as inf and 2.0 do
+        with pytest.raises(ValueError, match="amplitudes are not normalized"):
+            PureProductState(SpinPair(2, 2), (bad, 0.0), (1.0, 0.0))
+
     def test_point_e_from_dense_twirl(self):
         from rotinv import geometry
 

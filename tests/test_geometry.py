@@ -373,6 +373,57 @@ class TestDTildePoint:
                 d_tilde_point(SpinPair(5, 7))
 
 
+class TestDTildeThetaColumn:
+    """Exact facts of D~'' in relative coordinates u_J = alpha_J / w_J, w_J = L[0, J].
+
+    u_J(D~'') = (n1 n2 / 2) (delta_{J,Jmax} / (n1+n2-1) + (-1)**(n1+n2) {j1 j2 J; j1 j2 Jmax}),
+    so the existence certificate needs only the n1 symbols of this theta_1 column.
+    """
+
+    SYSTEMS = [SpinPair(n1, n2) for n1 in range(4, 41, 2) for n2 in range(n1, 2 * n1 + 9)]
+    LADDER = [SpinPair(n1, n2) for n1 in range(4, 201, 2)
+              for n2 in (n1, n1 + 2, 2 * n1, 2 * n1 + 8)]
+
+    @staticmethod
+    def column(system):
+        j1, j2 = system.j1, system.j2
+        return [six_j(j1, j2, j, j1, j2, j1 + j2) for j in system.j_values()]
+
+    def test_column_sign_is_closed_form(self):
+        """Every symbol has sign (-1)**(n1+n2), so every u_J(D~'') > 0: D~'' is interior.
+
+        With Jmax = j1+j2 the four triad sums are 2(j1+j2) at most and equal to it for
+        (j1, j2, Jmax); the column sums are 2(j1+j2), 2j2+J+Jmax and 2j1+J+Jmax, at least
+        2(j1+j2) since J >= j2-j1.  So Racah's sum has the single term t = n1+n2-2, of
+        sign (-1)**t.
+        """
+        count = 0
+        for system in self.SYSTEMS:
+            sign = -1 if (system.n1 + system.n2) % 2 else 1
+            for symbol in self.column(system):
+                assert symbol.sign == sign, system
+                count += 1
+        assert count == 15238
+
+    def test_jmin_entry_puts_d_tilde_on_gamma(self):
+        # u_Jmin(D~'') = n1/2 exactly: {j1 j2 Jmin; j1 j2 Jmax} = (-1)**(n1+n2) / n2
+        for system in self.SYSTEMS + self.LADDER:
+            j1, j2 = system.j1, system.j2
+            want = ExactRadical.from_rational(Fraction((-1) ** (system.n1 + system.n2), system.n2))
+            assert six_j(j1, j2, j2 - j1, j1, j2, j1 + j2) == want, system
+
+    def test_relative_coordinates_match_d_tilde(self):
+        # verify's default sweep: even n1 in 4..10, n2 from n1 to 20
+        for system in [SpinPair(n1, n2) for n1 in (4, 6, 8, 10) for n2 in range(n1, 21)]:
+            u = beta_to_alpha(d_tilde_point(system).beta).as_array() / system.norm_weights()
+            want = np.array([abs(float(s)) for s in self.column(system)])
+            want[-1] += 1 / (system.n1 + system.n2 - 1)
+            want *= system.dim / 2
+            # relative to the largest u_J: the smallest ones (1.4e-5 at 10x20) carry
+            # float64 cancellation from beta_to_alpha, 5.4e-12 of their size at 10x18
+            assert np.abs(u - want).max() <= 1e-12 * np.abs(want).max(), system
+
+
 class TestPolytope:
     def test_halfspace_count_and_membership(self):
         # at 4x5 one facet has an all-zero coefficient (L[2, J=1/2] = 0)

@@ -4,20 +4,26 @@ The oracles here are deliberately separate routes:
   * a float Racah sum coded from scratch (no radicals, no caching),
   * closed forms for one stretched/zero argument,
   * the contraction of four 3-j symbols over all projections (for 6-j),
-  * sympy.physics.wigner on a deterministic grid.
-Expected literals below were frozen from those oracles.
+  * sympy.physics.wigner on a deterministic grid, and exactly (square and
+    sign) on seeded symbols whose Racah sums have at least three terms.
+Expected literals below were frozen from those oracles; the L digest was
+recorded before the Racah sum became one kernel.
 """
 
+import hashlib
 import math
+import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Rational
 from sympy.physics.wigner import wigner_3j, wigner_6j
 
 from rotinv.radical import ExactRadical
+from rotinv.states import SpinPair, build_l_matrix
 from rotinv.wigner import (
     clebsch_gordan,
     six_j,
@@ -376,3 +382,69 @@ class TestIdentitySums:
         for (j1, j2) in ((1.5, 1.5), (1.5, 2.5), (2.5, 4.5)):
             got = verify_orthogonality_sum(j1, j2, j2, j1, j2 - j1, j1 + j2)
             assert got.is_zero
+
+
+# ---------------------------------------------------------------------------
+# exact pins of the Racah kernel
+# ---------------------------------------------------------------------------
+
+def is_triad(ta, tb, tc) -> bool:
+    return abs(ta - tb) <= tc <= ta + tb and (ta + tb + tc) % 2 == 0
+
+
+def seeded_six_j(count, seed):
+    """Doubled 6-j arguments up to 16 whose Racah sum has at least three terms."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        ta, tb, td, tf = (rng.randint(0, 16) for _ in range(4))
+        tc = rng.randrange(abs(ta - tb), min(ta + tb, 16) + 1, 2)  # (a, b, c) is a triad
+        te = rng.randrange(abs(td - tc), min(td + tc, 16) + 1, 2)  # so is (d, e, c)
+        lows = (ta + tb + tc, ta + te + tf, td + tb + tf, td + te + tc)
+        highs = (ta + tb + td + te, tb + tc + te + tf, tc + ta + tf + td)
+        if is_triad(ta, te, tf) and is_triad(td, tb, tf) and min(highs) - max(lows) >= 4:
+            out.append((ta, tb, tc, td, te, tf))
+    return out
+
+
+def seeded_three_j(count, seed):
+    """Doubled 3-j arguments with j up to 8 whose Racah sum has at least three terms."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        tj1, tj2, tj3 = (rng.randint(0, 16) for _ in range(3))
+        if not is_triad(tj1, tj2, tj3):
+            continue
+        tm1, tm2 = rng.randrange(-tj1, tj1 + 1, 2), rng.randrange(-tj2, tj2 + 1, 2)
+        lows = (0, tj2 - tj3 - tm1, tj1 - tj3 + tm2)
+        highs = (tj1 + tj2 - tj3, tj1 - tm1, tj2 + tm2)
+        if abs(tm1 + tm2) <= tj3 and min(highs) - max(lows) >= 4:
+            out.append((tj1, tj2, tj3, tm1, tm2, -tm1 - tm2))
+    return out
+
+
+def assert_same_exact(got: ExactRadical, ref, args):
+    """Exact square and sign of a sympy value (zeros from cancelling sums included)."""
+    square = ref ** 2
+    assert got.radicand == Fraction(int(square.p), int(square.q)), args
+    assert got.sign == (1 if ref > 0 else -1 if ref < 0 else 0), args
+
+
+class TestExactPins:
+    def test_six_j_against_sympy_exact(self):
+        for args in seeded_six_j(40, seed=6):
+            assert_same_exact(six_j(*(Fraction(t, 2) for t in args)),
+                              wigner_6j(*(Rational(t, 2) for t in args)), args)
+
+    def test_three_j_against_sympy_exact(self):
+        for args in seeded_three_j(100, seed=3):
+            assert_same_exact(three_j(*(Fraction(t, 2) for t in args)),
+                              wigner_3j(*(Rational(t, 2) for t in args)), args)
+
+    def test_l_matrix_digest(self):
+        digest = hashlib.sha256()
+        for n1 in range(2, 13):
+            for n2 in range(n1, n1 + 9):
+                for row in build_l_matrix(SpinPair(n1, n2)).exact:
+                    for entry in row:
+                        digest.update(repr(entry).encode())
+        assert digest.hexdigest() == (
+            "cffcccaeae859d111b394677845ff401fecf7af3ccdf7262d7147f1c115290ef")
