@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 
@@ -156,21 +157,25 @@ def be_existence(systems) -> float:
 def dense_equivalence(alphas) -> float:
     """The dense-matrix oracle against the parameter-space maps, per alpha state.
 
-    The residual covers the extracted beta against L alpha and the theta_1
-    spectrum against the partial-transpose spectrum; a disagreement on the sign
-    of the Breuer image (beyond 1e-10), read off its eigenvalues alone, counts 1.0.
+    A state's residual covers the extracted beta against L alpha and the
+    theta_1 spectrum against the partial-transpose spectrum; a disagreement
+    on the sign of the Breuer image (beyond 1e-10), read off its eigenvalues
+    alone, counts 1.0.  Consecutive alphas of one system go through the
+    oracle as one stack; each state's residual is the one it gets alone.
     """
-    def residual(alpha):
-        system = alpha.system
-        rho = dense.from_alpha(alpha)
-        extracted = dense.extract_beta(rho, system).as_array()
-        extract = float(np.abs(
-            extracted - states.build_l_matrix(system).values @ alpha.as_array()).max())
-        min_eig = dense.spectrum(dense.breuer_phi1(rho, system))[0]
-        beta = states.alpha_to_beta(alpha)
-        min_alpha = min(states.beta_to_alpha(maps.breuer_map(beta)).coords)
-        signs = float((min_eig < -states.DEFAULT_TOL) != (min_alpha < -states.DEFAULT_TOL))
-        spectra = float(np.abs(dense.spectrum(dense.theta1(rho, system))
-                               - dense.spectrum(dense.partial_transpose_1(rho, system))).max())
-        return max(extract, signs, spectra)
-    return _worst(residual(a) for a in alphas)
+    def residuals(system, group):
+        group = list(group)
+        rho = dense.from_alpha(group)
+        extracted = dense.extract_beta(rho, system)
+        min_eigs = dense.spectrum(dense.breuer_phi1(rho, system))[:, 0].tolist()
+        spectra = np.abs(dense.spectrum(dense.theta1(rho, system))
+                         - dense.spectrum(dense.partial_transpose_1(rho, system))).max(axis=-1)
+        l = states.build_l_matrix(system).values
+        for alpha, dense_beta, min_eig, gap in zip(group, extracted, min_eigs, spectra.tolist()):
+            extract = float(np.abs(dense_beta.as_array() - l @ alpha.as_array()).max())
+            beta = states.alpha_to_beta(alpha)
+            min_alpha = min(states.beta_to_alpha(maps.breuer_map(beta)).coords)
+            signs = float((min_eig < -states.DEFAULT_TOL) != (min_alpha < -states.DEFAULT_TOL))
+            yield max(extract, signs, gap)
+    return _worst(r for system, group in groupby(alphas, key=lambda a: a.system)
+                  for r in residuals(system, group))

@@ -216,9 +216,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
         return 0
     header, axes, index, codes, fraction = geometry._sweep_columns(system, cfg.grid, cfg.tol)
     # repr once per axis value; a row joins the strings of its coordinates and class
-    columns = [np.array([repr(v) for v in ax.tolist()], dtype=object)[i]
+    columns = [np.array([repr(v) for v in ax.tolist()], dtype=object)[i].tolist()
                for ax, i in zip(axes, index)]
-    classes = np.array(geometry._SWEEP_CLASSES, dtype=object)[codes]
+    classes = np.array(geometry._SWEEP_CLASSES, dtype=object)[codes].tolist()
     _write(cfg.out, "\n".join([
         _config_comment(cfg) + ",".join(header),
         *map(",".join, zip(*columns, classes)),

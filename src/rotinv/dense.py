@@ -10,12 +10,19 @@ exact radicals), so agreement between the two is a genuine two-route check
 rather than a tautology; to keep it one, this module imports no
 parameter-space module (``maps``, ``geometry``).
 
+Operators are complex (d, d) arrays, d = n1*n2.  ``partial_transpose_1``,
+``theta1``, ``breuer_phi1``, ``spectrum`` and ``extract_beta`` also take a
+stack (..., d, d), and ``from_alpha`` a sequence of one system's alphas.
+One operator runs through the same code as a stack, and each matrix of a
+stack comes out with the bytes of its own one-operator call.
+
 Product-basis convention: index i = i1*n2 + i2 with m1 = j1 - i1 and
 m2 = j2 - i2 (projections descending within each factor).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -166,47 +173,72 @@ def invariant_q(system: SpinPair, K: int) -> np.ndarray:
     return _frozen(total)
 
 
-def from_alpha(alpha: AlphaVector) -> np.ndarray:
-    """Assemble the dense operator sum_J alpha_J P_J / sqrt(n1 n2 (2J+1))."""
-    sys_ = alpha.system
-    rho = np.zeros((sys_.dim, sys_.dim))  # summed in float64, cast to complex once
-    for j, a in zip(sys_.j_values(), alpha.coords):
-        rho += (a / np.sqrt(sys_.dim * (j.twice + 1))) * projector(sys_, j)
+def _assemble(system: SpinPair, coords, degeneracies, operators) -> np.ndarray:
+    """sum_i coords[..., i] O_i / sqrt(n1 n2 d_i) for coefficient rows (..., n).
+
+    Summed in float64 and cast to complex once; a single row gives one
+    operator, rows (m, n) give a stack (m, d, d).
+    """
+    scales = np.asarray(coords, dtype=float) / np.sqrt(system.dim * np.asarray(degeneracies))
+    rho = np.zeros(scales.shape[:-1] + (system.dim, system.dim))
+    for i, op in enumerate(operators):
+        rho += scales[..., i, None, None] * op
     return rho.astype(complex)
+
+
+def from_alpha(alpha: AlphaVector | Sequence[AlphaVector]) -> np.ndarray:
+    """Assemble the dense operator sum_J alpha_J P_J / sqrt(n1 n2 (2J+1)).
+
+    A sequence of alphas of one system gives the stack of their operators.
+    """
+    alphas = [alpha] if isinstance(alpha, AlphaVector) else list(alpha)
+    systems = {a.system for a in alphas}
+    if len(systems) != 1:
+        raise ValueError(f"from_alpha needs alphas of one system, got {len(systems)}")
+    sys_ = systems.pop()
+    js = sys_.j_values()
+    coords = [a.coords for a in alphas]
+    rho = _assemble(sys_, coords, [j.twice + 1 for j in js], [projector(sys_, j) for j in js])
+    return rho[0] if isinstance(alpha, AlphaVector) else rho
 
 
 def from_beta(beta: BetaVector) -> np.ndarray:
     """Assemble the dense operator sum_K beta_K Q_K / sqrt(n1 n2 (2K+1))."""
-    sys_ = beta.system
-    rho = np.zeros((sys_.dim, sys_.dim))  # summed in float64, cast to complex once
-    for k, b in zip(sys_.k_values(), beta.coords):
-        rho += (b / np.sqrt(sys_.dim * (2 * k + 1))) * invariant_q(sys_, k)
-    return rho.astype(complex)
+    return _from_beta_coords(beta.system, beta.coords)
+
+
+def _from_beta_coords(system: SpinPair, coords) -> np.ndarray:
+    ks = system.k_values()
+    return _assemble(system, coords, [2 * k + 1 for k in ks],
+                     [invariant_q(system, k) for k in ks])
 
 
 # largest entry of |rho - twirl(rho)| that extract_beta accepts as invariant
 _INVARIANCE_TOL = 1e-8
 
 
-def extract_beta(rho: np.ndarray, system: SpinPair) -> BetaVector:
-    """beta_K = sqrt(n1 n2 / (2K+1)) Tr(Q_K rho).
+def extract_beta(rho: np.ndarray, system: SpinPair) -> BetaVector | list[BetaVector]:
+    """beta_K = sqrt(n1 n2 / (2K+1)) Tr(Q_K rho), for one operator or a stack.
 
-    The operator must equal its own twirl; a non-invariant input raises
-    :class:`NonInvariantError` carrying the projected coordinates.
+    A stack (..., d, d) gives one BetaVector per matrix, in C order.  Every
+    operator must equal its own twirl; a non-invariant one raises
+    :class:`NonInvariantError` carrying its projected coordinates.
     """
-    coords = [
-        np.sqrt(system.dim / (2 * k + 1)) * np.trace(invariant_q(system, k) @ rho).real
+    coords = np.stack([
+        np.sqrt(system.dim / (2 * k + 1))
+        * np.trace(invariant_q(system, k) @ rho, axis1=-2, axis2=-1).real
         for k in system.k_values()
-    ]
-    beta = BetaVector(system, coords)
-    residual = np.abs(rho - from_beta(beta)).max()
-    if residual > _INVARIANCE_TOL:
-        raise NonInvariantError(
-            f"operator is not rotationally invariant (residual {residual:.3e}); "
-            "use twirl_alpha for the projection",
-            projected_beta=beta,
-        )
-    return beta
+    ], axis=-1)
+    residuals = np.abs(rho - _from_beta_coords(system, coords)).max(axis=(-2, -1))
+    betas = [BetaVector(system, row) for row in coords.reshape(-1, system.n1).tolist()]
+    for beta, residual in zip(betas, residuals.ravel().tolist()):
+        if residual > _INVARIANCE_TOL:
+            raise NonInvariantError(
+                f"operator is not rotationally invariant (residual {residual:.3e}); "
+                "use twirl_alpha for the projection",
+                projected_beta=beta,
+            )
+    return betas[0] if rho.ndim == 2 else betas
 
 
 @lru_cache(maxsize=None)
@@ -225,9 +257,10 @@ def time_reversal(n: int) -> np.ndarray:
 
 
 def partial_transpose_1(rho: np.ndarray, system: SpinPair) -> np.ndarray:
-    """Transpose the first subsystem."""
+    """Transpose the first subsystem of one operator or of each in a stack."""
     n1, n2 = system.n1, system.n2
-    return rho.reshape(n1, n2, n1, n2).transpose(2, 1, 0, 3).reshape(rho.shape)
+    blocks = rho.reshape(rho.shape[:-2] + (n1, n2, n1, n2))
+    return blocks.swapaxes(-4, -2).reshape(rho.shape)
 
 
 @lru_cache(maxsize=None)
@@ -243,10 +276,14 @@ def theta1(rho: np.ndarray, system: SpinPair) -> np.ndarray:
 
 
 def breuer_phi1(rho: np.ndarray, system: SpinPair) -> np.ndarray:
-    """(Phi (x) id)(rho) = 1 (x) Tr_1(rho) - rho - theta_1(rho)."""
+    """(Phi (x) id)(rho) = 1 (x) Tr_1(rho) - rho - theta_1(rho).
+
+    1 (x) Tr_1(rho) is the product np.kron forms, broadcast over a stack.
+    """
     n1, n2 = system.n1, system.n2
-    tr1 = np.trace(rho.reshape(n1, n2, n1, n2), axis1=0, axis2=2)
-    return np.kron(np.eye(n1), tr1) - rho - theta1(rho, system)
+    tr1 = np.trace(rho.reshape(rho.shape[:-2] + (n1, n2, n1, n2)), axis1=-4, axis2=-2)
+    eye_tr1 = np.eye(n1)[:, None, :, None] * tr1[..., None, :, None, :]
+    return eye_tr1.reshape(rho.shape) - rho - theta1(rho, system)
 
 
 def twirl_alpha(rho: np.ndarray, system: SpinPair) -> AlphaVector:
@@ -342,7 +379,7 @@ def product_rotation(system: SpinPair, axis: int, angle: float) -> np.ndarray:
 
 
 def spectrum(op: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian operator."""
+    """Ascending eigenvalues of a Hermitian operator, or of each in a stack (..., d, d)."""
     return np.linalg.eigvalsh(op)
 
 

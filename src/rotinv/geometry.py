@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 
 import numpy as np
@@ -425,6 +425,11 @@ def polytope_bounding_box(system: SpinPair) -> tuple[tuple[float, float], ...]:
 _SWEEP_CLASSES = ("PptBoundEntangledDetected", "KnownSeparable", "PptUndetermined")
 
 
+def _row_min(a: np.ndarray) -> np.ndarray:
+    """The minimum of each row, taken column against column (a.min(axis=1) walks each short row)."""
+    return reduce(np.minimum, a.T)
+
+
 def _sweep_columns(system: SpinPair, grid: int, tol: float
                    ) -> tuple[tuple[str, ...], list[np.ndarray], tuple[np.ndarray, ...],
                               np.ndarray, float]:
@@ -445,9 +450,9 @@ def _sweep_columns(system: SpinPair, grid: int, tol: float
     axes = [np.linspace(lo, hi, grid) for lo, hi in polytope_bounding_box(system)]
     mesh = np.meshgrid(*axes, indexing="ij")
     alpha, alpha_phi = _slice_alphas(system, np.stack([m.ravel() for m in mesh], axis=-1))
-    flat = np.flatnonzero(alpha.min(axis=1) >= -tol)
+    flat = np.flatnonzero(_row_min(alpha) >= -tol)
     index = np.unravel_index(flat, mesh[0].shape)
-    detected = alpha_phi[flat].min(axis=1) < -tol
+    detected = _row_min(alpha_phi)[flat] < -tol
     separable = np.zeros(len(flat), dtype=bool)
     if system.n1 == 4:
         # classify's DD'EE' rule: the shared weights _hull_weights_x20 on the beta_2 column

@@ -214,6 +214,7 @@ def build_l_matrix(system: SpinPair) -> LMatrix:
     return LMatrix(system, tuple(rows))
 
 
+@lru_cache(maxsize=None)
 def explicit_l_matrix_4xn(n: int) -> LMatrix:
     """The 4 x N basis-change matrix in closed form (j1 = 3/2, N = n2 >= 4).
 

@@ -49,3 +49,15 @@ def test_eigenvalue_sign_agrees_with_min_eigenvalue():
         image = dense.breuer_phi1(dense.from_alpha(alpha), alpha.system)
         min_eig, _ = dense.min_eigenvalue(image)
         assert (dense.spectrum(image)[0] < -DEFAULT_TOL) == (min_eig < -DEFAULT_TOL)
+
+
+def test_dense_equivalence_on_interleaved_systems_is_the_max_of_single_states():
+    # consecutive alphas of one system share a stack; an interleaved order
+    # splits each system into several stacks and must not move any residual
+    alphas = list(cli._seeded_states(7))
+    by_system = [alphas[i:i + 25] for i in range(0, len(alphas), 25)]
+    interleaved = [a for i in range(0, 25, 3) for group in by_system for a in group[i:i + 3]]
+    assert len(interleaved) == len(alphas)
+    single = max(checks.dense_equivalence([a]) for a in alphas)
+    assert checks.dense_equivalence(interleaved) == single
+    assert checks.dense_equivalence(alphas) == single

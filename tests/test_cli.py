@@ -328,6 +328,17 @@ class TestVerify:
         assert err == (f"error: n2-max must be >= 10, the largest n1 that verify "
                        f"sweeps, got {n2_max}\n")
 
+    # sha256 of the full stdout; the residuals come from numpy's LAPACK and
+    # BLAS, so the pin holds for one numpy build (numpy 2.4, OpenBLAS)
+    @pytest.mark.parametrize("seed, digest", [
+        ("7", "c8389c1e48a06179761d359c30690ec53c772ab61b199128fc6b21965fa6ca0b"),
+        ("12345", "1fa331b7888d26db2328474ec716b226ba51c10f6516a905bbb5ee0b6361e9fe"),
+    ])
+    def test_deep_golden_bytes(self, seed, digest, capsys):
+        code, out, _ = run_main(["verify", "--deep", "--seed", seed], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_deterministic_given_seed(self, tmp_path):
         out1, out2 = tmp_path / "v1.txt", tmp_path / "v2.txt"
         args = ["verify", "--n2-max", "10", "--deep", "--seed", "3"]

@@ -143,6 +143,72 @@ class TestAssembleExtract:
         assert isinstance(err.value.projected_beta, BetaVector)
 
 
+# systems whose stacked oracle arrays are pinned to the per-matrix ones
+STACK_SYSTEMS = [SpinPair(*dims) for dims in
+                 ((2, 2), (2, 5), (3, 4), (4, 4), (4, 6), (5, 7), (6, 6), (6, 8), (8, 9))]
+
+
+class TestStacks:
+    """Every oracle operation on a stack (m, d, d) gives, matrix by matrix,
+    the bytes of the one-operator call."""
+
+    @staticmethod
+    def _states(system, count=4):
+        rng = np.random.default_rng([system.n1, system.n2])
+        return [random_state(system, rng) for _ in range(count)]
+
+    @pytest.mark.parametrize("system", STACK_SYSTEMS, ids=str)
+    def test_stacked_arrays_equal_per_matrix_bytes(self, system):
+        alphas = self._states(system)
+        stack = dense.from_alpha(alphas)
+        assert stack.shape == (len(alphas), system.dim, system.dim)
+        singles = [dense.from_alpha(alpha) for alpha in alphas]
+        ops = [lambda r: r,
+               lambda r: dense.partial_transpose_1(r, system),
+               lambda r: dense.theta1(r, system),
+               lambda r: dense.breuer_phi1(r, system),
+               lambda r: dense.spectrum(dense.breuer_phi1(r, system))]
+        for op in ops:
+            stacked = op(stack)
+            for i, rho in enumerate(singles):
+                assert stacked[i].tobytes() == op(rho).tobytes()
+        for i, beta in enumerate(dense.extract_beta(stack, system)):
+            single = dense.extract_beta(singles[i], system)
+            assert beta.as_array().tobytes() == single.as_array().tobytes()
+
+    @pytest.mark.parametrize("system", STACK_SYSTEMS, ids=str)
+    def test_generic_hermitian_stack(self, system):
+        # partial transposition, theta_1, Phi_1 and the spectrum on operators
+        # that are not invariant, with two leading axes
+        rng = np.random.default_rng([7, system.n1, system.n2])
+        raw = rng.normal(size=(2, 3, system.dim, system.dim, 2)) @ np.array([1.0, 1.0j])
+        stack = raw + np.swapaxes(raw, -2, -1).conj()
+        for op in (lambda r: dense.partial_transpose_1(r, system),
+                   lambda r: dense.theta1(r, system),
+                   lambda r: dense.breuer_phi1(r, system),
+                   dense.spectrum):
+            stacked = op(stack)
+            for index in np.ndindex(stack.shape[:2]):
+                assert stacked[index].tobytes() == op(stack[index]).tobytes()
+
+    def test_from_alpha_rejects_mixed_systems(self):
+        rng = np.random.default_rng(5)
+        alphas = [random_state(SpinPair(4, 4), rng), random_state(SpinPair(4, 6), rng)]
+        with pytest.raises(ValueError, match="one system"):
+            dense.from_alpha(alphas)
+
+    def test_non_invariant_matrix_in_a_stack_reported(self):
+        system = SpinPair(4, 4)
+        stack = dense.from_alpha(self._states(system, 3))
+        stack[1, 0, 1] += 1e-3
+        with pytest.raises(dense.NonInvariantError, match="not rotationally invariant") as err:
+            dense.extract_beta(stack, system)
+        with pytest.raises(dense.NonInvariantError) as alone:
+            dense.extract_beta(stack[1], system)
+        assert str(err.value) == str(alone.value)
+        assert err.value.projected_beta == alone.value.projected_beta
+
+
 class TestTimeReversal:
     def test_v_is_pi_rotation_about_y(self):
         for n in (2, 3, 4, 7):
