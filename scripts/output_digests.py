@@ -7,8 +7,11 @@ digest covers its stdout, its stderr and its exit code, a usage error's
 exit code 2 from argparse included; a ``classify``
 digest covers ``json.dumps(classify(beta).to_json_dict())`` for every
 seeded state of one n1; a ``dense oracle`` digest covers the bytes of the
-dense-matrix arrays of one system.  To check that a change leaves every output
-byte-identical, run the script against both trees and diff the listings:
+dense-matrix arrays of one system; the ``witness`` digest covers the
+coordinate bytes of ``find_detected_invariant_state``, or ``None``, at each
+size of the existence ladder (even n1, n2 in {n1, n1+2, 2n1, 2n1+8}).  To
+check that a change leaves every output byte-identical, run the script
+against both trees and diff the listings:
 
     PYTHONPATH=/path/to/old/src python scripts/output_digests.py > old.txt
     PYTHONPATH=src python scripts/output_digests.py > new.txt
@@ -30,7 +33,7 @@ import sys
 import numpy as np
 
 from rotinv import (AlphaVector, BetaVector, PureProductState, SpinPair, build_l_matrix,
-                    classify, dense, pi_project)
+                    classify, dense, find_detected_invariant_state, pi_project)
 from rotinv.cli import main as rotinv_main
 from rotinv.geometry import d_tilde_point, named_points_4xn
 
@@ -107,6 +110,16 @@ def _dense_digest(system: SpinPair, seed: int, count: int = 4) -> tuple[str, byt
             b"".join(np.ascontiguousarray(a).tobytes() for a in arrays))
 
 
+def _witness_digest(sizes: list[tuple[int, int]]) -> tuple[str, bytes]:
+    """The witness's coordinate bytes at each size, or b"None" where float64 confirms none."""
+    parts = []
+    for n1, n2 in sizes:
+        beta = find_detected_invariant_state(SpinPair(n1, n2))
+        parts.append(b"None" if beta is None else np.array(beta.coords).tobytes())
+    n1, n2 = sizes[-1]
+    return f"witness, {len(sizes)} existence-ladder size(s) up to {n1}x{n2}", b"".join(parts)
+
+
 def _command(argv: list[str]) -> bytes:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -170,8 +183,11 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
 
     dense_systems = [(4, 4)] if args.quick else [(4, 4), (4, 6), (6, 6), (6, 8)]
+    ladder = [(4, 6)] if args.quick else [(n1, n2) for n1 in range(4, 21, 2)
+                                          for n2 in (n1, n1 + 2, 2 * n1, 2 * n1 + 8)]
     digests = _classify_digests(args.seed, 200 if args.quick else 10_000)
     digests += [_dense_digest(SpinPair(n1, n2), args.seed) for n1, n2 in dense_systems]
+    digests.append(_witness_digest(ladder))
     for name, data in digests:
         print(f"{hashlib.sha256(data).hexdigest()}  {name}")
     for command in command_list(args.quick):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import groupby
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -81,10 +81,11 @@ def l_orthogonality(matrices) -> float:
 
 
 def explicit_l_4xn(ns) -> float:
-    """The built 4 x N L matrix against its closed form, for each N."""
+    """The built 4 x N L matrix against its closed form, for each N, entry by entry exactly."""
     def residual(n):
-        built = states.build_l_matrix(SpinPair(4, n)).values
-        return float(np.abs(built - states.explicit_l_matrix_4xn(n).values).max())
+        built = chain.from_iterable(states.build_l_matrix(SpinPair(4, n)).exact)
+        closed = chain.from_iterable(states.explicit_l_matrix_4xn(n).exact)
+        return _worst(map(_exact_residual, built, closed))
     return _worst(residual(n) for n in ns)
 
 

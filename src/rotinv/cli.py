@@ -125,16 +125,14 @@ def cmd_classify(cfg: RunConfig) -> int:
 
 def _geometry_data(system: SpinPair) -> tuple[list, list]:
     points: list[geometry.NamedPoint] = []
-    planes: list[geometry.Hyperplane] = []
+    planes: list[geometry.Hyperplane] = [geometry.gamma_hyperplane(system)]
     if system.n1 == 4:
         named = geometry.named_points_4xn(system.n2)
         order = ["A", "B", "C", "D", "A'", "B'", "C'", "D'",
                  "E", "F", "G", "E'", "F'", "G'", "D''"]
         points.extend(named[label] for label in order)
-        planes.append(geometry.gamma_hyperplane(system))
     else:
         points.append(geometry.d_tilde_point(system))
-        planes.append(geometry.gamma_hyperplane(system))
         planes.extend(geometry.theta1_polytope(system))
     return points, planes
 
@@ -214,11 +212,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
         }
         _write(cfg.out, json.dumps(data, indent=2) + "\n")
         return 0
-    header, axes, index, codes, fraction = geometry._sweep_columns(system, cfg.grid, cfg.tol)
+    header, axes, index, classes, fraction = geometry.sweep_columns(system, cfg.grid, cfg.tol)
     # repr once per axis value; a row joins the strings of its coordinates and class
     columns = [np.array([repr(v) for v in ax.tolist()], dtype=object)[i].tolist()
                for ax, i in zip(axes, index)]
-    classes = np.array(geometry._SWEEP_CLASSES, dtype=object)[codes].tolist()
     _write(cfg.out, "\n".join([
         _config_comment(cfg) + ",".join(header),
         *map(",".join, zip(*columns, classes)),

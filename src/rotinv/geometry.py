@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -59,6 +60,7 @@ __all__ = [
     "polytope_bounding_box",
     "be_region_fraction",
     "find_detected_invariant_state",
+    "sweep_columns",
     "sweep_rows",
 ]
 
@@ -421,7 +423,6 @@ def polytope_bounding_box(system: SpinPair) -> tuple[tuple[float, float], ...]:
                  for lo, hi in zip(np.min(vertices, axis=0), np.max(vertices, axis=0)))
 
 
-# class names of the sweep, indexed by the class codes of _sweep_columns
 _SWEEP_CLASSES = ("PptBoundEntangledDetected", "KnownSeparable", "PptUndetermined")
 
 
@@ -430,18 +431,18 @@ def _row_min(a: np.ndarray) -> np.ndarray:
     return reduce(np.minimum, a.T)
 
 
-def _sweep_columns(system: SpinPair, grid: int, tol: float
-                   ) -> tuple[tuple[str, ...], list[np.ndarray], tuple[np.ndarray, ...],
-                              np.ndarray, float]:
+def sweep_columns(system: SpinPair, grid: int, tol: float
+                  ) -> tuple[tuple[str, ...], list[np.ndarray], tuple[np.ndarray, ...],
+                             list[str], float]:
     """A uniform grid over the bounding box, in columns.
 
-    Returns (header, axes, index, codes, fraction).  header names the even
-    coordinates and the class column; axes[k] holds the grid values of the
-    k-th even coordinate.  The grid points inside the polytope, in
+    Returns (header, axes, index, classes, fraction).  header names the
+    even coordinates and the class column; axes[k] holds the grid values of
+    the k-th even coordinate.  The grid points inside the polytope, in
     row-major grid order, are (axes[0][index[0][i]], axes[1][index[1][i]],
-    ...) with class _SWEEP_CLASSES[codes[i]]: detected, else 4 x N
-    separable, else undetermined.  fraction is the detected share of them
-    (0.0 if there are none).
+    ...) with class name classes[i]: detected, else 4 x N separable, else
+    undetermined.  fraction is the detected share of them (0.0 if there
+    are none).
     """
     if system.n1 not in (4, 6):
         raise ValueError(f"region sweep supports n1 in (4, 6), got {system.n1}")
@@ -459,8 +460,9 @@ def _sweep_columns(system: SpinPair, grid: int, tol: float
         separable = _separable_mask_4xn(system.n2, axes[0][index[0]], tol)
     codes = np.where(detected, 0, np.where(separable, 1, 2))
     fraction = float(detected.sum() / len(flat)) if len(flat) else 0.0
+    classes = np.array(_SWEEP_CLASSES, dtype=object)[codes].tolist()
     header = tuple(f"beta_K={2 * (k + 1)}" for k in range(len(axes))) + ("class",)
-    return header, axes, index, codes, fraction
+    return header, axes, index, classes, fraction
 
 
 def _beta_from_even(system: SpinPair, x) -> BetaVector:
@@ -477,35 +479,34 @@ def be_region_fraction(system: SpinPair, grid: int, tol: float = DEFAULT_TOL) ->
     points inside the polytope and returns the detected share.
     Deterministic for a fixed grid.
     """
-    _, _, index, _, fraction = _sweep_columns(system, grid, tol)
+    _, _, index, _, fraction = sweep_columns(system, grid, tol)
     if len(index[0]) == 0:
         raise RuntimeError(f"empty polytope grid for {system}; refine the grid")
     return fraction
 
 
+def _ray_step(system: SpinPair) -> Fraction:
+    """The witness's ray step n1 n2 / (4 C(n1+n2-2, n1-1)): half the smallest u_J(D~'')."""
+    return Fraction(system.dim, 4 * comb(system.n1 + system.n2 - 2, system.n1 - 1))
+
+
 def find_detected_invariant_state(system: SpinPair) -> BetaVector | None:
     """A theta_1-invariant PPT state beyond Gamma that the Breuer map detects.
 
-    Takes x_s = (1+s) x_D on the ray from the maximally mixed state (x = 0)
-    through D~''.  With w = L[0,:] = system.norm_weights(), the alpha of the
-    maximally mixed state,
-
-        alpha(x_s) = alpha_D + s (alpha_D - w),
-        alpha_Phi,Jmin(x_s) = -s (n1-2) w_Jmin,
-
-    so every s > 0 is detected and beyond Gamma, and x_s is interior for s
-    below min alpha_D,J / (w_J - alpha_D,J) over the J with w_J > alpha_D,J
-    (never empty: w . (w - alpha_D) = 0 and w > 0).  s is half that bound.
-    Returns None unless float64 confirms the point: every alpha >= tol and
-    some alpha_Phi < -tol, with tol = DEFAULT_TOL.
+    Takes x_s = (1+s) x_D on the ray from the maximally mixed state through
+    D~'', s = :func:`_ray_step`.  D~'' reads off the theta_1 column
+    {j1 j2 J; j1 j2 Jmax}, whose Racah sum is the single term t = n1+n2-2, so
+    with N = n1+n2-1 and a = Jmax-J its relative coordinates are binomial:
+    u_J = alpha_J / L[0,J] = (n1 n2 / 2N) (delta_{a,0} + C(N, a) / C(N-1, n1-1)).
+    C(N, a) rises over a = 1..n1-1 < N/2 and u at a = 0 exceeds u at a = 1,
+    so the smallest u_J sits at J = Jmax-1; s is half of it.  Then
+    u_J(x_s) = u_J + s (u_J - 1) >= u_J / 2 > 0 and, as u_Jmin = n1/2,
+    alpha_Phi,Jmin(x_s) = -s (n1-2) L[0,Jmin] < 0: x_s is an interior state,
+    beyond Gamma and detected.  Returns None unless float64 confirms the
+    point: every alpha >= tol and some alpha_Phi < -tol, tol = DEFAULT_TOL.
     """
     _require_even(system, "detection search")
-    w = system.norm_weights()
-    d_even = np.array(d_tilde_point(system).beta.coords[2::2])
-    alpha_d, _ = _slice_alphas(system, d_even)
-    below = w > alpha_d
-    s = 0.5 * float((alpha_d[below] / (w[below] - alpha_d[below])).min())
-    x = (1.0 + s) * d_even
+    x = (1.0 + float(_ray_step(system))) * np.array(d_tilde_point(system).beta.coords[2::2])
     alpha, alpha_phi = _slice_alphas(system, x)
     if alpha.min() >= DEFAULT_TOL and alpha_phi.min() < -DEFAULT_TOL:
         return _beta_from_even(system, x)
@@ -520,7 +521,6 @@ def sweep_rows(system: SpinPair, grid: int, tol: float = DEFAULT_TOL
     coordinates and the classification of the point (all such points are
     PPT states by theta_1 invariance).
     """
-    header, axes, index, codes, fraction = _sweep_columns(system, grid, tol)
-    classes = np.array(_SWEEP_CLASSES, dtype=object)[codes].tolist()
+    header, axes, index, classes, fraction = sweep_columns(system, grid, tol)
     rows = list(zip(*(ax[i].tolist() for ax, i in zip(axes, index)), classes))
     return header, rows, fraction

@@ -1,11 +1,13 @@
 """The verification checks shared by `rotinv verify` and the acceptance suite."""
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from rotinv import checks, cli, dense
-from rotinv.states import DEFAULT_TOL, SpinPair, build_l_matrix
+from rotinv import checks, cli, dense, states
+from rotinv.states import DEFAULT_TOL, LMatrix, SpinPair, build_l_matrix
 
 
 @pytest.mark.parametrize("name", checks.__all__)
@@ -24,6 +26,19 @@ def test_l_orthogonality_sees_a_perturbed_entry():
     assert checks.l_orthogonality([l]) < 1e-15
     l[1, 1] += 1e-6
     assert 1e-6 < checks.l_orthogonality([l]) < 3e-6
+
+
+def test_explicit_l_4xn_is_exact(monkeypatch):
+    # the closed form equals the built L entry by entry; an entry off by a
+    # factor 1 + 1e-20, which float64 cannot see, still fails the check
+    assert checks.explicit_l_4xn(range(4, 21)) == 0.0
+    closed = states.explicit_l_matrix_4xn(7)
+    rows = [list(row) for row in closed.exact]
+    rows[1][1] = rows[1][1].scale(Fraction(10 ** 20 + 1, 10 ** 20))
+    off = LMatrix(closed.system, tuple(map(tuple, rows)))
+    assert np.array_equal(off.values, closed.values)
+    monkeypatch.setattr(states, "explicit_l_matrix_4xn", lambda n: off)
+    assert checks.explicit_l_4xn([7]) == math.inf
 
 
 def test_appendix_sum_is_exact():

@@ -9,11 +9,12 @@ units), and compares the vertex set with the closed forms.
 import dataclasses
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 
-from rotinv import geometry, maps
+from rotinv import geometry, maps, wigner
 from rotinv.geometry import (
     Hyperplane,
     alpha_extreme_points,
@@ -389,21 +390,53 @@ class TestDTildeThetaColumn:
         j1, j2 = system.j1, system.j2
         return [six_j(j1, j2, j, j1, j2, j1 + j2) for j in system.j_values()]
 
+    @staticmethod
+    def closed_form_u(system):
+        """u_J(D~'') = (n1 n2 / 2N) (delta_{a,0} + C(N, a) / C(N-1, n1-1)), ascending J,
+        as one rational factor times a column of ints."""
+        n = system.n1 + system.n2 - 1
+        central = comb(n - 1, system.n1 - 1)
+        return (Fraction(system.dim, 2 * n * central),
+                [(a == 0) * central + comb(n, a) for a in range(system.n1 - 1, -1, -1)])
+
     def test_column_sign_is_closed_form(self):
-        """Every symbol has sign (-1)**(n1+n2), so every u_J(D~'') > 0: D~'' is interior.
+        """Every symbol is (-1)**(n1+n2) C(N, a) / (N C(N-1, n1-1)), N = n1+n2-1, a = Jmax-J.
 
         With Jmax = j1+j2 the four triad sums are 2(j1+j2) at most and equal to it for
         (j1, j2, Jmax); the column sums are 2(j1+j2), 2j2+J+Jmax and 2j1+J+Jmax, at least
-        2(j1+j2) since J >= j2-j1.  So Racah's sum has the single term t = n1+n2-2, of
-        sign (-1)**t.
+        2(j1+j2) since J >= j2-j1.  So Racah's sum has the single term t = n1+n2-2, and
+        the symbol is (-1)**t (n1-1)! (n2-1)! / (a! (N-a)!).  Every u_J(D~'') > 0 follows:
+        D~'' is interior.
         """
         count = 0
         for system in self.SYSTEMS:
-            sign = -1 if (system.n1 + system.n2) % 2 else 1
-            for symbol in self.column(system):
-                assert symbol.sign == sign, system
+            n1, n2 = system.n1, system.n2
+            n, sign = n1 + n2 - 1, (-1) ** (n1 + n2)
+            den = n * comb(n - 1, n1 - 1)
+            for tj in range(n2 - n1, n1 + n2 - 1, 2):
+                a = (n1 + n2 - 2 - tj) // 2
+                want = ExactRadical.from_rational(Fraction(sign * comb(n, a), den))
+                assert wigner._racah_six_j(n1 - 1, n2 - 1, tj, n1 - 1, n2 - 1, n - 1) == want, \
+                    (system, a)
                 count += 1
         assert count == 15238
+
+    def test_ray_step_is_half_the_smallest_u(self):
+        """_ray_step is half the smallest closed-form u_J(D~''), which sits at J = Jmax-1.
+
+        On the existence ladder (n1 <= 40) every u_J(x_s) = u_J + s (u_J - 1) is at least
+        u_J / 2 > 0 and the Breuer image's u_Jmin, -s (n1-2), is negative, exactly.
+        """
+        for system in self.LADDER:
+            (factor, column), s = self.closed_form_u(system), geometry._ray_step(system)
+            assert s == factor * min(column) / 2, system
+            if system.n1 > 40:
+                continue
+            u = [factor * c for c in column]
+            assert min(u) == u[-2] and u[0] == Fraction(system.n1, 2), system
+            assert all(v + s * (v - 1) >= v / 2 > 0 for v in u), system
+            assert -s * (system.n1 - 2) < 0
+        assert geometry._ray_step(SpinPair(4, 4)) == Fraction(1, 5)
 
     def test_jmin_entry_puts_d_tilde_on_gamma(self):
         # u_Jmin(D~'') = n1/2 exactly: {j1 j2 Jmin; j1 j2 Jmax} = (-1)**(n1+n2) / n2
@@ -726,8 +759,10 @@ class TestDetectionExistence:
         assert gamma_hyperplane(system).evaluate(beta) < 0
 
     # ladder sizes where float64 no longer confirms the radial witness: the
-    # search returns None rather than an unconfirmed point; an exact
-    # certificate of existence will turn these into found witnesses
+    # search returns None rather than an unconfirmed point.  The exact step
+    # certifies these sizes (TestDTildeThetaColumn), but alpha_{Jmax-1} of the
+    # witness falls below the float64 tolerance; a witness of maximal margin
+    # is what can turn them into found witnesses
     @pytest.mark.parametrize("dims", [(22, 22), (16, 32), (20, 40)])
     def test_unconfirmed_witness_is_none(self, dims):
         assert find_detected_invariant_state(SpinPair(*dims)) is None

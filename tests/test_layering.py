@@ -49,16 +49,25 @@ def test_maps_imports_only_states_and_geometry():
     assert package_imports("maps") <= {"states", "geometry"}, package_imports("maps")
 
 
-def test_maps_imports_no_private_geometry_name():
-    """maps reaches geometry through its public names only (the 4xN separable rule)."""
-    tree = TREES["maps"]
+def private_geometry_names(name: str) -> list[str]:
+    """The private geometry names that module ``name`` imports or reads as geometry._x."""
+    tree = TREES[name]
     private = [alias.name for node in _imports(tree)
                if isinstance(node, ast.ImportFrom) and node.module in ("geometry", "rotinv.geometry")
                for alias in node.names if alias.name.startswith("_")]
-    private += [node.attr for node in ast.walk(tree)
-                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id == "geometry" and node.attr.startswith("_")]
-    assert not private, private
+    return private + [node.attr for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id == "geometry" and node.attr.startswith("_")]
+
+
+def test_maps_imports_no_private_geometry_name():
+    """maps reaches geometry through its public names only (the 4xN separable rule)."""
+    assert not private_geometry_names("maps"), private_geometry_names("maps")
+
+
+def test_cli_imports_no_private_geometry_name():
+    """cli reaches geometry through its public names only (the sweep columns)."""
+    assert not private_geometry_names("cli"), private_geometry_names("cli")
 
 
 def test_import_graph_has_no_cycle():

@@ -24,6 +24,7 @@ def test_quick_list_prints_one_stable_digest_per_output(capsys):
     assert sum(name.startswith("classify n1=") for name in names) == 9
     assert "rotinv verify --perturb-l" in names
     assert "dense oracle 4x4 (seed 8)" in names
+    assert "witness, 1 existence-ladder size(s) up to 4x6" in names
     assert "rotinv sweep --n1 6 --n2 8 --grid 15 --format json" in names
     assert "rotinv geometry --n1 6 --n2 8 --tol 1e-8" in names
 

@@ -95,7 +95,7 @@ class TestLMatrix:
             assert list(l.exact[0]) == expected
 
     def test_norm_weights_are_row_zero_bitwise(self):
-        # find_detected_invariant_state reads the row L[0, :] as norm_weights()
+        # check_state and classify read norm_weights() where the polytope slice reads L[0, :]
         for n1 in range(2, 17):
             for n2 in range(n1, n1 + 30):
                 system = SpinPair(n1, n2)
