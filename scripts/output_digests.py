@@ -136,8 +136,8 @@ def _system(n1: int, n2: int) -> list[str]:
 
 
 # invocations that exit 2: input off the trace condition, a bad tolerance,
-# unsupported systems, a coarse grid, a small --n2-max, and --tol where the
-# command takes none
+# unsupported systems, a coarse grid, a small --n2-max, --tol where the
+# command takes none, and a negative seed
 ERROR_COMMANDS = [
     ["classify", *_system(4, 6), "--beta", "2,0,0.2,0"],
     ["classify", *_system(5, 7), "--beta", "2,0,0.2,0,0"],
@@ -149,6 +149,7 @@ ERROR_COMMANDS = [
     ["verify", "--n2-max", "5"],
     ["geometry", *_system(6, 8), "--tol", "1e-8"],
     ["verify", "--tol", "1e-8"],
+    ["verify", "--seed", "-1"],
 ]
 
 

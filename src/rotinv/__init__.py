@@ -29,7 +29,6 @@ from .states import (
     beta_to_alpha,
     build_l_matrix,
     check_state,
-    explicit_l_matrix_4xn,
     maximally_mixed,
     spectrum_from_alpha,
     vector_from_json_dict,
@@ -52,6 +51,7 @@ from .geometry import (
     alpha_extreme_points,
     be_region_fraction,
     d_tilde_point,
+    explicit_l_matrix_4xn,
     find_detected_invariant_state,
     gamma_hyperplane,
     intersection_points_4xn,

@@ -84,7 +84,7 @@ def explicit_l_4xn(ns) -> float:
     """The built 4 x N L matrix against its closed form, for each N, entry by entry exactly."""
     def residual(n):
         built = chain.from_iterable(states.build_l_matrix(SpinPair(4, n)).exact)
-        closed = chain.from_iterable(states.explicit_l_matrix_4xn(n).exact)
+        closed = chain.from_iterable(geometry.explicit_l_matrix_4xn(n).exact)
         return _worst(map(_exact_residual, built, closed))
     return _worst(residual(n) for n in ns)
 
@@ -171,10 +171,9 @@ def dense_equivalence(alphas) -> float:
         min_eigs = dense.spectrum(dense.breuer_phi1(rho, system))[:, 0].tolist()
         spectra = np.abs(dense.spectrum(dense.theta1(rho, system))
                          - dense.spectrum(dense.partial_transpose_1(rho, system))).max(axis=-1)
-        l = states.build_l_matrix(system).values
         for alpha, dense_beta, min_eig, gap in zip(group, extracted, min_eigs, spectra.tolist()):
-            extract = float(np.abs(dense_beta.as_array() - l @ alpha.as_array()).max())
             beta = states.alpha_to_beta(alpha)
+            extract = float(np.abs(dense_beta.as_array() - beta.as_array()).max())
             min_alpha = min(states.beta_to_alpha(maps.breuer_map(beta)).coords)
             signs = float((min_eig < -states.DEFAULT_TOL) != (min_alpha < -states.DEFAULT_TOL))
             yield max(extract, signs, gap)

@@ -15,8 +15,6 @@ Identical configurations (including --seed) produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import itertools
 import json
 import math
@@ -58,6 +56,8 @@ class RunConfig:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
         if self.grid < 10:
             raise ValueError(f"grid must be >= 10, got {self.grid}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n2_max < max(_SWEPT_N1):
             raise ValueError(f"n2-max must be >= {max(_SWEPT_N1)}, the largest n1 "
                              f"that verify sweeps, got {self.n2_max}")
@@ -138,25 +138,22 @@ def _geometry_data(system: SpinPair) -> tuple[list, list]:
 
 
 def _geometry_csv(cfg: RunConfig, points, planes) -> str:
-    n1 = cfg.n1
-    buf = io.StringIO()
-    buf.write(_config_comment(cfg))
-    writer = csv.writer(buf, lineterminator="\n")
     header = ["kind", "label", "const_dec", "const_exact"]
-    for k in range(1, n1):
+    for k in range(1, cfg.n1):
         header += [f"beta_K={k}_dec", f"beta_K={k}_exact"]
-    writer.writerow(header)
+    rows = [header]
     for p in points:
         row = ["point", p.label]
-        for k in range(n1):
+        for k in range(cfg.n1):
             row += [repr(p.beta.coords[k]), str(p.exact[k])]
-        writer.writerow(row)
+        rows.append(row)
     for h in planes:
         row = ["hyperplane", h.label, repr(h.constant), str(h.exact_constant)]
         for coeff, exact in zip(h.coeffs, h.exact_coeffs):  # odd K columns stay empty
             row += ["", "", repr(coeff), str(exact)]
-        writer.writerow(row + ["", ""])
-    return buf.getvalue()
+        rows.append(row + ["", ""])
+    # no field holds a comma, quote or newline: labels, repr floats and exact strings
+    return _config_comment(cfg) + "".join(",".join(row) + "\n" for row in rows)
 
 
 def _geometry_json(cfg: RunConfig, points, planes) -> str:

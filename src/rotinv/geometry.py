@@ -10,7 +10,9 @@ coordinates of the form (rational) * r_K with the shared radial units
     r_2 = sqrt((N-1)(N-2) / ((N+1)(N+2))),
     r_3 = sqrt((N-1)(N-2)(N-3) / (5(N+1)(N+2)(N+3))),
 
-so all point constructions and hull tests here are exact.
+so all point constructions and hull tests here are exact.  Column J of the
+4 x N basis change L is w_J = sqrt((2J+1)/(4N)) times vertex J of ABCD, so
+:func:`explicit_l_matrix_4xn` reads L off the same table.
 
 For general even n1 the theta_1-invariant states form a polytope in the
 even coordinates (beta_2, ..., beta_{n1-2}) bounded by the hyperplanes
@@ -37,6 +39,7 @@ from .states import (
     TRACE_TOL,
     AlphaVector,
     BetaVector,
+    LMatrix,
     SpinPair,
     _theta1_coords,
     _unit_trace,
@@ -47,6 +50,7 @@ __all__ = [
     "NamedPoint",
     "Hyperplane",
     "alpha_extreme_points",
+    "explicit_l_matrix_4xn",
     "vertices_4xn",
     "intersection_points_4xn",
     "named_points_4xn",
@@ -202,6 +206,20 @@ def _points_and_flips(n: int, labels: str) -> dict[str, NamedPoint]:
         out[label] = _exact_point(label, SpinPair(4, n), exact)
         out[label + "'"] = out[label].flipped(label + "'")
     return out
+
+
+@lru_cache(maxsize=None)
+def explicit_l_matrix_4xn(n: int) -> LMatrix:
+    """The 4 x N basis change read off the table: L[K, J] = w_J X_J[K], no Wigner symbol.
+
+    X_J is vertex A, B, C or D for ascending J and w_J = sqrt((2J+1)/(4N)) = L[0, J].
+    """
+    _require_4xn(n)
+    system, units, coords = SpinPair(4, n), _radial_units(n), _scaled_coords(n)
+    weights = [ExactRadical.sqrt(Fraction(j.twice + 1, system.dim)) for j in system.j_values()]
+    columns = [(w,) + tuple((w * u).scale(c) for u, c in zip(units, coords[label]))
+               for w, label in zip(weights, "ABCD")]
+    return LMatrix(system, tuple(zip(*columns)))
 
 
 def vertices_4xn(n: int) -> dict[str, NamedPoint]:

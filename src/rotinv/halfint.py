@@ -69,9 +69,9 @@ def twice(x) -> int:
         return int(doubled)
     if isinstance(x, float):
         doubled = 2.0 * x
-        if doubled != round(doubled):
+        if not doubled.is_integer():  # nor is inf or nan
             raise ValueError(f"{x} is not a half-integer")
-        return round(doubled)
+        return int(doubled)
     raise TypeError(f"cannot interpret {x!r} as a half-integer")
 
 

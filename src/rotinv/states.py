@@ -14,12 +14,13 @@ vectors are related by the orthogonal matrix
 alpha is indexed by increasing J, beta by K = 0 .. n1-1.  rho is a state
 iff alpha_J >= 0 and sum_J sqrt((2J+1)/(n1*n2)) alpha_J = 1; in beta
 coordinates normalization reads beta_0 = 1.
+
+L is built here from Racah's sum; its 4 x N closed form is in :mod:`rotinv.geometry`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import ClassVar
 
@@ -36,7 +37,6 @@ __all__ = [
     "LMatrix",
     "StateCheck",
     "build_l_matrix",
-    "explicit_l_matrix_4xn",
     "alpha_to_beta",
     "beta_to_alpha",
     "check_state",
@@ -212,50 +212,6 @@ def build_l_matrix(system: SpinPair) -> LMatrix:
             row.append(ExactRadical(phase * s.sign, s.radicand * ((2 * k + 1) * (tj + 1))))
         rows.append(tuple(row))
     return LMatrix(system, tuple(rows))
-
-
-@lru_cache(maxsize=None)
-def explicit_l_matrix_4xn(n: int) -> LMatrix:
-    """The 4 x N basis-change matrix in closed form (j1 = 3/2, N = n2 >= 4).
-
-    Spelled out entry by entry as explicit radicals in N; serves as an
-    independent cross-check of :func:`build_l_matrix` on 4 x N systems.
-    """
-    if n < 4:
-        raise ValueError(f"explicit 4xN matrix needs N >= 4, got {n}")
-    half = Fraction(1, 2)
-    f = Fraction
-
-    def ent(prefactor: Fraction, radicand: Fraction) -> ExactRadical:
-        return ExactRadical.sqrt(radicand).scale(prefactor * half)
-
-    rows = (
-        (
-            ent(f(1), f(n - 3, n)),
-            ent(f(1), f(n - 1, n)),
-            ent(f(1), f(n + 1, n)),
-            ent(f(1), f(n + 3, n)),
-        ),
-        (
-            ent(f(-3), f((n - 3) * (n + 1), 5 * (n - 1) * n)),
-            ent(f(-(n + 7)), f(1, 5 * n * (n + 1))),
-            ent(f(n - 7), f(1, 5 * n * (n - 1))),
-            ent(f(3), f((n + 3) * (n - 1), 5 * (n + 1) * n)),
-        ),
-        (
-            ent(f(1), f((n - 3) * (n + 1) * (n + 2), n * (n - 1) * (n - 2))),
-            ent(f(-(n - 5)), f(n + 2, (n - 2) * n * (n + 1))),
-            ent(f(-(n + 5)), f(n - 2, (n - 1) * n * (n + 2))),
-            ent(f(1), f((n - 1) * (n - 2) * (n + 3), n * (n + 1) * (n + 2))),
-        ),
-        (
-            ent(f(-1), f((n + 1) * (n + 2) * (n + 3), 5 * (n - 2) * (n - 1) * n)),
-            ent(f(3), f((n * n - 9) * (n + 2), 5 * (n - 2) * n * (n + 1))),
-            ent(f(-3), f((n * n - 9) * (n - 2), 5 * (n - 1) * n * (n + 2))),
-            ent(f(1), f((n - 3) * (n - 2) * (n - 1), 5 * n * (n + 1) * (n + 2))),
-        ),
-    )
-    return LMatrix(SpinPair(4, n), rows)
 
 
 def alpha_to_beta(alpha: AlphaVector) -> BetaVector:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rotinv import checks, cli, dense, states
+from rotinv import checks, cli, dense, geometry
 from rotinv.states import DEFAULT_TOL, LMatrix, SpinPair, build_l_matrix
 
 
@@ -32,12 +32,12 @@ def test_explicit_l_4xn_is_exact(monkeypatch):
     # the closed form equals the built L entry by entry; an entry off by a
     # factor 1 + 1e-20, which float64 cannot see, still fails the check
     assert checks.explicit_l_4xn(range(4, 21)) == 0.0
-    closed = states.explicit_l_matrix_4xn(7)
+    closed = geometry.explicit_l_matrix_4xn(7)
     rows = [list(row) for row in closed.exact]
     rows[1][1] = rows[1][1].scale(Fraction(10 ** 20 + 1, 10 ** 20))
     off = LMatrix(closed.system, tuple(map(tuple, rows)))
     assert np.array_equal(off.values, closed.values)
-    monkeypatch.setattr(states, "explicit_l_matrix_4xn", lambda n: off)
+    monkeypatch.setattr(geometry, "explicit_l_matrix_4xn", lambda n: off)
     assert checks.explicit_l_4xn([7]) == math.inf
 
 

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from rotinv import SpinPair
+from rotinv import SpinPair, cli
 from rotinv.cli import _build_parser, _config_comment, _config_from_args, main
 from rotinv.geometry import sweep_rows
 
@@ -327,6 +327,16 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == (f"error: n2-max must be >= 10, the largest n1 that verify "
                        f"sweeps, got {n2_max}\n")
+
+    @pytest.mark.parametrize("argv", [["verify", "--seed", "-1"],
+                                      ["verify", "--deep", "--seed", "-1"]])
+    def test_negative_seed_exit_2_before_any_check(self, argv, capsys, monkeypatch):
+        def run_battery(cfg):
+            raise AssertionError("the battery ran")
+        monkeypatch.setattr(cli, "cmd_verify", run_battery)
+        code, out, err = run_main(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == "error: seed must be >= 0, got -1\n"
 
     # sha256 of the full stdout; the residuals come from numpy's LAPACK and
     # BLAS, so the pin holds for one numpy build (numpy 2.4, OpenBLAS)

@@ -7,6 +7,7 @@ units), and compares the vertex set with the closed forms.
 """
 
 import dataclasses
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -208,6 +209,10 @@ class TestExtremePointsAndVertices:
             segment_state_4xn(3, 0.5)
         with pytest.raises(ValueError, match="4 x N geometry needs N >= 4, got 3"):
             segment_detection_threshold(3)
+
+    def test_explicit_l_rejects_small_n(self):
+        with pytest.raises(ValueError, match="4 x N geometry needs N >= 4, got 3"):
+            geometry.explicit_l_matrix_4xn(3)
 
     def test_hyperplane_needs_one_coefficient_per_even_coordinate(self):
         system = SpinPair(6, 8)
@@ -424,18 +429,23 @@ class TestDTildeThetaColumn:
     def test_ray_step_is_half_the_smallest_u(self):
         """_ray_step is half the smallest closed-form u_J(D~''), which sits at J = Jmax-1.
 
-        On the existence ladder (n1 <= 40) every u_J(x_s) = u_J + s (u_J - 1) is at least
-        u_J / 2 > 0 and the Breuer image's u_Jmin, -s (n1-2), is negative, exactly.
+        On SYSTEMS, LADDER and five seeded sizes up to n1 = 1000, u_Jmin = n1/2, every
+        u_J(x_s) = u_J + s (u_J - 1) is at least u_J / 2 > 0 and the Breuer image's u_Jmin,
+        -s (n1-2), is negative, exactly.  With u_J = p c_J / q and s = sn / sd the checks
+        run on integers: u_J + s (u_J - 1) - u_J / 2 is (sd p c + 2 sn (p c - q)) / (2 q sd).
         """
-        for system in self.LADDER:
+        rng = random.Random(1000)
+        sample = [SpinPair(n1, rng.randint(n1, 2 * n1 + 8))
+                  for n1 in [2 * rng.randint(21, 500) for _ in range(5)]]
+        sizes = set(self.SYSTEMS) | set(self.LADDER) | set(sample)
+        assert len(sizes) == 914 and max(s.n1 for s in sample) > 800
+        for system in sizes:
             (factor, column), s = self.closed_form_u(system), geometry._ray_step(system)
             assert s == factor * min(column) / 2, system
-            if system.n1 > 40:
-                continue
-            u = [factor * c for c in column]
-            assert min(u) == u[-2] and u[0] == Fraction(system.n1, 2), system
-            assert all(v + s * (v - 1) >= v / 2 > 0 for v in u), system
-            assert -s * (system.n1 - 2) < 0
+            (p, q), (sn, sd) = factor.as_integer_ratio(), s.as_integer_ratio()
+            assert min(column) == column[-2] and 2 * p * column[0] == system.n1 * q, system
+            assert all(c > 0 and sd * p * c + 2 * sn * (p * c - q) >= 0 for c in column), system
+            assert sn > 0 and system.n1 > 2
         assert geometry._ray_step(SpinPair(4, 4)) == Fraction(1, 5)
 
     def test_jmin_entry_puts_d_tilde_on_gamma(self):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rotinv.halfint import HalfInt, halfint, halfint_range, twice
 from rotinv.radical import ExactRadical, exact_sum
-from rotinv.wigner import verify_orthogonality_sum, verify_recoupling_sum
+from rotinv.wigner import six_j, verify_orthogonality_sum, verify_recoupling_sum
 
 
 rationals = st.fractions(
@@ -53,6 +53,13 @@ class TestHalfInt:
             with pytest.raises(error) as err:
                 parse(bad)
             assert err.type is error and str(err.value) == message
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_floats_are_not_half_integers(self, bad):
+        for parse in (halfint, lambda x: six_j(x, 1, 1, 1, 1, 1)):
+            with pytest.raises(ValueError) as err:
+                parse(bad)
+            assert err.type is ValueError and str(err.value) == f"{bad} is not a half-integer"
 
     def test_arithmetic_and_order(self):
         assert HalfInt(3) + HalfInt(1) == HalfInt(4)

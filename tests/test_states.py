@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotinv import wigner
+from rotinv.geometry import explicit_l_matrix_4xn
 from rotinv.radical import ExactRadical
 from rotinv.states import (
     AlphaVector,
@@ -19,7 +20,6 @@ from rotinv.states import (
     beta_to_alpha,
     build_l_matrix,
     check_state,
-    explicit_l_matrix_4xn,
     maximally_mixed,
     spectrum_from_alpha,
     vector_from_json_dict,
