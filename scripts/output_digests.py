@@ -9,7 +9,9 @@ digest covers ``json.dumps(classify(beta).to_json_dict())`` for every
 seeded state of one n1; a ``dense oracle`` digest covers the bytes of the
 dense-matrix arrays of one system; the ``witness`` digest covers the
 coordinate bytes of ``find_detected_invariant_state``, or ``None``, at each
-size of the existence ladder (even n1, n2 in {n1, n1+2, 2n1, 2n1+8}).  To
+size of the existence ladder (even n1, n2 in {n1, n1+2, 2n1, 2n1+8}); the
+full list's ``exact-l`` digest covers ``repr`` of every exact L entry for
+n1 = 2..20, n2 = n1..n1+12.  To
 check that a change leaves every output byte-identical, run the script
 against both trees and diff the listings:
 
@@ -120,6 +122,13 @@ def _witness_digest(sizes: list[tuple[int, int]]) -> tuple[str, bytes]:
     return f"witness, {len(sizes)} existence-ladder size(s) up to {n1}x{n2}", b"".join(parts)
 
 
+def _exact_l_digest() -> tuple[str, bytes]:
+    """``repr`` of every exact L entry for n1 = 2..20, n2 = n1..n1+12, row by row."""
+    reprs = [repr(entry) for n1 in range(2, 21) for n2 in range(n1, n1 + 13)
+             for row in build_l_matrix(SpinPair(n1, n2)).exact for entry in row]
+    return f"exact-l, {len(reprs)} entries, n1 = 2..20, n2 = n1..n1+12", "".join(reprs).encode()
+
+
 def _command(argv: list[str]) -> bytes:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -189,6 +198,8 @@ def run(argv=None) -> int:
     digests = _classify_digests(args.seed, 200 if args.quick else 10_000)
     digests += [_dense_digest(SpinPair(n1, n2), args.seed) for n1, n2 in dense_systems]
     digests.append(_witness_digest(ladder))
+    if not args.quick:
+        digests.append(_exact_l_digest())
     for name, data in digests:
         print(f"{hashlib.sha256(data).hexdigest()}  {name}")
     for command in command_list(args.quick):

@@ -161,14 +161,17 @@ def dense_equivalence(alphas) -> float:
     A state's residual covers the extracted beta against L alpha and the
     theta_1 spectrum against the partial-transpose spectrum; a disagreement
     on the sign of the Breuer image (beyond 1e-10), read off its eigenvalues
-    alone, counts 1.0.  Consecutive alphas of one system go through the
-    oracle as one stack; each state's residual is the one it gets alone.
+    alone, counts 1.0.  Only that sign is read, so the Breuer image is taken
+    from the real part of rho, in float64; the extraction and the two spectra
+    stay complex, because their rounding shows in the residual.  Consecutive
+    alphas of one system go through the oracle as one stack; each state's
+    residual is the one it gets alone.
     """
     def residuals(system, group):
         group = list(group)
         rho = dense.from_alpha(group)
         extracted = dense.extract_beta(rho, system)
-        min_eigs = dense.spectrum(dense.breuer_phi1(rho, system))[:, 0].tolist()
+        min_eigs = dense.spectrum(dense.breuer_phi1(rho.real, system))[:, 0].tolist()
         spectra = np.abs(dense.spectrum(dense.theta1(rho, system))
                          - dense.spectrum(dense.partial_transpose_1(rho, system))).max(axis=-1)
         for alpha, dense_beta, min_eig, gap in zip(group, extracted, min_eigs, spectra.tolist()):

@@ -20,11 +20,14 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import checks, geometry, maps, states
+from .halfint import HalfInt
 from .states import AlphaVector, BetaVector, SpinPair
+from .wigner import _triangle_ok
 
 __all__ = ["main", "RunConfig"]
 
@@ -225,16 +228,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _orthogonality_cases():
-    """The first two admissible J, J' for each a, b, c, d in {0, 1/2, ..., 2}."""
-    spins = [0, 0.5, 1, 1.5, 2]
-    js = [x / 2 for x in range(0, 9)]
-    for a, b, c, d in itertools.product(spins, repeat=4):
-        valid = [J for J in js
-                 if abs(a - b) <= J <= a + b and abs(c - d) <= J <= c + d
-                 and (a + b + J) % 1 == 0 and (c + d + J) % 1 == 0]
-        for J, Jp in itertools.product(valid[:2], repeat=2):
-            yield a, b, c, d, J, Jp
+@lru_cache(maxsize=None)
+def _orthogonality_cases() -> tuple[tuple[HalfInt, ...], ...]:
+    """The first two admissible J, J' for each a, b, c, d in {0, 1/2, ..., 2}, as HalfInts."""
+    cases = []
+    for ta, tb, tc, td in itertools.product(range(5), repeat=4):  # doubled spins
+        valid = [tj for tj in range(9) if _triangle_ok(ta, tb, tj) and _triangle_ok(tc, td, tj)]
+        cases += [tuple(map(HalfInt, (ta, tb, tc, td, tj, tjp)))
+                  for tj, tjp in itertools.product(valid[:2], repeat=2)]
+    return tuple(cases)
 
 
 def _l_matrices(perturb: bool):

@@ -15,20 +15,24 @@ alpha is indexed by increasing J, beta by K = 0 .. n1-1.  rho is a state
 iff alpha_J >= 0 and sum_J sqrt((2J+1)/(n1*n2)) alpha_J = 1; in beta
 coordinates normalization reads beta_0 = 1.
 
-L is built here from Racah's sum; its 4 x N closed form is in :mod:`rotinv.geometry`.
+L is built here from Racah's sum, with the triangle factors of the symbol
+taken once per row K and once per column J; its 4 x N closed form is in
+:mod:`rotinv.geometry`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
+from operator import mul
 from typing import ClassVar
 
 import numpy as np
 
 from .halfint import HalfInt, halfint_range
 from .radical import ExactRadical
-from .wigner import _racah_six_j
+from .wigner import _radicand, _six_j_sum, _tri_sq
 
 __all__ = [
     "SpinPair",
@@ -125,7 +129,7 @@ class _CoordinateVector:
     coords: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(map(float, self.coords)))
         if len(self.coords) != self.system.n1:
             raise ValueError(
                 f"{self.basis} for {self.system} needs {self.system.n1} coordinates, "
@@ -199,17 +203,32 @@ class LMatrix:
 
 @lru_cache(maxsize=None)
 def build_l_matrix(system: SpinPair) -> LMatrix:
-    """L[K, J] = sqrt((2K+1)(2J+1)) (-1)**(j1+j2+J) {j1 j2 J; j2 j1 K}."""
+    """L[K, J] = sqrt((2K+1)(2J+1)) (-1)**(j1+j2+J) {j1 j2 J; j2 j1 K}.
+
+    With Delta the squared triangle coefficient and S the symbol's Racah sum,
+    L[K, J]**2 = A_J B_K S**2, where A_J = Delta(j1 j2 J)**2 (2J+1) and
+    B_K = Delta(j1 j1 K) Delta(j2 j2 K) (2K+1).  A_J is worked out once per
+    column and B_K once per row, from one factorial table, as integer pairs;
+    each entry then takes one Racah sum and reduces one Fraction.
+    """
     tj1, tj2 = system.n1 - 1, system.n2 - 1
+    fact = list(accumulate(range(1, tj1 + tj2 + 2), mul, initial=1)).__getitem__
+    columns = []
+    for tj in range(tj2 - tj1, tj1 + tj2 + 1, 2):
+        num, den = _tri_sq(tj1, tj2, tj, fact)
+        phase = -1 if ((tj1 + tj2 + tj) // 2) % 2 else 1
+        columns.append((tj, phase, num * num * (tj + 1), den * den))
     rows = []
-    for k in range(system.n1):
+    for tk in range(0, 2 * system.n1, 2):
+        (num1, den1), (num2, den2) = _tri_sq(tj1, tj1, tk, fact), _tri_sq(tj2, tj2, tk, fact)
+        b_num, b_den = num1 * num2 * (tk + 1), den1 * den2
         row = []
-        for tj in range(tj2 - tj1, tj1 + tj2 + 1, 2):
-            # the Racah kernel, not the six_j memo: L is the only store of its symbols
-            s = _racah_six_j(tj1, tj2, tj, tj2, tj1, 2 * k)
-            # times sqrt((2K+1)(2J+1)) with the phase as its sign
-            phase = -1 if ((tj1 + tj2 + tj) // 2) % 2 else 1
-            row.append(ExactRadical(phase * s.sign, s.radicand * ((2 * k + 1) * (tj + 1))))
+        for tj, phase, a_num, a_den in columns:
+            # the Racah sum alone, not the six_j memo: L is the only store of its symbols
+            s = _six_j_sum(tj1, tj2, tj, tj2, tj1, tk)
+            row.append(ExactRadical(phase if s.numerator > 0 else -phase,
+                                    _radicand(a_num * b_num, a_den * b_den, s))
+                       if s else ExactRadical.zero())
         rows.append(tuple(row))
     return LMatrix(system, tuple(rows))
 

@@ -10,8 +10,12 @@ Arguments may be ints, half-integer floats/Fractions, or HalfInt.  Tuples
 that violate triangle or projection rules evaluate to exact zero, matching
 the usual mathematical convention.
 
-``states.build_l_matrix`` calls ``_racah_six_j``, so L is the only store of
-its symbols; the memo ``_six_j`` serves :func:`six_j` and the sums.
+The triangle coefficient has one home, ``_tri_sq``, which returns it as an
+unreduced integer pair; each symbol multiplies its factors as integers and
+reduces one ``Fraction`` (``_radicand``).  ``states.build_l_matrix`` reads
+``_tri_sq`` to work out L's triangle factors once per row and once per
+column and calls ``_six_j_sum`` per entry, so L is the only store of its
+symbols; the memo ``_six_j`` serves :func:`six_j` and the sums.
 """
 
 from __future__ import annotations
@@ -44,14 +48,19 @@ def _phase(texp: int) -> int:
     return -1 if (texp // 2) % 2 else 1
 
 
-def _tri_sq(ta: int, tb: int, tc: int) -> Fraction:
-    """Squared triangle coefficient (a+b-c)!(a-b+c)!(-a+b+c)!/(a+b+c+1)!."""
-    return Fraction(
-        factorial((ta + tb - tc) // 2)
-        * factorial((ta - tb + tc) // 2)
-        * factorial((-ta + tb + tc) // 2),
-        factorial((ta + tb + tc) // 2 + 1),
-    )
+def _tri_sq(ta: int, tb: int, tc: int, fact=factorial) -> tuple[int, int]:
+    """Squared triangle coefficient (a+b-c)!(a-b+c)!(-a+b+c)!/(a+b+c+1)!.
+
+    Returned unreduced, as a (numerator, denominator) pair of ints, so a caller
+    multiplies its factors first and reduces once; ``fact`` may be a table lookup.
+    """
+    return (fact((ta + tb - tc) // 2) * fact((ta - tb + tc) // 2) * fact((-ta + tb + tc) // 2),
+            fact((ta + tb + tc) // 2 + 1))
+
+
+def _radicand(num: int, den: int, total: Fraction) -> Fraction:
+    """num/den * total**2 in lowest terms, with a single gcd."""
+    return Fraction(num * total.numerator ** 2, den * total.denominator ** 2)
 
 
 def _racah_sum(lows: tuple[int, ...], highs: tuple[int, ...], rising: int) -> Fraction:
@@ -84,11 +93,19 @@ def _three_j(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) -> Exac
     if total == 0:
         return ExactRadical.zero()
 
-    radicand = _tri_sq(tj1, tj2, tj3)
+    num, den = _tri_sq(tj1, tj2, tj3)
     for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3)):
-        radicand *= factorial((tj + tm) // 2) * factorial((tj - tm) // 2)
+        num *= factorial((tj + tm) // 2) * factorial((tj - tm) // 2)
     sign = _phase(tj1 - tj2 - tm3) * (1 if total > 0 else -1)
-    return ExactRadical(sign, radicand * total * total)
+    return ExactRadical(sign, _radicand(num, den, total))
+
+
+def _six_j_sum(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> Fraction:
+    """The Racah sum of {a b c; d e f} on doubled ints: the symbol over its triangle factors."""
+    return _racah_sum(((ta + tb + tc) // 2, (ta + te + tf) // 2, (td + tb + tf) // 2,
+                       (td + te + tc) // 2),
+                      ((ta + tb + td + te) // 2, (tb + tc + te + tf) // 2,
+                       (tc + ta + tf + td) // 2), 1)
 
 
 def _racah_six_j(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> ExactRadical:
@@ -98,15 +115,15 @@ def _racah_six_j(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> ExactR
         if not _triangle_ok(*tri):
             return ExactRadical.zero()
 
-    columns = (ta + tb + td + te, tb + tc + te + tf, tc + ta + tf + td)
-    total = _racah_sum(tuple(sum(tri) // 2 for tri in triads), tuple(c // 2 for c in columns), 1)
+    total = _six_j_sum(ta, tb, tc, td, te, tf)
     if total == 0:
         return ExactRadical.zero()
 
-    radicand = Fraction(1)
+    num = den = 1
     for tri in triads:
-        radicand *= _tri_sq(*tri)
-    return ExactRadical(1 if total > 0 else -1, radicand * total * total)
+        n, d = _tri_sq(*tri)
+        num, den = num * n, den * d
+    return ExactRadical(1 if total > 0 else -1, _radicand(num, den, total))
 
 
 _six_j = lru_cache(maxsize=None)(_racah_six_j)

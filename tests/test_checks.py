@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -64,6 +65,19 @@ def test_eigenvalue_sign_agrees_with_min_eigenvalue():
         image = dense.breuer_phi1(dense.from_alpha(alpha), alpha.system)
         min_eig, _ = dense.min_eigenvalue(image)
         assert (dense.spectrum(image)[0] < -DEFAULT_TOL) == (min_eig < -DEFAULT_TOL)
+
+
+def test_float64_breuer_sign_agrees_with_the_complex_one():
+    # dense_equivalence reads the Breuer sign off the real part of rho; on the
+    # seeded states both spectra keep their smallest eigenvalue well clear of the cut
+    for seed in range(20):
+        for system, group in groupby(cli._seeded_states(seed), key=lambda a: a.system):
+            rho = dense.from_alpha(list(group))
+            low = dense.spectrum(dense.breuer_phi1(rho.real, system))[:, 0]
+            low_complex = dense.spectrum(dense.breuer_phi1(rho, system))[:, 0]
+            assert np.array_equal(low < -DEFAULT_TOL, low_complex < -DEFAULT_TOL), (seed, system)
+            assert np.abs(np.concatenate([low, low_complex]) + DEFAULT_TOL).min() >= 1e-6, \
+                (seed, system)
 
 
 def test_dense_equivalence_on_interleaved_systems_is_the_max_of_single_states():

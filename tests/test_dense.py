@@ -234,9 +234,63 @@ class TestTimeReversal:
             v = np.kron(dense.time_reversal(system.n1), np.eye(system.n2))
             expected = v @ dense.partial_transpose_1(rho, system) @ v.conj().T
             assert dense.theta1(rho, system).tobytes() == expected.tobytes()
-            cached = dense._time_reversal_1(system)
-            assert cached is dense._time_reversal_1(SpinPair(system.n1, system.n2))
+            cached = dense._theta1_signs(system)
+            assert cached is dense._theta1_signs(SpinPair(system.n1, system.n2))
             assert not cached.flags.writeable
+
+    @staticmethod
+    def _stack(system, dtype, kind, rng):
+        """A (2, 3) stack of generic Hermitian matrices; "signed zeros" sets a fifth
+        of the entries to -0.0, "oracle" takes the operators of from_alpha instead."""
+        if kind == "oracle":  # real-valued, stored complex
+            alphas = [random_state(system, rng) for _ in range(6)]
+            return dense.from_alpha(alphas).reshape(2, 3, system.dim, system.dim)
+        shape = (2, 3, system.dim, system.dim)
+        x = rng.normal(size=shape).astype(dtype)
+        if dtype is complex:
+            x += 1j * rng.normal(size=shape)
+        x = x + np.swapaxes(x.conj(), -1, -2)
+        if kind == "signed zeros":
+            mask = rng.random(shape) < 0.2
+            x[mask | np.swapaxes(mask, -1, -2)] = -0.0
+        return x
+
+    @staticmethod
+    def _kron_product(rho, system):
+        v = np.kron(dense.time_reversal(system.n1), np.eye(system.n2))
+        return v @ dense.partial_transpose_1(rho, system) @ v.T
+
+    @pytest.mark.parametrize("dims, dtype, kind", [
+        ((3, 5), float, "signed zeros"), ((4, 6), float, "signed zeros"),
+        ((5, 8), float, "signed zeros"), ((6, 8), float, "signed zeros"),
+        ((3, 5), complex, "generic"), ((6, 7), complex, "generic"),
+        ((2, 2), complex, "signed zeros"), ((4, 6), complex, "signed zeros"),
+        ((5, 8), complex, "signed zeros"), ((6, 8), complex, "signed zeros"),
+        ((4, 4), complex, "oracle"), ((6, 8), complex, "oracle"),
+    ])
+    def test_theta1_is_the_kron_product_bitwise(self, dims, dtype, kind):
+        """The index flip times the sign grid has the bytes of (V (x) 1) rho^T1 (V (x) 1)^T,
+        for a stack and for each matrix of it, and keeps the input's dtype."""
+        system = SpinPair(*dims)
+        rho = self._stack(system, dtype, kind, np.random.default_rng(dims))
+        got = dense.theta1(rho, system)
+        assert got.dtype == rho.dtype
+        assert got.tobytes() == self._kron_product(rho, system).tobytes()
+        for index in np.ndindex(rho.shape[:-2]):
+            assert dense.theta1(rho[index], system).tobytes() == got[index].tobytes()
+
+    @pytest.mark.parametrize("dims, kind", [((2, 3), "signed zeros"), ((3, 5), "signed zeros"),
+                                            ((5, 5), "oracle"), ((3, 5), "oracle")])
+    def test_theta1_zeros_are_positive(self, dims, kind):
+        """For complex input with zero real parts and n1 n2 not a multiple of 4, the
+        matrix product leaves -0.0 in some zero entries; theta1 has the product's
+        values and +0.0 in every zero."""
+        system = SpinPair(*dims)
+        rho = self._stack(system, complex, kind, np.random.default_rng(dims))
+        got = dense.theta1(rho, system)
+        assert np.array_equal(got, self._kron_product(rho, system))
+        for part in (got.real, got.imag):
+            assert not np.signbit(part[part == 0]).any()
 
     def test_theta1_matches_parameter_space(self):
         rng = np.random.default_rng(10)

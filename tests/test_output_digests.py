@@ -1,5 +1,6 @@
 """scripts/output_digests.py: one stable digest line per output."""
 
+import hashlib
 import json
 import pathlib
 import re
@@ -27,6 +28,7 @@ def test_quick_list_prints_one_stable_digest_per_output(capsys):
     assert "witness, 1 existence-ladder size(s) up to 4x6" in names
     assert "rotinv sweep --n1 6 --n2 8 --grid 15 --format json" in names
     assert "rotinv geometry --n1 6 --n2 8 --tol 1e-8" in names
+    assert not any(name.startswith("exact-l") for name in names)  # full list only
 
 
 def test_command_digest_covers_exit_code_and_stderr():
@@ -55,3 +57,10 @@ def test_full_list_digests_four_deep_verify_seeds():
     deep = [c for c in command_list(False) if "--deep" in c]
     assert deep == [["verify", "--deep", "--seed", s] for s in ("1", "2", "7", "12345")]
     assert not any("--deep" in c for c in command_list(True))
+
+
+def test_exact_l_digest_pins_every_entry():
+    name, data = load()["_exact_l_digest"]()
+    assert name == "exact-l, 37297 entries, n1 = 2..20, n2 = n1..n1+12"
+    assert hashlib.sha256(data).hexdigest() == (
+        "4eb7964face5fd6ed9e2795d142e956be2e0721d0fd3c63190094345ab7f85f8")

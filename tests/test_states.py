@@ -1,6 +1,7 @@
 """Coordinate representations, the L basis change, and state checks."""
 
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,10 @@ from rotinv.states import (
 EVEN_SYSTEMS = [
     SpinPair(n1, n2) for n1 in range(2, 13, 2) for n2 in range(n1, 25)
 ]
+
+# two sizes with n1 <= 60, drawn once from a fixed seed
+_DRAW = random.Random(18)
+LARGE_DRAWN = [(n1, _DRAW.randint(n1, 2 * n1 + 8)) for n1 in _DRAW.sample(range(2, 61), 2)]
 
 
 def random_state(system: SpinPair, rng) -> AlphaVector:
@@ -123,18 +128,27 @@ class TestLMatrix:
         assert len(l.exact) == 12
         assert wigner._six_j.cache_info() == before
 
+    @staticmethod
+    def assert_public_six_j_route(system):
+        """Each entry of L against sqrt((2K+1)(2J+1)) (-1)**(j1+j2+J) times six_j."""
+        j1, j2 = system.j1, system.j2
+        exact = build_l_matrix(system).exact
+        for k in system.k_values():
+            for idx, j in enumerate(system.j_values()):
+                phase = (-1) ** int((j1 + j2 + j).value)
+                unit = ExactRadical(phase, Fraction((2 * k + 1) * (j.twice + 1)))
+                assert exact[k][idx] == wigner.six_j(j1, j2, j, j2, j1, k) * unit, \
+                    (system, k, j)
+
     @pytest.mark.parametrize("n1", range(2, 9))
     def test_entries_equal_the_public_six_j_route(self, n1):
         for n2 in range(n1, n1 + 7):
-            system = SpinPair(n1, n2)
-            j1, j2 = system.j1, system.j2
-            exact = build_l_matrix(system).exact
-            for k in system.k_values():
-                for idx, j in enumerate(system.j_values()):
-                    phase = (-1) ** int((j1 + j2 + j).value)
-                    unit = ExactRadical(phase, Fraction((2 * k + 1) * (j.twice + 1)))
-                    assert exact[k][idx] == wigner.six_j(j1, j2, j, j2, j1, k) * unit, \
-                        (system, k, j)
+            self.assert_public_six_j_route(SpinPair(n1, n2))
+
+    @pytest.mark.parametrize("dims", [(30, 68), (40, 80), (40, 88), *LARGE_DRAWN],
+                             ids="{0[0]}x{0[1]}".format)
+    def test_entries_equal_the_public_six_j_route_at_large_sizes(self, dims):
+        self.assert_public_six_j_route(SpinPair(*dims))
 
 
 class TestConversions:
