@@ -4,7 +4,8 @@
 Every output is produced in-process by the ``rotinv`` found on the import
 path, and each printed line reads ``<sha256>  <name>``.  A command's
 digest covers its stdout, its stderr and its exit code, a usage error's
-exit code 2 from argparse included; a ``classify``
+exit code 2 from argparse included; the ``rotinv classify`` commands run
+on fixed literals and cover every verdict; a ``classify``
 digest covers ``json.dumps(classify(beta).to_json_dict())`` for every
 seeded state of one n1; a ``dense oracle`` digest covers the bytes of the
 dense-matrix arrays of one system; the ``witness`` digest covers the
@@ -144,6 +145,22 @@ def _system(n1: int, n2: int) -> list[str]:
     return ["--n1", str(n1), "--n2", str(n2)]
 
 
+# classify runs on fixed literals: every verdict on 4 x N from beta and from
+# alpha input, an odd-n1 state (its record carries the Breuer note) and the
+# 10 x 12 witness state, which the Breuer map detects
+CLASSIFY_COMMANDS = [
+    ["classify", *_system(4, 4), "--beta", "1,0,0,0"],
+    ["classify", *_system(4, 4), "--alpha",
+     "0.25,0.4330127018922193,0.5590169943749475,0.6614378277661477"],
+    ["classify", *_system(4, 4), "--alpha", "4,0,0,0"],
+    ["classify", *_system(4, 6), "--beta", "1,0,0,2"],
+    ["classify", *_system(4, 6), "--beta", "1,0,0.7,0"],
+    ["classify", *_system(4, 6), "--beta", "1,-0.2,0.2,-0.5", "--tol", "1e-8"],
+    ["classify", *_system(5, 7), "--beta", "1,0.1,0.2,0,0"],
+    ["classify", *_system(10, 12), "--beta", "1.0,0.0,1.2841107966820957,0.0,"
+     "0.45330272376211267,0.0,0.058265577990400955,0.0,0.002140439490531209,0.0"],
+]
+
 # invocations that exit 2: input off the trace condition, a bad tolerance,
 # unsupported systems, a coarse grid, a small --n2-max, --tol where the
 # command takes none, and a negative seed
@@ -169,6 +186,7 @@ def command_list(quick: bool) -> list[list[str]]:
         geometries = [(4, 4), (6, 11)]
         verifies = [["verify", "--perturb-l"]]
         errors = [["geometry", *_system(6, 8), "--tol", "1e-8"]]
+        classifies = [["classify", *_system(4, 4), "--alpha", "4,0,0,0"]]
     else:
         sweeps = ([(4, n2, 200) for n2 in range(4, 41)]
                   + [(4, n2, 40000) for n2 in (4, 5, 9, 17, 20, 40)]
@@ -179,11 +197,12 @@ def command_list(quick: bool) -> list[list[str]]:
                     *(["verify", "--deep", "--seed", str(seed)] for seed in (1, 2, 7, 12345)),
                     ["verify", "--perturb-l"]]
         errors = ERROR_COMMANDS
+        classifies = CLASSIFY_COMMANDS
     commands = [["sweep", *_system(n1, n2), "--grid", str(grid)] for n1, n2, grid in sweeps]
     commands.append(["sweep", *_system(6, 8), "--grid", "15", "--format", "json"])
     commands += [["geometry", *_system(n1, n2), "--format", fmt]
                  for n1, n2 in geometries for fmt in ("csv", "json")]
-    return commands + verifies + errors
+    return commands + verifies + errors + classifies
 
 
 def run(argv=None) -> int:

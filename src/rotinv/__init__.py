@@ -25,6 +25,7 @@ from .states import (
     LMatrix,
     SpinPair,
     StateCheck,
+    Verdict,
     alpha_to_beta,
     beta_to_alpha,
     build_l_matrix,
@@ -36,7 +37,6 @@ from .states import (
 from .maps import (
     BreuerNotApplicableError,
     Classification,
-    Verdict,
     breuer_detects,
     breuer_map,
     classify,

@@ -4,7 +4,8 @@ Each check takes the cases it runs on and returns its largest residual.
 `rotinv verify` and the acceptance suite run these same functions, each
 over its own case lists and against its own bounds.  A check given no
 cases returns inf, which fails every bound: a sweep over nothing proves
-nothing.
+nothing.  The theta_1 and Breuer images are read through :mod:`rotinv.maps`
+alone, off a ``classify`` record or from ``breuer_detects``.
 """
 
 from __future__ import annotations
@@ -94,7 +95,8 @@ def named_points(ns, boundary=("E", "F", "G")) -> float:
 
     A..D must equal the images of the alpha extreme points, and each
     boundary point must lie on the boundary of both the state tetrahedron
-    and its theta_1 image (the smaller of the two minimum alphas is 0).
+    and its theta_1 image (the smaller of the two minimum alphas of its
+    classify record is 0).
     """
     def residual(n):
         named = geometry.named_points_4xn(n)
@@ -103,10 +105,8 @@ def named_points(ns, boundary=("E", "F", "G")) -> float:
                                  - states.alpha_to_beta(extreme).as_array()).max())
                     for label, extreme in zip("ABCD", extremes))
         for label in boundary:
-            beta = named[label].beta
-            alpha = states.beta_to_alpha(beta).as_array()
-            flip = states.beta_to_alpha(maps.partial_time_reversal(beta)).as_array()
-            worst = max(worst, abs(float(min(alpha.min(), flip.min()))))
+            record = maps.classify(named[label].beta)
+            worst = max(worst, abs(min(record.min_alpha, record.min_theta1_alpha)))
         return worst
     return _worst(residual(n) for n in ns)
 
@@ -139,9 +139,8 @@ def d_tilde_on_gamma(systems) -> float:
     """D~'' lies on Gamma and is a state: |Gamma(D~'')| and any negative alpha."""
     def residual(system):
         point = geometry.d_tilde_point(system)
-        alpha = states.beta_to_alpha(point.beta)
         return max(abs(geometry.gamma_hyperplane(system).evaluate(point.beta)),
-                   max(0.0, -min(alpha.coords)))
+                   max(0.0, -maps.classify(point.beta).min_alpha))
     return _worst(residual(s) for s in systems)
 
 
@@ -161,7 +160,8 @@ def dense_equivalence(alphas) -> float:
     A state's residual covers the extracted beta against L alpha and the
     theta_1 spectrum against the partial-transpose spectrum; a disagreement
     on the sign of the Breuer image (beyond 1e-10), read off its eigenvalues
-    alone, counts 1.0.  Only that sign is read, so the Breuer image is taken
+    alone against ``breuer_detects`` where the map is positive (even n1 >= 4),
+    counts 1.0.  Only that sign is read, so the Breuer image is taken
     from the real part of rho, in float64; the extraction and the two spectra
     stay complex, because their rounding shows in the residual.  Consecutive
     alphas of one system go through the oracle as one stack; each state's
@@ -177,8 +177,8 @@ def dense_equivalence(alphas) -> float:
         for alpha, dense_beta, min_eig, gap in zip(group, extracted, min_eigs, spectra.tolist()):
             beta = states.alpha_to_beta(alpha)
             extract = float(np.abs(dense_beta.as_array() - beta.as_array()).max())
-            min_alpha = min(states.beta_to_alpha(maps.breuer_map(beta)).coords)
-            signs = float((min_eig < -states.DEFAULT_TOL) != (min_alpha < -states.DEFAULT_TOL))
+            signs = float(system.breuer_applicable
+                          and maps.breuer_detects(beta) != (min_eig < -states.DEFAULT_TOL))
             yield max(extract, signs, gap)
     return _worst(r for system, group in groupby(alphas, key=lambda a: a.system)
                   for r in residuals(system, group))

@@ -8,7 +8,7 @@ sweep      grid-sweep the theta_1-invariant polytope and report the
            Breuer-detected fraction (CSV/JSON)
 verify     run the built-in identity and cross-validation battery
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+Exit codes: 0 success, 1 verification failure, 2 usage, input or output-file error.
 Identical configurations (including --seed) produce byte-identical output.
 """
 
@@ -378,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg)
         return cmd_verify(cfg)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # bad input, or an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

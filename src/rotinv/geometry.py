@@ -20,7 +20,8 @@ alpha_J = 0, and the Gamma hyperplane (whose Breuer image lies on the face
 alpha_{(n2-n1)/2} = 0) separates the detected bound-entangled region.  The
 point D~'' (the symmetrized extreme state of maximal total momentum) lies
 on Gamma and strictly inside the polytope, which forces the detected
-region to be nonempty for every even n1 >= 4, n2 >= n1.
+region to be nonempty for every even n1 >= 4, n2 >= n1.  Gamma and the
+sweeps take the Breuer image's numbers and the class names from states.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ from .states import (
     BetaVector,
     LMatrix,
     SpinPair,
+    Verdict,
+    _breuer_rule,
     _theta1_coords,
     _unit_trace,
     build_l_matrix,
@@ -271,8 +274,9 @@ def gamma_hyperplane(system: SpinPair) -> Hyperplane:
     _require_even(system, "gamma_hyperplane")
     l = build_l_matrix(system).exact
     unit = ExactRadical.sqrt(Fraction(1, system.n2 - system.n1 + 1))
+    trace, factor = _breuer_rule(system.n1)
     return Hyperplane(system, "Gamma", l[0][0] * unit,
-                      tuple(row[0].scale(Fraction(-2, system.n1 - 2)) * unit for row in l[2::2]))
+                      tuple(row[0].scale(Fraction(factor) / trace) * unit for row in l[2::2]))
 
 
 @lru_cache(maxsize=None)
@@ -405,16 +409,16 @@ def exact_hull_membership_4xn(point: NamedPoint) -> bool:
 # ---------------------------------------------------------------------------
 
 def _slice_alphas(system: SpinPair, x) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, alpha of the Phi_1 image) at even coordinates x, a point or rows.
+    """(alpha, alpha of the Phi_1 image) at even coordinates x, a point or rows; n1 is even.
 
     The theta_1-invariant state (1, 0, x_1, 0, x_2, ...) has alpha
-    L[0,:] + x @ L[2::2,:]; its Breuer image (n1-2, 0, -2 x_1, ...) has
-    (n1-2) L[0,:] - 2 x @ L[2::2,:].
+    L[0,:] + x @ L[2::2,:]; by ``states._breuer_rule`` its Breuer image
+    (trace, 0, factor x_1, ...) has trace L[0,:] + factor x @ L[2::2,:].
     """
-    _require_even(system, "invariant polytope")
     l = build_l_matrix(system).values
     linear = x @ l[2::2]
-    return l[0] + linear, (system.n1 - 2) * l[0] - 2.0 * linear
+    trace, factor = _breuer_rule(system.n1)
+    return l[0] + linear, trace * l[0] + factor * linear
 
 
 def polytope_bounding_box(system: SpinPair) -> tuple[tuple[float, float], ...]:
@@ -435,13 +439,13 @@ def polytope_bounding_box(system: SpinPair) -> tuple[tuple[float, float], ...]:
             x = np.linalg.solve(coefs[:, rows].T, -const[rows])
         except np.linalg.LinAlgError:
             continue
-        if _slice_alphas(system, x)[0].min() >= -1e-12:
+        if (const + x @ coefs).min() >= -1e-12:
             vertices.append(x)
     return tuple((float(lo), float(hi))
                  for lo, hi in zip(np.min(vertices, axis=0), np.max(vertices, axis=0)))
 
 
-_SWEEP_CLASSES = ("PptBoundEntangledDetected", "KnownSeparable", "PptUndetermined")
+_SWEEP_CLASSES = tuple(v.value for v in Verdict)[2:]  # the PPT verdicts, in precedence order
 
 
 def _row_min(a: np.ndarray) -> np.ndarray:

@@ -15,24 +15,17 @@ unnormalized coefficient vector (n1 - 2, 0, -2 beta_2, 0, -2 beta_4, ...).
 The map is positive only for even n1, so a negative alpha coordinate of
 the image certifies entanglement (possibly bound) for even n1 >= 4.
 
-Each coordinate rule has one home, a private function on the coordinate
-tuple: ``states._theta1_coords`` for the sign flip and ``_breuer_coords``
-for the Breuer image with its trace check (``states._unit_trace``); the
-public maps wrap their result in a BetaVector.  :func:`classify`,
-:func:`is_ppt` and :func:`breuer_detects` read one cached plan per system
-instead, with four fields: ``lt`` (L^T), ``lt_theta1`` (L^T diag((-1)**K)),
-``weights`` (the norm weights) and ``breuer_applicable``.  So a call makes
-one lookup and takes each alpha image as one product.  The 4 x N separable
-rule is ``geometry.minimal_separable_membership_4xn``; dense matrices live
-in :mod:`rotinv.dense`.
+This module holds the verdicts and the public maps; the coordinate rules,
+the per-system plan and the verdict names live in :mod:`rotinv.states`.
+The maps wrap a rule's coordinates in a BetaVector; :func:`classify`,
+:func:`is_ppt` and :func:`breuer_detects` make one plan lookup per call and
+take each alpha image as one product.  The 4 x N separable rule is
+``geometry.minimal_separable_membership_4xn``.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,9 +34,10 @@ from .states import (
     DEFAULT_TOL,
     BetaVector,
     SpinPair,
+    Verdict,
+    _breuer_coords,
+    _plan,
     _theta1_coords,
-    _unit_trace,
-    build_l_matrix,
 )
 
 __all__ = [
@@ -63,37 +57,6 @@ class BreuerNotApplicableError(ValueError):
     """The Breuer map is not positive on this system (odd or too small n1)."""
 
 
-def _breuer_coords(coords) -> list[float]:
-    """Phi_1 on the tensor coordinates of a unit-trace state: (n1-2, 0, -2 beta_2, 0, ...)."""
-    if not _unit_trace(coords[0]):
-        raise ValueError(f"breuer_map needs a normalized input (beta_0 = 1), got {coords[0]}")
-    n1 = len(coords)
-    return [float(n1 - 2)] + [0.0 if k % 2 else -2.0 * coords[k] for k in range(1, n1)]
-
-
-class _Plan(NamedTuple):
-    """What the per-state tests read of one system, built once from the float L."""
-
-    lt: np.ndarray
-    lt_theta1: np.ndarray
-    weights: np.ndarray
-    breuer_applicable: bool
-
-
-@lru_cache(maxsize=None)
-def _plan(system: SpinPair) -> _Plan:
-    """L^T, the read-only theta_1 matrix L^T diag((-1)**K), weights and the Breuer flag.
-
-    The theta_1 matrix is a signed copy of L, transposed: it keeps the
-    F-ordered layout of L^T, so its products are bitwise those of L^T on the
-    flipped coordinates (a C-ordered copy or a stacked product are not).
-    """
-    values = build_l_matrix(system).values
-    lt_theta1 = (values * np.array(_theta1_coords((1.0,) * system.n1))[:, None]).T
-    lt_theta1.flags.writeable = False
-    return _Plan(values.T, lt_theta1, system.norm_weights(), system.breuer_applicable)
-
-
 def partial_time_reversal(beta: BetaVector) -> BetaVector:
     """theta_1 in tensor coordinates: beta_K -> (-1)**K beta_K (an involution)."""
     return BetaVector(beta.system, _theta1_coords(beta.coords))
@@ -101,19 +64,15 @@ def partial_time_reversal(beta: BetaVector) -> BetaVector:
 
 def symmetrize(beta: BetaVector) -> BetaVector:
     """(beta + theta_1 beta)/2, i.e. the odd-K coordinates set to zero."""
-    flipped = partial_time_reversal(beta)
-    return BetaVector(
-        beta.system,
-        tuple(0.5 * (a + b) for a, b in zip(beta.coords, flipped.coords)),
-    )
+    flipped = _theta1_coords(beta.coords)
+    return BetaVector(beta.system, tuple(0.5 * (a + b) for a, b in zip(beta.coords, flipped)))
 
 
 def breuer_map(beta: BetaVector) -> BetaVector:
-    """Coefficients of Phi_1(rho) for a normalized invariant state.
+    """The unnormalized coefficients of Phi_1(rho) for a normalized invariant state.
 
-    Returns the unnormalized coefficient vector
-    (n1-2, 0, -2 beta_2, 0, -2 beta_4, ...), whose trace n1-2 vanishes for
-    n1 = 2.  Depends on the input only through its theta_1-symmetrization.
+    Their trace n1-2 vanishes for n1 = 2; they depend on the input only
+    through its theta_1-symmetrization.
     """
     return BetaVector(beta.system, _breuer_coords(beta.coords))
 
@@ -137,14 +96,6 @@ def breuer_detects(beta: BetaVector, tol: float = DEFAULT_TOL) -> bool:
 def is_ppt(beta: BetaVector, tol: float = DEFAULT_TOL) -> bool:
     """Whether the partial time reversal of the state is still positive."""
     return min((_plan(beta.system).lt_theta1 @ np.array(beta.coords)).tolist()) >= -tol
-
-
-class Verdict(enum.Enum):
-    NOT_A_STATE = "NotAState"
-    NPT_ENTANGLED = "NptEntangled"
-    PPT_BOUND_ENTANGLED_DETECTED = "PptBoundEntangledDetected"
-    KNOWN_SEPARABLE = "KnownSeparable"
-    PPT_UNDETERMINED = "PptUndetermined"
 
 
 @dataclass(frozen=True)

@@ -15,18 +15,18 @@ alpha is indexed by increasing J, beta by K = 0 .. n1-1.  rho is a state
 iff alpha_J >= 0 and sum_J sqrt((2J+1)/(n1*n2)) alpha_J = 1; in beta
 coordinates normalization reads beta_0 = 1.
 
-L is built here from Racah's sum, with the triangle factors of the symbol
-taken once per row K and once per column J; its 4 x N closed form is in
-:mod:`rotinv.geometry`.
+L is built here from Racah's sum (its 4 x N closed form is in geometry),
+beside the rules that maps and geometry share: theta_1 (``_theta1_coords``),
+the Breuer image (``_breuer_rule``, ``_breuer_coords``), the trace test, the
+per-system float plan (``_plan``) and the verdict names.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
-from operator import mul
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -47,6 +47,7 @@ __all__ = [
     "spectrum_from_alpha",
     "maximally_mixed",
     "vector_from_json_dict",
+    "Verdict",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -58,6 +59,14 @@ TRACE_TOL = 1e-9
 def _unit_trace(beta0: float, bound: float = TRACE_TOL) -> bool:
     """Whether beta_0, the trace, is within ``bound`` of 1; nan is not."""
     return abs(beta0 - 1.0) <= bound
+
+
+class Verdict(enum.Enum):
+    NOT_A_STATE = "NotAState"
+    NPT_ENTANGLED = "NptEntangled"
+    PPT_BOUND_ENTANGLED_DETECTED = "PptBoundEntangledDetected"
+    KNOWN_SEPARABLE = "KnownSeparable"
+    PPT_UNDETERMINED = "PptUndetermined"
 
 
 @dataclass(frozen=True)
@@ -173,6 +182,20 @@ def _theta1_coords(coords) -> tuple:
     return tuple(-c if k % 2 else c for k, c in enumerate(coords))
 
 
+def _breuer_rule(n1: int) -> tuple[int, float]:
+    """(trace, factor): Phi_1 maps (1, beta_1, beta_2, ...) to (trace, 0, factor beta_2, 0, ...)."""
+    return n1 - 2, -2.0
+
+
+def _breuer_coords(coords) -> list[float]:
+    """Phi_1 on the tensor coordinates of a unit-trace state, by :func:`_breuer_rule`."""
+    if not _unit_trace(coords[0]):
+        raise ValueError(f"breuer_map needs a normalized input (beta_0 = 1), got {coords[0]}")
+    n1 = len(coords)
+    trace, factor = _breuer_rule(n1)
+    return [float(trace)] + [0.0 if k % 2 else factor * coords[k] for k in range(1, n1)]
+
+
 def vector_from_json_dict(data: dict) -> AlphaVector | BetaVector:
     """Inverse of AlphaVector/BetaVector.to_json_dict."""
     system = SpinPair(*data["system"])
@@ -208,19 +231,18 @@ def build_l_matrix(system: SpinPair) -> LMatrix:
     With Delta the squared triangle coefficient and S the symbol's Racah sum,
     L[K, J]**2 = A_J B_K S**2, where A_J = Delta(j1 j2 J)**2 (2J+1) and
     B_K = Delta(j1 j1 K) Delta(j2 j2 K) (2K+1).  A_J is worked out once per
-    column and B_K once per row, from one factorial table, as integer pairs;
-    each entry then takes one Racah sum and reduces one Fraction.
+    column and B_K once per row, as integer pairs; each entry then takes one
+    Racah sum and reduces one Fraction.
     """
     tj1, tj2 = system.n1 - 1, system.n2 - 1
-    fact = list(accumulate(range(1, tj1 + tj2 + 2), mul, initial=1)).__getitem__
     columns = []
     for tj in range(tj2 - tj1, tj1 + tj2 + 1, 2):
-        num, den = _tri_sq(tj1, tj2, tj, fact)
+        num, den = _tri_sq(tj1, tj2, tj)
         phase = -1 if ((tj1 + tj2 + tj) // 2) % 2 else 1
         columns.append((tj, phase, num * num * (tj + 1), den * den))
     rows = []
     for tk in range(0, 2 * system.n1, 2):
-        (num1, den1), (num2, den2) = _tri_sq(tj1, tj1, tk, fact), _tri_sq(tj2, tj2, tk, fact)
+        (num1, den1), (num2, den2) = _tri_sq(tj1, tj1, tk), _tri_sq(tj2, tj2, tk)
         b_num, b_den = num1 * num2 * (tk + 1), den1 * den2
         row = []
         for tj, phase, a_num, a_den in columns:
@@ -233,6 +255,29 @@ def build_l_matrix(system: SpinPair) -> LMatrix:
     return LMatrix(system, tuple(rows))
 
 
+class _Plan(NamedTuple):
+    """What the per-state tests read of one system, built once from the float L."""
+
+    lt: np.ndarray
+    lt_theta1: np.ndarray
+    weights: np.ndarray
+    breuer_applicable: bool
+
+
+@lru_cache(maxsize=None)
+def _plan(system: SpinPair) -> _Plan:
+    """L^T, the read-only theta_1 matrix L^T diag((-1)**K), weights and the Breuer flag.
+
+    The theta_1 matrix is a signed copy of L, transposed: it keeps the
+    F-ordered layout of L^T, so its products are bitwise those of L^T on the
+    flipped coordinates (a C-ordered copy or a stacked product are not).
+    """
+    values = build_l_matrix(system).values
+    lt_theta1 = (values * np.array(_theta1_coords((1.0,) * system.n1))[:, None]).T
+    lt_theta1.flags.writeable = False
+    return _Plan(values.T, lt_theta1, system.norm_weights(), system.breuer_applicable)
+
+
 def alpha_to_beta(alpha: AlphaVector) -> BetaVector:
     """beta = L alpha.  Normalized alpha maps to beta with beta_0 = 1."""
     l = build_l_matrix(alpha.system).values
@@ -240,9 +285,8 @@ def alpha_to_beta(alpha: AlphaVector) -> BetaVector:
 
 
 def beta_to_alpha(beta: BetaVector) -> AlphaVector:
-    """alpha = L^T beta (L is orthogonal)."""
-    l = build_l_matrix(beta.system).values
-    return AlphaVector(beta.system, l.T @ beta.as_array())
+    """alpha = L^T beta (L is orthogonal), with the plan's L^T."""
+    return AlphaVector(beta.system, _plan(beta.system).lt @ beta.as_array())
 
 
 @dataclass(frozen=True)

@@ -48,14 +48,14 @@ def _phase(texp: int) -> int:
     return -1 if (texp // 2) % 2 else 1
 
 
-def _tri_sq(ta: int, tb: int, tc: int, fact=factorial) -> tuple[int, int]:
+def _tri_sq(ta: int, tb: int, tc: int) -> tuple[int, int]:
     """Squared triangle coefficient (a+b-c)!(a-b+c)!(-a+b+c)!/(a+b+c+1)!.
 
     Returned unreduced, as a (numerator, denominator) pair of ints, so a caller
-    multiplies its factors first and reduces once; ``fact`` may be a table lookup.
+    multiplies its factors first and reduces once.
     """
-    return (fact((ta + tb - tc) // 2) * fact((ta - tb + tc) // 2) * fact((-ta + tb + tc) // 2),
-            fact((ta + tb + tc) // 2 + 1))
+    return (factorial((ta + tb - tc) // 2) * factorial((ta - tb + tc) // 2)
+            * factorial((-ta + tb + tc) // 2), factorial((ta + tb + tc) // 2 + 1))
 
 
 def _radicand(num: int, den: int, total: Fraction) -> Fraction:

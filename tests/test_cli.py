@@ -369,6 +369,25 @@ class TestConfig:
         assert (cfg.fmt, cfg.out, cfg.perturb_l) == ("csv", None, False)
 
 
+class TestUnwritableOut:
+    """An --out that cannot be written is an input error (exit 2), not a
+    verification failure (exit 1) or a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--n1", "4", "--n2", "4", "--beta", "1,0,0,0"],
+        ["geometry", "--n1", "4", "--n2", "5"],
+        ["sweep", "--n1", "4", "--n2", "5", "--grid", "10"],
+        ["verify", "--n2-max", "10"],
+    ])
+    def test_missing_directory_and_directory_exit_2(self, argv, tmp_path, capsys):
+        for path, reason in ((tmp_path / "missing" / "out.txt", "No such file or directory"),
+                             (tmp_path, "Is a directory")):
+            code, out, err = run_main(argv + ["--out", str(path)], capsys)
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and reason in err and str(path) in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestTolOption:
     """--tol belongs to classify and sweep: geometry is exact, and verify runs
     every check at the library default."""

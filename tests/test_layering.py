@@ -1,8 +1,10 @@
 """Layering of the rotinv package, read from its source with ast.
 
 The dense oracle is the independent second route, so it imports none of
-the parameter-space code; maps holds the coordinate rules and the
-classifier and sits on states and geometry alone.  The package's import
+the parameter-space code and only the vector types of states; states holds
+the coordinate rules, the per-state plan and the verdict names, each
+stated once; maps holds the verdicts and sits on states and geometry
+alone; checks reads the alpha images through maps.  The package's import
 graph has no cycle, every import sits at module level, and none is unused.
 """
 
@@ -47,6 +49,82 @@ def test_dense_imports_no_parameter_space_module():
 
 def test_maps_imports_only_states_and_geometry():
     assert package_imports("maps") <= {"states", "geometry"}, package_imports("maps")
+
+
+def test_dense_imports_only_the_vector_types_of_states():
+    """states holds parameter-space rules too; the oracle takes only its vector types."""
+    names = {alias.name for node in _imports(TREES["dense"])
+             if isinstance(node, ast.ImportFrom) and node.module in ("states", "rotinv.states")
+             for alias in node.names}
+    assert names <= {"AlphaVector", "BetaVector", "SpinPair"}, names
+    assert not any(isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id == "states" for node in ast.walk(TREES["dense"]))
+
+
+def definitions(name: str) -> set[str]:
+    """The top-level function and class names that module ``name`` defines."""
+    return {node.name for node in TREES[name].body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+@pytest.mark.parametrize("rule", ["_breuer_rule", "_breuer_coords", "_plan", "_Plan", "Verdict"])
+def test_shared_rule_is_defined_in_states_alone(rule):
+    assert [name for name in TREES if rule in definitions(name)] == ["states"]
+
+
+@pytest.mark.parametrize("verdict", ["NotAState", "NptEntangled", "PptBoundEntangledDetected",
+                                     "KnownSeparable", "PptUndetermined"])
+def test_verdict_name_is_one_string_constant(verdict):
+    found = [name for name, tree in TREES.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value == verdict]
+    assert found == ["states"], found
+
+
+def breuer_numbers(tree) -> list[tuple[int, str]]:
+    """Where ``tree`` writes the Breuer factor (a literal 2.0, or 2 negated) or trace (n1 - 2).
+
+    ``n1 - 2`` under a floor division counts even coordinates, not the trace.
+    """
+    nodes = list(ast.walk(tree))
+    halved = {id(node.left) for node in nodes
+              if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)}
+    negated = {id(node.operand) for node in nodes
+               if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)}
+    found = []
+    for node in nodes:
+        if isinstance(node, ast.Constant) and node.value in (2, -2) and (
+                type(node.value) is float or id(node) in negated):
+            found.append((node.lineno, "factor"))
+        elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+              and id(node) not in halved
+              and isinstance(node.right, ast.Constant) and node.right.value == 2
+              and "n1" in (getattr(node.left, "id", None), getattr(node.left, "attr", None))):
+            found.append((node.lineno, "trace"))
+    return found
+
+
+def test_breuer_trace_and_factor_are_written_once():
+    """The parameter-space modules take n1 - 2 and -2 from states._breuer_rule alone."""
+    rule = next(node for node in TREES["states"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "_breuer_rule")
+    assert sorted(kind for _, kind in breuer_numbers(rule)) == ["factor", "trace"]
+    inside = range(rule.lineno, rule.end_lineno + 1)
+    found = {name: [(line, kind) for line, kind in breuer_numbers(TREES[name])
+                    if name != "states" or line not in inside]
+             for name in ("states", "maps", "geometry", "checks", "cli")}
+    assert not any(found.values()), found
+
+
+def test_checks_takes_the_alpha_images_through_maps():
+    """checks composes no theta_1 or Breuer image with beta_to_alpha: it reads maps."""
+    reads = {(node.value.id, node.attr) for node in ast.walk(TREES["checks"])
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
+    banned = {("states", "beta_to_alpha"), ("maps", "partial_time_reversal"),
+              ("maps", "breuer_map")}
+    assert not reads & banned, reads & banned
+    imported = {alias.name for node in _imports(TREES["checks"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {name for _, name in banned}, imported
 
 
 def private_geometry_names(name: str) -> list[str]:

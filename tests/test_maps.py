@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotinv import maps
+from rotinv import states
 from rotinv.dense import PureProductState, pi_project, tensor_matrix_element
 from rotinv.maps import (
     BreuerNotApplicableError,
@@ -423,7 +423,7 @@ class TestClassifyFromCoordinates:
     @settings(max_examples=300, deadline=None)
     @given(fused_betas())
     def test_plan_route_equals_the_public_route_bitwise(self, beta):
-        theta1 = maps._plan(beta.system).lt_theta1
+        theta1 = states._plan(beta.system).lt_theta1
         assert not theta1.flags.writeable and theta1.flags.f_contiguous
         flipped = min(beta_to_alpha(partial_time_reversal(beta)).coords)
         assert is_ppt(beta) == (flipped >= -DEFAULT_TOL)
@@ -499,7 +499,7 @@ class TestTheta1Gate:
         for n2 in sorted({n1, n1 + 1, n1 + 4, 2 * n1}):
             system = SpinPair(n1, n2)
             j1, j2 = system.j1, system.j2
-            got = maps._plan(system).lt_theta1 @ build_l_matrix(system).values
+            got = states._plan(system).lt_theta1 @ build_l_matrix(system).values
             sign = -1 if (n1 + n2) % 2 else 1
             for a, j in enumerate(system.j_values()):
                 for b, jp in enumerate(system.j_values()):

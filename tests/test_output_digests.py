@@ -28,6 +28,7 @@ def test_quick_list_prints_one_stable_digest_per_output(capsys):
     assert "witness, 1 existence-ladder size(s) up to 4x6" in names
     assert "rotinv sweep --n1 6 --n2 8 --grid 15 --format json" in names
     assert "rotinv geometry --n1 6 --n2 8 --tol 1e-8" in names
+    assert "rotinv classify --n1 4 --n2 4 --alpha 4,0,0,0" in names
     assert not any(name.startswith("exact-l") for name in names)  # full list only
 
 
@@ -57,6 +58,21 @@ def test_full_list_digests_four_deep_verify_seeds():
     deep = [c for c in command_list(False) if "--deep" in c]
     assert deep == [["verify", "--deep", "--seed", s] for s in ("1", "2", "7", "12345")]
     assert not any("--deep" in c for c in command_list(True))
+
+
+def test_classify_commands_cover_every_verdict_from_both_bases():
+    script = load()
+    commands = script["CLASSIFY_COMMANDS"]
+    records = [json.loads(script["_command"](c)) for c in commands]
+    assert all(r["exit"] == 0 and r["stderr"] == "" for r in records)
+    reports = [json.loads(r["stdout"]) for r in records]
+    assert {r["verdict"] for r in reports if r["system"][0] == 4} == {
+        "NotAState", "NptEntangled", "PptBoundEntangledDetected", "KnownSeparable",
+        "PptUndetermined"}
+    assert {c[c.index("--n2") + 2] for c in commands} == {"--alpha", "--beta"}
+    by_system = {tuple(r["system"]): r for r in reports}
+    assert "note" in by_system[5, 7]
+    assert by_system[10, 12]["verdict"] == "PptBoundEntangledDetected"
 
 
 def test_exact_l_digest_pins_every_entry():
