@@ -4,17 +4,21 @@
 Every output is produced in-process by the ``rotinv`` found on the import
 path, and each printed line reads ``<sha256>  <name>``.  A command's
 digest covers its stdout, its stderr and its exit code, a usage error's
-exit code 2 from argparse included; the ``rotinv classify`` commands run
-on fixed literals and cover every verdict; a ``classify``
-digest covers ``json.dumps(classify(beta).to_json_dict())`` for every
-seeded state of one n1; a ``dense oracle`` digest covers the bytes of the
-dense-matrix arrays of one system; the ``witness`` digest covers the
-coordinate bytes of ``find_detected_invariant_state``, or ``None``, at each
-size of the existence ladder (even n1, n2 in {n1, n1+2, 2n1, 2n1+8}); the
-full list's ``exact-l`` digest covers ``repr`` of every exact L entry for
-n1 = 2..20, n2 = n1..n1+12.  To
-check that a change leaves every output byte-identical, run the script
-against both trees and diff the listings:
+exit code 2 from argparse included, and a command that raises records the
+exception's type and message instead of stopping the listing; the
+``rotinv classify`` commands run on fixed literals and cover every
+verdict; a ``classify`` digest covers
+``json.dumps(classify(beta).to_json_dict())`` for every seeded state of
+one n1; a ``dense oracle`` digest covers the bytes of the dense-matrix
+arrays of one system; the ``witness`` digest covers the coordinate bytes
+of ``find_detected_invariant_state``, or ``None``, at each size of the
+existence ladder (even n1, n2 in {n1, n1+2, 2n1, 2n1+8}); the full list's
+``exact-l`` digest covers ``repr`` of every exact L entry for
+n1 = 2..20, n2 = n1..n1+12, and its ``named-4xn`` digest covers, for
+N = 4..40, ``repr`` of every exact coordinate and the float bytes of each
+labelled 4 x N point (signed zeros included) and ``repr`` of every entry
+of ``explicit_l_matrix_4xn``.  To check that a change leaves every output
+byte-identical, run the script against both trees and diff the listings:
 
     PYTHONPATH=/path/to/old/src python scripts/output_digests.py > old.txt
     PYTHONPATH=src python scripts/output_digests.py > new.txt
@@ -38,7 +42,7 @@ import numpy as np
 from rotinv import (AlphaVector, BetaVector, PureProductState, SpinPair, build_l_matrix,
                     classify, dense, find_detected_invariant_state, pi_project)
 from rotinv.cli import main as rotinv_main
-from rotinv.geometry import d_tilde_point, named_points_4xn
+from rotinv.geometry import d_tilde_point, explicit_l_matrix_4xn, named_points_4xn
 
 
 def seeded_states(seed: int, count: int) -> list[BetaVector]:
@@ -130,15 +134,36 @@ def _exact_l_digest() -> tuple[str, bytes]:
     return f"exact-l, {len(reprs)} entries, n1 = 2..20, n2 = n1..n1+12", "".join(reprs).encode()
 
 
+# the labelled 4 x N points in a fixed order, whatever order the builder returns
+NAMED_4XN_LABELS = ("A", "B", "C", "D", "A'", "B'", "C'", "D'",
+                    "E", "F", "G", "E'", "F'", "G'", "D''")
+
+
+def _named_4xn_digest() -> tuple[str, bytes]:
+    """Per N = 4..40: each labelled point's exact ``repr``s and float bytes, then L's ``repr``s."""
+    parts = []
+    for n in range(4, 41):
+        points = named_points_4xn(n)
+        for label in NAMED_4XN_LABELS:
+            point = points[label]
+            parts += [label.encode(), "".join(map(repr, point.exact)).encode(),
+                      np.array(point.beta.coords).tobytes()]
+        parts += [repr(entry).encode() for row in explicit_l_matrix_4xn(n).exact for entry in row]
+    return f"named-4xn, {len(NAMED_4XN_LABELS)} points and L, N = 4..40", b"".join(parts)
+
+
 def _command(argv: list[str]) -> bytes:
     out, err = io.StringIO(), io.StringIO()
+    raised = {}
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = rotinv_main(argv)
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
+        except Exception as exc:  # recorded, so the rest of the listing still runs
+            code, raised["raised"] = None, f"{type(exc).__name__}: {exc}"
     return json.dumps({"exit": code, "stdout": out.getvalue(),
-                       "stderr": err.getvalue()}).encode()
+                       "stderr": err.getvalue(), **raised}).encode()
 
 
 def _system(n1: int, n2: int) -> list[str]:
@@ -218,7 +243,7 @@ def run(argv=None) -> int:
     digests += [_dense_digest(SpinPair(n1, n2), args.seed) for n1, n2 in dense_systems]
     digests.append(_witness_digest(ladder))
     if not args.quick:
-        digests.append(_exact_l_digest())
+        digests += [_exact_l_digest(), _named_4xn_digest()]
     for name, data in digests:
         print(f"{hashlib.sha256(data).hexdigest()}  {name}")
     for command in command_list(args.quick):

@@ -54,13 +54,11 @@ from .geometry import (
     explicit_l_matrix_4xn,
     find_detected_invariant_state,
     gamma_hyperplane,
-    intersection_points_4xn,
     minimal_separable_membership_4xn,
     named_points_4xn,
     segment_detection_threshold,
     segment_state_4xn,
     theta1_polytope,
-    vertices_4xn,
 )
 
 __version__ = "0.1.0"

@@ -130,10 +130,7 @@ def _geometry_data(system: SpinPair) -> tuple[list, list]:
     points: list[geometry.NamedPoint] = []
     planes: list[geometry.Hyperplane] = [geometry.gamma_hyperplane(system)]
     if system.n1 == 4:
-        named = geometry.named_points_4xn(system.n2)
-        order = ["A", "B", "C", "D", "A'", "B'", "C'", "D'",
-                 "E", "F", "G", "E'", "F'", "G'", "D''"]
-        points.extend(named[label] for label in order)
+        points.extend(geometry.named_points_4xn(system.n2).values())
     else:
         points.append(geometry.d_tilde_point(system))
         planes.extend(geometry.theta1_polytope(system))

@@ -10,9 +10,12 @@ coordinates of the form (rational) * r_K with the shared radial units
     r_2 = sqrt((N-1)(N-2) / ((N+1)(N+2))),
     r_3 = sqrt((N-1)(N-2)(N-3) / (5(N+1)(N+2)(N+3))),
 
-so all point constructions and hull tests here are exact.  Column J of the
-4 x N basis change L is w_J = sqrt((2J+1)/(4N)) times vertex J of ABCD, so
-:func:`explicit_l_matrix_4xn` reads L off the same table.
+so all point constructions and hull tests here are exact.  The table of
+these rationals is scaled once, by :func:`named_points_4xn`, and every other
+4 x N reader takes its points: column J of the basis change L is w_J times
+vertex J of ABCD, so :func:`explicit_l_matrix_4xn` reads L off A..D, and the
+invariant segment E''G'' reads off E and G.  D'', the midpoint of DD', is D
+with its odd coordinates set to zero: the n1 = 4 case of D~'' below.
 
 For general even n1 the theta_1-invariant states form a polytope in the
 even coordinates (beta_2, ..., beta_{n1-2}) bounded by the hyperplanes
@@ -44,6 +47,7 @@ from .states import (
     SpinPair,
     Verdict,
     _breuer_rule,
+    _exact_weights,
     _theta1_coords,
     _unit_trace,
     build_l_matrix,
@@ -54,8 +58,6 @@ __all__ = [
     "Hyperplane",
     "alpha_extreme_points",
     "explicit_l_matrix_4xn",
-    "vertices_4xn",
-    "intersection_points_4xn",
     "named_points_4xn",
     "gamma_hyperplane",
     "d_tilde_point",
@@ -148,9 +150,9 @@ def alpha_extreme_points(system: SpinPair) -> tuple[AlphaVector, ...]:
     zeros elsewhere.
     """
     points = []
-    for idx, j in enumerate(system.j_values()):
+    for idx, w in enumerate(_exact_weights(system)):
         coords = [0.0] * system.n1
-        coords[idx] = float(ExactRadical.sqrt(Fraction(system.dim, j.twice + 1)))
+        coords[idx] = float(ExactRadical.one() / w)
         points.append(AlphaVector(system, coords))
     return tuple(points)
 
@@ -199,15 +201,27 @@ def _exact_point(label: str, system: SpinPair, exact) -> NamedPoint:
     return NamedPoint(label, BetaVector(system, tuple(float(e) for e in exact)), exact)
 
 
-def _points_and_flips(n: int, labels: str) -> dict[str, NamedPoint]:
-    """The closed-form 4 x N points X and their time-reversal images X'."""
+def named_points_4xn(n: int) -> dict[str, NamedPoint]:
+    """All labelled 4 x N points, in output order: A..D, A'..D', E..G, E'..G', D''.
+
+    A, B, C, D are the tetrahedron's vertices, the images under L of the
+    extreme states with ascending J.  E, F, G with D, D' are the vertices of
+    the PPT set, the intersection of the tetrahedron with its time-reversal
+    image; each lies on the boundary of both.  X' is the partial time
+    reversal of X, its floats negated (so a zero odd coordinate reads -0.0).
+    D'' is the midpoint of DD': D with its odd coordinates set to zero.
+    """
     _require_4xn(n)
-    units, coords = _radial_units(n), _scaled_coords(n)
+    system, units = SpinPair(4, n), _radial_units(n)
+    points = {label: _exact_point(label, system, (ExactRadical.one(),)
+                                  + tuple(u.scale(c) for u, c in zip(units, coords)))
+              for label, coords in _scaled_coords(n).items()}
     out: dict[str, NamedPoint] = {}
-    for label in labels:
-        exact = (ExactRadical.one(),) + tuple(u.scale(c) for u, c in zip(units, coords[label]))
-        out[label] = _exact_point(label, SpinPair(4, n), exact)
-        out[label + "'"] = out[label].flipped(label + "'")
+    for labels in ("ABCD", "EFG"):
+        out.update((label, points[label]) for label in labels)
+        out.update((label + "'", points[label].flipped(label + "'")) for label in labels)
+    out["D''"] = _exact_point("D''", system, (ExactRadical.zero() if k % 2 else e
+                                              for k, e in enumerate(points["D"].exact)))
     return out
 
 
@@ -215,43 +229,13 @@ def _points_and_flips(n: int, labels: str) -> dict[str, NamedPoint]:
 def explicit_l_matrix_4xn(n: int) -> LMatrix:
     """The 4 x N basis change read off the table: L[K, J] = w_J X_J[K], no Wigner symbol.
 
-    X_J is vertex A, B, C or D for ascending J and w_J = sqrt((2J+1)/(4N)) = L[0, J].
+    X_J is the labelled point A, B, C or D for ascending J and w_J = L[0, J].
     """
-    _require_4xn(n)
-    system, units, coords = SpinPair(4, n), _radial_units(n), _scaled_coords(n)
-    weights = [ExactRadical.sqrt(Fraction(j.twice + 1, system.dim)) for j in system.j_values()]
-    columns = [(w,) + tuple((w * u).scale(c) for u, c in zip(units, coords[label]))
-               for w, label in zip(weights, "ABCD")]
+    named = named_points_4xn(n)
+    system = SpinPair(4, n)
+    columns = [tuple(w * e for e in named[label].exact)
+               for w, label in zip(_exact_weights(system), "ABCD")]
     return LMatrix(system, tuple(zip(*columns)))
-
-
-def vertices_4xn(n: int) -> dict[str, NamedPoint]:
-    """Tetrahedron vertices A, B, C, D and their time-reversal images A'..D'.
-
-    A..D are the images of the extreme states with ascending J under the
-    basis change L; each equals alpha_to_beta of the matching extreme
-    point.
-    """
-    return _points_and_flips(n, "ABCD")
-
-
-def intersection_points_4xn(n: int) -> dict[str, NamedPoint]:
-    """The PPT-set vertices E, F, G (and primes) beyond D and D'.
-
-    Together with D, D' these are all vertices of the intersection of the
-    state tetrahedron with its time-reversal image; each lies on the
-    boundary of both (its alpha and the alpha of its flip have a zero).
-    """
-    return _points_and_flips(n, "EFG")
-
-
-def named_points_4xn(n: int) -> dict[str, NamedPoint]:
-    """All labelled 4 x N points: A..D, E..G, primes, and the midpoint D''."""
-    out = vertices_4xn(n)
-    out.update(intersection_points_4xn(n))
-    exact = (ExactRadical.one(), ExactRadical.zero(), _radial_units(n)[1], ExactRadical.zero())
-    out["D''"] = _exact_point("D''", SpinPair(4, n), exact)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +267,16 @@ def gamma_hyperplane(system: SpinPair) -> Hyperplane:
 def d_tilde_point(system: SpinPair) -> NamedPoint:
     """The symmetrized maximal-momentum extreme state D~'', cached per system.
 
-    beta_2K = sqrt(n1 n2 / (n1+n2-1)) L[2K, Jmax], read off the Jmax column
-    of the exact L matrix (beta_0 = 1); odd coordinates vanish.  It is an
+    beta_2K = L[2K, Jmax] / w_Jmax, read off the Jmax column of the exact L
+    matrix, with 1/w_Jmax = sqrt(n1 n2 / (n1+n2-1)) (beta_0 = 1); odd
+    coordinates vanish.  It is an
     interior point of the invariant polytope (all alpha_J > 0) and lies on
     Gamma, which proves that detected bound entangled states exist for
     every even n1 >= 4.
     """
     _require_even(system, "d_tilde_point")
     l = build_l_matrix(system).exact
-    unit = ExactRadical.sqrt(Fraction(system.dim, system.n1 + system.n2 - 1))
+    unit = ExactRadical.one() / _exact_weights(system)[-1]
     return _exact_point("D~''", system, (ExactRadical.zero() if k % 2 else unit * l[k][-1]
                                          for k in range(system.n1)))
 
@@ -316,10 +301,10 @@ def theta1_polytope(system: SpinPair) -> tuple[Hyperplane, ...]:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _beta2(n: int, label: str) -> float:
-    """beta_2 of a labelled 4 x N point, without building the point."""
-    _require_4xn(n)
-    return float(_radial_units(n)[1].scale(_scaled_coords(n)[label][1]))
+def _segment_ends(n: int) -> tuple[float, float]:
+    """beta_2 of E'' and G'', the ends of the invariant segment (beta_2 of E and G)."""
+    named = named_points_4xn(n)
+    return named["E"].beta.coords[2], named["G"].beta.coords[2]
 
 
 def segment_detection_threshold(n: int) -> float:
@@ -340,8 +325,8 @@ def segment_state_4xn(n: int, t: float) -> BetaVector:
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    e2, g2 = (_beta2(n, label) for label in "EG")
-    return BetaVector(SpinPair(4, n), (1.0, 0.0, (1.0 - t) * e2 + t * g2, 0.0))
+    e2, g2 = _segment_ends(n)
+    return _beta_from_even(SpinPair(4, n), ((1.0 - t) * e2 + t * g2,))
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +430,9 @@ def polytope_bounding_box(system: SpinPair) -> tuple[tuple[float, float], ...]:
                  for lo, hi in zip(np.min(vertices, axis=0), np.max(vertices, axis=0)))
 
 
-_SWEEP_CLASSES = tuple(v.value for v in Verdict)[2:]  # the PPT verdicts, in precedence order
+# the PPT verdicts, in precedence order: sweep class codes 0, 1, 2
+_SWEEP_CLASSES = tuple(v.value for v in (Verdict.PPT_BOUND_ENTANGLED_DETECTED,
+                                         Verdict.KNOWN_SEPARABLE, Verdict.PPT_UNDETERMINED))
 
 
 def _row_min(a: np.ndarray) -> np.ndarray:

@@ -16,15 +16,18 @@ iff alpha_J >= 0 and sum_J sqrt((2J+1)/(n1*n2)) alpha_J = 1; in beta
 coordinates normalization reads beta_0 = 1.
 
 L is built here from Racah's sum (its 4 x N closed form is in geometry),
-beside the rules that maps and geometry share: theta_1 (``_theta1_coords``),
-the Breuer image (``_breuer_rule``, ``_breuer_coords``), the trace test, the
-per-system float plan (``_plan``) and the verdict names.
+beside the rules that maps and geometry share: the exact weights w_J
+(``_exact_weights``, whose floats are ``norm_weights``), theta_1
+(``_theta1_coords``), the Breuer image (``_breuer_rule``,
+``_breuer_coords``), the trace test, the per-system float plan (``_plan``)
+and the verdict names.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import ClassVar, NamedTuple
 
@@ -118,8 +121,14 @@ class SpinPair:
 
 
 @lru_cache(maxsize=None)
+def _exact_weights(system: SpinPair) -> tuple[ExactRadical, ...]:
+    """The exact weights w_J = sqrt((2J+1)/(n1*n2)), ascending J: row 0 of L."""
+    return tuple(ExactRadical.sqrt(Fraction(j.twice + 1, system.dim)) for j in system.j_values())
+
+
+@lru_cache(maxsize=None)
 def _norm_weights(system: SpinPair) -> np.ndarray:
-    w = np.array([np.sqrt((j.twice + 1) / system.dim) for j in system.j_values()])
+    w = np.array([float(w) for w in _exact_weights(system)])
     w.flags.writeable = False
     return w
 

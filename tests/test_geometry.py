@@ -24,7 +24,6 @@ from rotinv.geometry import (
     exact_hull_membership_4xn,
     find_detected_invariant_state,
     gamma_hyperplane,
-    intersection_points_4xn,
     minimal_separable_membership_4xn,
     named_points_4xn,
     polytope_bounding_box,
@@ -32,7 +31,6 @@ from rotinv.geometry import (
     segment_state_4xn,
     sweep_rows,
     theta1_polytope,
-    vertices_4xn,
 )
 from rotinv.radical import ExactRadical
 from rotinv.states import (
@@ -187,12 +185,31 @@ class TestExtremePointsAndVertices:
 
     @pytest.mark.parametrize("n", [4, 6, 8, 12, 20])
     def test_vertices_equal_pipeline_exactly(self, n):
-        named = vertices_4xn(n)
+        named = named_points_4xn(n)
         l = build_l_matrix(SpinPair(4, n)).exact
         for idx, label in enumerate("ABCD"):
             alpha = ExactRadical.sqrt(Fraction(4 * n, n - 3 + 2 * idx))
             for k in range(4):
                 assert named[label].exact[k] == l[k][idx] * alpha, (n, label, k)
+
+    def test_d_double_prime_is_d_tilde(self):
+        # the table route (D with odd coordinates zeroed) and the L route give one point
+        for n in range(4, 61):
+            table, from_l = named_points_4xn(n)["D''"], d_tilde_point(SpinPair(4, n))
+            assert table.exact == from_l.exact, n
+            assert (np.array(table.beta.coords).tobytes()
+                    == np.array(from_l.beta.coords).tobytes()), n
+
+    def test_flips_negate_the_floats(self):
+        # X' negates X's floats, so a zero odd coordinate of X reads -0.0 in X'
+        named = named_points_4xn(4)
+        assert named["F"].exact[1].is_zero
+        assert float.hex(named["F"].beta.coords[1]) == float.hex(0.0)
+        assert float.hex(named["F'"].beta.coords[1]) == float.hex(-0.0)
+
+    def test_points_come_in_output_order(self):
+        assert list(named_points_4xn(5)) == ["A", "B", "C", "D", "A'", "B'", "C'", "D'",
+                                             "E", "F", "G", "E'", "F'", "G'", "D''"]
 
     def test_primes_are_time_reversals(self):
         named = named_points_4xn(6)
@@ -202,9 +219,9 @@ class TestExtremePointsAndVertices:
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
-            vertices_4xn(3)
+            named_points_4xn(3)
         with pytest.raises(ValueError):
-            intersection_points_4xn(2)
+            named_points_4xn(2)
         with pytest.raises(ValueError, match="4 x N geometry needs N >= 4, got 3"):
             segment_state_4xn(3, 0.5)
         with pytest.raises(ValueError, match="4 x N geometry needs N >= 4, got 3"):
@@ -534,7 +551,7 @@ class TestSegment:
 
     def test_endpoints_are_symmetrizations(self):
         for n in (4, 8):
-            points = intersection_points_4xn(n)
+            points = named_points_4xn(n)
             e_sym = maps.symmetrize(points["E"].beta)
             g_sym = maps.symmetrize(points["G"].beta)
             assert segment_state_4xn(n, 0.0) == e_sym

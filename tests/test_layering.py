@@ -2,8 +2,9 @@
 
 The dense oracle is the independent second route, so it imports none of
 the parameter-space code and only the vector types of states; states holds
-the coordinate rules, the per-state plan and the verdict names, each
-stated once; maps holds the verdicts and sits on states and geometry
+the coordinate rules, the exact weights, the per-state plan and the
+verdict names, each stated once, and geometry scales the 4 x N table in
+one builder; maps holds the verdicts and sits on states and geometry
 alone; checks reads the alpha images through maps.  The package's import
 graph has no cycle, every import sits at module level, and none is unused.
 """
@@ -125,6 +126,35 @@ def test_checks_takes_the_alpha_images_through_maps():
     imported = {alias.name for node in _imports(TREES["checks"])
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert not imported & {name for _, name in banned}, imported
+
+
+def calls(name: str, function: str) -> list[tuple[str, ast.Call]]:
+    """(enclosing top-level function, call) for each call of ``function`` in module ``name``."""
+    out = []
+    for top in TREES[name].body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and function in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                out.append((getattr(top, "name", None), node))
+    return out
+
+
+def test_4xn_table_is_scaled_in_one_place():
+    """The r_K-unit table is read by named_points_4xn alone; every other reader takes its points."""
+    found = [(name, where) for name in TREES for where, _ in calls(name, "_scaled_coords")]
+    assert found == [("geometry", "named_points_4xn")], found
+
+
+def test_weight_radical_is_built_in_states_alone():
+    """No ExactRadical.sqrt outside states._exact_weights reads the dimension n1 n2."""
+    found = [(name, where, call.lineno) for name in TREES
+             for where, call in calls(name, "sqrt")
+             if getattr(call.func, "value", None) is not None
+             and getattr(call.func.value, "id", None) == "ExactRadical"
+             and any(isinstance(node, ast.Attribute) and node.attr == "dim"
+                     for node in ast.walk(call))
+             and (name, where) != ("states", "_exact_weights")]
+    assert not found, found
 
 
 def private_geometry_names(name: str) -> list[str]:

@@ -80,3 +80,28 @@ def test_exact_l_digest_pins_every_entry():
     assert name == "exact-l, 37297 entries, n1 = 2..20, n2 = n1..n1+12"
     assert hashlib.sha256(data).hexdigest() == (
         "4eb7964face5fd6ed9e2795d142e956be2e0721d0fd3c63190094345ab7f85f8")
+
+
+def test_named_4xn_digest_pins_points_and_l():
+    name, data = load()["_named_4xn_digest"]()
+    assert name == "named-4xn, 15 points and L, N = 4..40"
+    assert hashlib.sha256(data).hexdigest() == (
+        "e01d6335f50a5a5330dad286415efcaf78aa5b41b0e6796bf44c2379ea9d9833")
+
+
+def test_command_that_raises_is_recorded_and_the_listing_goes_on(monkeypatch, capsys):
+    script = load()
+
+    def rotinv_main(argv):
+        raise IsADirectoryError(21, "Is a directory", "out")
+
+    # the script's functions read their module globals, not the dict that run_path returns
+    monkeypatch.setitem(script["run"].__globals__, "rotinv_main", rotinv_main)
+    record = json.loads(script["_command"](["sweep", "--n1", "4", "--n2", "5"]))
+    assert record == {"exit": None, "stdout": "", "stderr": "",
+                      "raised": "IsADirectoryError: [Errno 21] Is a directory: 'out'"}
+    assert script["run"](["--quick"]) == 0
+    names = [line.split("  ", 1)[1] for line in capsys.readouterr().out.splitlines()]
+    assert names[-len(script["command_list"](True)):] == [
+        f"rotinv {' '.join(c)}" for c in script["command_list"](True)]
+    assert not any(name.startswith("named-4xn") for name in names)  # full list only

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotinv import wigner
+from rotinv import states, wigner
 from rotinv.geometry import explicit_l_matrix_4xn
 from rotinv.radical import ExactRadical
 from rotinv.states import (
@@ -106,6 +106,16 @@ class TestLMatrix:
                 system = SpinPair(n1, n2)
                 assert (system.norm_weights().tobytes()
                         == build_l_matrix(system).values[0].tobytes()), system
+
+    def test_exact_weights_are_row_zero_and_norm_weights_their_floats(self):
+        # w_J has one exact home; L's row 0 and the float weights agree with it bitwise
+        for n1 in range(2, 21):
+            for n2 in range(n1, n1 + 13):
+                system = SpinPair(n1, n2)
+                weights = states._exact_weights(system)
+                assert weights == build_l_matrix(system).exact[0], system
+                assert (states._norm_weights(system).tobytes()
+                        == np.array([float(w) for w in weights]).tobytes()), system
 
     def test_values_convert_own_entries(self):
         l = explicit_l_matrix_4xn(7)
