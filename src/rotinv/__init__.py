@@ -10,7 +10,6 @@ geometry for 4 x N systems, and a dense-matrix oracle that cross-validates
 every parameter-space operation on small systems.
 """
 
-from .halfint import HalfInt, halfint, halfint_range
 from .radical import ExactRadical
 from .wigner import (
     clebsch_gordan,

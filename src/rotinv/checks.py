@@ -66,8 +66,9 @@ def appendix_sum(systems) -> float:
     """
     def residual(system):
         j1, j2 = system.j1, system.j2
-        total = exact_sum((2 * (2 * k + 1), wigner.six_j(j1, j2, j2 - j1, j2, j1, k),
-                           wigner.six_j(j1, j2, j1 + j2, j2, j1, k))
+        j_min, j_max = j2 - j1, j1 + j2
+        total = exact_sum((2 * (2 * k + 1), wigner.six_j(j1, j2, j_min, j2, j1, k),
+                           wigner.six_j(j1, j2, j_max, j2, j1, k))
                           for k in range(0, system.n1, 2))
         return _exact_residual(total, ExactRadical.from_rational(Fraction(-1, system.n2)))
     return _worst(residual(s) for s in systems)

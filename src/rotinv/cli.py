@@ -8,7 +8,8 @@ sweep      grid-sweep the theta_1-invariant polytope and report the
            Breuer-detected fraction (CSV/JSON)
 verify     run the built-in identity and cross-validation battery
 
-Exit codes: 0 success, 1 verification failure, 2 usage, input or output-file error.
+Exit codes: 0 success, 1 verification failure, 2 usage, input, output-file or
+out-of-memory error.
 Identical configurations (including --seed) produce byte-identical output.
 """
 
@@ -20,12 +21,12 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from . import checks, geometry, maps, states
-from .halfint import HalfInt
 from .states import AlphaVector, BetaVector, SpinPair
 from .wigner import _triangle_ok
 
@@ -226,12 +227,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _orthogonality_cases() -> tuple[tuple[HalfInt, ...], ...]:
-    """The first two admissible J, J' for each a, b, c, d in {0, 1/2, ..., 2}, as HalfInts."""
+def _orthogonality_cases() -> tuple[tuple[Fraction, ...], ...]:
+    """The first two admissible J, J' for each a, b, c, d in {0, 1/2, ..., 2}, as Fractions."""
     cases = []
     for ta, tb, tc, td in itertools.product(range(5), repeat=4):  # doubled spins
         valid = [tj for tj in range(9) if _triangle_ok(ta, tb, tj) and _triangle_ok(tc, td, tj)]
-        cases += [tuple(map(HalfInt, (ta, tb, tc, td, tj, tjp)))
+        cases += [tuple(Fraction(t, 2) for t in (ta, tb, tc, td, tj, tjp))
                   for tj, tjp in itertools.product(valid[:2], repeat=2)]
     return tuple(cases)
 
@@ -377,6 +378,9 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_verify(cfg)
     except (ValueError, OSError) as exc:  # bad input, or an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. a sweep --grid too large to allocate
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
 
 

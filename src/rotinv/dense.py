@@ -30,10 +30,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .halfint import halfint, twice
 from .radical import ExactRadical
 from .states import AlphaVector, BetaVector, SpinPair
-from .wigner import clebsch_gordan, three_j
+from .wigner import clebsch_gordan, three_j, twice
 
 __all__ = [
     "NonInvariantError",
@@ -84,11 +83,12 @@ def coupled_basis(system: SpinPair) -> np.ndarray:
     |j1, j1> (x) |j2, j2|.
     """
     n1, n2 = system.n1, system.n2
-    tj1, tj2 = system.j1.twice, system.j2.twice
+    tj1, tj2 = n1 - 1, n2 - 1
     u = np.zeros((n1 * n2, n1 * n2))
     col = 0
     for j in system.j_values():
-        for tm in range(j.twice, -j.twice - 1, -2):
+        tj = twice(j)
+        for tm in range(tj, -tj - 1, -2):
             for i1 in range(n1):
                 tm1 = tj1 - 2 * i1
                 tm2 = tm - tm1
@@ -98,7 +98,7 @@ def coupled_basis(system: SpinPair) -> np.ndarray:
                 cg = clebsch_gordan(
                     Fraction(tj1, 2), Fraction(tm1, 2),
                     Fraction(tj2, 2), Fraction(tm2, 2),
-                    j.value, Fraction(tm, 2),
+                    j, Fraction(tm, 2),
                 )
                 u[i1 * n2 + i2, col] = float(cg)
             col += 1
@@ -110,8 +110,8 @@ def _projector_cached(system: SpinPair, tj: int) -> np.ndarray:
     u = coupled_basis(system)
     col = 0
     for j in system.j_values():
-        width = j.twice + 1
-        if j.twice == tj:
+        width = twice(j) + 1
+        if width == tj + 1:
             block = u[:, col:col + width]
             return _frozen(block @ block.T)
         col += width
@@ -135,10 +135,10 @@ def tensor_matrix_element(j, m, K, q, mp) -> ExactRadical:
     are Hermitian, rotation invariant, and consistent with the L basis
     change; see the dense-oracle tests.)
     """
-    j, m, K, q, mp = (halfint(x) for x in (j, m, K, q, mp))
-    phase = -1 if ((j.twice - m.twice) // 2) % 2 else 1
+    tj, tm, tK = twice(j), twice(m), twice(K)
+    phase = -1 if ((tj - tm) // 2) % 2 else 1
     symbol = three_j(j, K, j, -m, q, mp)
-    return symbol.scale(phase) * ExactRadical.sqrt(K.twice + 1)
+    return symbol.scale(phase) * ExactRadical.sqrt(tK + 1)
 
 
 def _tensor_matrix(two_j: int, K: int, q: int) -> np.ndarray:
@@ -165,7 +165,7 @@ def invariant_q(system: SpinPair, K: int) -> np.ndarray:
     """
     if not 0 <= K <= system.n1 - 1:
         raise ValueError(f"K must be in 0..{system.n1 - 1}, got {K}")
-    tj1, tj2 = system.j1.twice, system.j2.twice
+    tj1, tj2 = system.n1 - 1, system.n2 - 1
     total = np.zeros((system.dim, system.dim))
     for q in range(-K, K + 1):
         t1 = _tensor_matrix(tj1, K, q)
@@ -199,7 +199,7 @@ def from_alpha(alpha: AlphaVector | Sequence[AlphaVector]) -> np.ndarray:
     sys_ = systems.pop()
     js = sys_.j_values()
     coords = [a.coords for a in alphas]
-    rho = _assemble(sys_, coords, [j.twice + 1 for j in js], [projector(sys_, j) for j in js])
+    rho = _assemble(sys_, coords, [twice(j) + 1 for j in js], [projector(sys_, j) for j in js])
     return rho[0] if isinstance(alpha, AlphaVector) else rho
 
 
@@ -306,7 +306,7 @@ def twirl_alpha(rho: np.ndarray, system: SpinPair) -> AlphaVector:
     on invariant states and preserves separability in general.
     """
     coords = [
-        np.sqrt(system.dim / (j.twice + 1)) * np.trace(projector(system, j) @ rho).real
+        np.sqrt(system.dim / (twice(j) + 1)) * np.trace(projector(system, j) @ rho).real
         for j in system.j_values()
     ]
     return AlphaVector(system, coords)
@@ -333,11 +333,11 @@ class PureProductState:
     @classmethod
     def basis_state(cls, system: SpinPair, m1, m2) -> "PureProductState":
         """|j1, m1> (x) |j2, m2>."""
-        m1, m2 = halfint(m1), halfint(m2)
+        tm1, tm2 = twice(m1), twice(m2)
         a1 = [0.0] * system.n1
         a2 = [0.0] * system.n2
-        a1[(system.j1.twice - m1.twice) // 2] = 1.0
-        a2[(system.j2.twice - m2.twice) // 2] = 1.0
+        a1[(system.n1 - 1 - tm1) // 2] = 1.0
+        a2[(system.n2 - 1 - tm2) // 2] = 1.0
         return cls(system, tuple(a1), tuple(a2))
 
 
@@ -355,8 +355,8 @@ def pi_project(product: PureProductState) -> BetaVector:
     for K in sys_.k_values():
         total = 0.0 + 0.0j
         for q in range(-K, K + 1):
-            t1 = _tensor_matrix(sys_.j1.twice, K, q)
-            t2 = _tensor_matrix(sys_.j2.twice, K, q)
+            t1 = _tensor_matrix(sys_.n1 - 1, K, q)
+            t2 = _tensor_matrix(sys_.n2 - 1, K, q)
             e1 = np.vdot(v1, t1 @ v1)
             e2 = np.vdot(v2, t2 @ v2)
             total += e1 * np.conj(e2)

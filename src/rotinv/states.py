@@ -33,9 +33,8 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .halfint import HalfInt, halfint_range
 from .radical import ExactRadical
-from .wigner import _radicand, _six_j_sum, _tri_sq
+from .wigner import _radicand, _six_j_sum, _tri_sq, twice
 
 __all__ = [
     "SpinPair",
@@ -88,12 +87,12 @@ class SpinPair:
             raise ValueError(f"need n2 >= n1, got ({self.n1}, {self.n2})")
 
     @property
-    def j1(self) -> HalfInt:
-        return HalfInt(self.n1 - 1)
+    def j1(self) -> Fraction:
+        return Fraction(self.n1 - 1, 2)
 
     @property
-    def j2(self) -> HalfInt:
-        return HalfInt(self.n2 - 1)
+    def j2(self) -> Fraction:
+        return Fraction(self.n2 - 1, 2)
 
     @property
     def dim(self) -> int:
@@ -104,9 +103,9 @@ class SpinPair:
         """Whether the Breuer map is a positive map on this system (even n1 >= 4)."""
         return self.n1 % 2 == 0 and self.n1 >= 4
 
-    def j_values(self) -> tuple[HalfInt, ...]:
+    def j_values(self) -> tuple[Fraction, ...]:
         """Total angular momenta j2-j1 .. j1+j2, ascending (n1 values)."""
-        return halfint_range(self.j2 - self.j1, self.j1 + self.j2)
+        return tuple(Fraction(tj, 2) for tj in range(self.n2 - self.n1, self.n1 + self.n2 - 1, 2))
 
     def k_values(self) -> tuple[int, ...]:
         """Tensor ranks 0 .. n1-1."""
@@ -123,7 +122,7 @@ class SpinPair:
 @lru_cache(maxsize=None)
 def _exact_weights(system: SpinPair) -> tuple[ExactRadical, ...]:
     """The exact weights w_J = sqrt((2J+1)/(n1*n2)), ascending J: row 0 of L."""
-    return tuple(ExactRadical.sqrt(Fraction(j.twice + 1, system.dim)) for j in system.j_values())
+    return tuple(ExactRadical.sqrt(Fraction(twice(j) + 1, system.dim)) for j in system.j_values())
 
 
 @lru_cache(maxsize=None)
@@ -325,7 +324,7 @@ def spectrum_from_alpha(alpha: AlphaVector) -> tuple[tuple[float, int], ...]:
     sys_ = alpha.system
     out = []
     for j, a in zip(sys_.j_values(), alpha.coords):
-        mult = j.twice + 1
+        mult = twice(j) + 1
         out.append((a / np.sqrt(sys_.dim * mult), mult))
     return tuple(out)
 

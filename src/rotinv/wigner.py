@@ -6,9 +6,10 @@ selection-rule zeros and the 6-j orthogonality/recoupling identities hold
 exactly, not just to rounding. Phase conventions follow Condon-Shortley as
 in Edmonds, "Angular Momentum in Quantum Mechanics".
 
-Arguments may be ints, half-integer floats/Fractions, or HalfInt.  Tuples
-that violate triangle or projection rules evaluate to exact zero, matching
-the usual mathematical convention.
+Arguments are spins and projections: ints, or half-integer Fractions or
+floats.  :func:`twice` parses each to its doubled int, the one spin parser
+of the package.  Tuples that violate triangle or projection rules evaluate
+to exact zero, matching the usual mathematical convention.
 
 The triangle coefficient has one home, ``_tri_sq``, which returns it as an
 unreduced integer pair; each symbol multiplies its factors as integers and
@@ -24,7 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
-from .halfint import twice
 from .radical import ExactRadical, exact_sum
 
 __all__ = [
@@ -33,7 +33,35 @@ __all__ = [
     "clebsch_gordan",
     "verify_orthogonality_sum",
     "verify_recoupling_sum",
+    "twice",
 ]
+
+
+def twice(x) -> int:
+    """2x as an int for a spin value: an int, or a Fraction or float that is a half-integer.
+
+    Exact ints and Fractions, the types the package passes, are tested first.
+    """
+    kind = type(x)
+    if kind is int:
+        return 2 * x
+    if kind is Fraction or isinstance(x, Fraction):
+        num, den = x._numerator, x._denominator  # the slots: each public property is a call
+        if den == 2:
+            return num
+        if den == 1:
+            return 2 * num
+        raise ValueError(f"{x} is not a half-integer")
+    if isinstance(x, bool):
+        raise TypeError("bool is not a spin value")
+    if isinstance(x, int):
+        return 2 * x
+    if isinstance(x, float):
+        doubled = 2.0 * x
+        if not doubled.is_integer():  # nor is inf or nan
+            raise ValueError(f"{x} is not a half-integer")
+        return int(doubled)
+    raise TypeError(f"cannot interpret {x!r} as a half-integer")
 
 
 def _triangle_ok(ta: int, tb: int, tc: int) -> bool:

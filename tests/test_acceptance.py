@@ -158,7 +158,7 @@ def test_criterion_7_separability_anchors():
                 break
             system = SpinPair(n1, n2)
             prod = dense.PureProductState.basis_state(
-                system, system.j1.value, system.j2.value
+                system, system.j1, system.j2
             )
             beta = dense.pi_project(prod)
             top = geometry.alpha_extreme_points(system)[-1]

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from rotinv import SpinPair, cli
+from rotinv import SpinPair, cli, geometry
 from rotinv.cli import _build_parser, _config_comment, _config_from_args, main
 from rotinv.geometry import sweep_rows
 
@@ -386,6 +386,22 @@ class TestUnwritableOut:
             assert code == 2 and out == ""
             assert err.startswith("error: ") and reason in err and str(path) in err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestOutOfMemory:
+    """A command that cannot allocate its arrays is an input error: exit 2, not a failed check."""
+
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 7.28 TiB for an array", "error: out of memory: Unable to allocate"),
+        ("", "error: out of memory\n"),
+    ])
+    def test_sweep_memory_error_exits_2(self, message, shown, monkeypatch, capsys):
+        def too_large(*args):
+            raise MemoryError(message)
+        monkeypatch.setattr(geometry, "sweep_columns", too_large)
+        code, out, err = run_main(["sweep", "--n1", "6", "--n2", "6", "--grid", "1000000"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(shown) and err.count("\n") == 1
 
 
 class TestTolOption:

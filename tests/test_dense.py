@@ -35,7 +35,7 @@ class TestCoupledBasis:
         for system in (SpinPair(4, 6), SpinPair(6, 6)):
             u = dense.coupled_basis(system)
             # first column of the last J block: |Jmax, Jmax> = |j1 j1>|j2 j2> = e_0
-            col = system.dim - (system.j1.twice + system.j2.twice + 1)
+            col = system.dim - int(2 * (system.j1 + system.j2) + 1)
             vec = u[:, col]
             expected = np.zeros(system.dim)
             expected[0] = 1.0
@@ -58,7 +58,7 @@ class TestProjectors:
             p = dense.projector(system, j)
             assert np.abs(p @ p - p).max() < 1e-12
             assert np.abs(p - p.T).max() < 1e-14
-            assert abs(np.trace(p) - (j.twice + 1)) < 1e-12
+            assert abs(np.trace(p) - int(2 * j + 1)) < 1e-12
             total = total + p
         assert np.abs(total - np.eye(system.dim)).max() < 1e-12
 

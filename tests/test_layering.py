@@ -5,8 +5,9 @@ the parameter-space code and only the vector types of states; states holds
 the coordinate rules, the exact weights, the per-state plan and the
 verdict names, each stated once, and geometry scales the 4 x N table in
 one builder; maps holds the verdicts and sits on states and geometry
-alone; checks reads the alpha images through maps.  The package's import
-graph has no cycle, every import sits at module level, and none is unused.
+alone; checks reads the alpha images through maps.  Spins are Fractions,
+parsed to doubled ints by wigner.twice alone.  The package's import graph
+has no cycle, every import sits at module level, and none is unused.
 """
 
 import ast
@@ -154,6 +155,35 @@ def test_weight_radical_is_built_in_states_alone():
              and any(isinstance(node, ast.Attribute) and node.attr == "dim"
                      for node in ast.walk(call))
              and (name, where) != ("states", "_exact_weights")]
+    assert not found, found
+
+
+def test_twice_is_the_one_spin_parser():
+    """One ``def twice`` in the package, at the top level of wigner."""
+    found = [(name, node.lineno) for name, tree in TREES.items() for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name == "twice"]
+    assert [name for name, _ in found] == ["wigner"] and "twice" in definitions("wigner"), found
+
+
+def test_halfint_is_imported_nowhere():
+    found = [(name, node.lineno) for name in TREES for node in _imports(TREES[name])
+             if "halfint" in (getattr(node, "module", None) or "")
+             or any("halfint" in alias.name for alias in node.names)]
+    assert not found, found
+
+
+def test_no_class_stores_a_doubled_spin():
+    """A spin is held as a Fraction: no class field, attribute store or setattr keeps 2j."""
+    found = []
+    for name, tree in TREES.items():
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            fields = [node.target.id for node in cls.body
+                      if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+            fields += [node.attr for node in ast.walk(cls)
+                       if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)]
+            fields += [node.value for node in ast.walk(cls)
+                       if isinstance(node, ast.Constant) and node.value == "twice"]
+            found += [(name, cls.name, field) for field in fields if "twice" in field]
     assert not found, found
 
 

@@ -504,8 +504,8 @@ class TestTheta1Gate:
             for a, j in enumerate(system.j_values()):
                 for b, jp in enumerate(system.j_values()):
                     symbol = six_j(j1, j2, j, j1, j2, jp)
-                    phase = (-1) ** int((j + jp).value)
+                    phase = (-1) ** int(j + jp)
                     assert verify_recoupling_sum(j1, j2, j2, j1, j, jp) == symbol.scale(phase), \
                         (system, j, jp)
-                    want = sign * float(symbol) * np.sqrt((j.twice + 1) * (jp.twice + 1))
+                    want = sign * float(symbol) * np.sqrt(int((2 * j + 1) * (2 * jp + 1)))
                     assert abs(got[a, b] - want) <= 1e-14, (system, j, jp)

@@ -1,4 +1,4 @@
-"""Exact radical and half-integer arithmetic."""
+"""Exact radical arithmetic and the spin parser."""
 
 import math
 from fractions import Fraction
@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotinv.halfint import HalfInt, halfint, halfint_range, twice
 from rotinv.radical import ExactRadical, exact_sum
-from rotinv.wigner import six_j, verify_orthogonality_sum, verify_recoupling_sum
+from rotinv.wigner import six_j, twice, verify_orthogonality_sum, verify_recoupling_sum
 
 
 rationals = st.fractions(
@@ -20,34 +19,56 @@ nonneg_rationals = st.fractions(
 )
 
 
-class TestHalfInt:
+class TestTwice:
     def test_coercions(self):
-        assert halfint(2).twice == 4
-        assert halfint(0.5).twice == 1
-        assert halfint(Fraction(3, 2)).twice == 3
-        assert halfint(HalfInt(5)) == HalfInt(5)
+        assert twice(2) == 4
+        assert twice(-3) == -6
+        assert twice(0.5) == 1
+        assert twice(-1.5) == -3
+        assert twice(Fraction(3, 2)) == 3
+
+    def test_fractions_take_the_fast_path(self):
+        assert twice(Fraction(7, 2)) == 7
+        assert twice(Fraction(4)) == 8
+        assert twice(Fraction(-5, 2)) == -5
+        assert type(twice(Fraction(7, 2))) is int and type(twice(Fraction(4))) is int
+
+    def test_subclasses_take_the_general_path(self):
+        class Spin(Fraction):
+            pass
+
+        class Rank(int):
+            pass
+
+        assert twice(Spin(3, 2)) == 3 and type(twice(Spin(3, 2))) is int
+        assert twice(Rank(2)) == 4
+        with pytest.raises(ValueError) as err:
+            twice(Spin(1, 4))
+        assert str(err.value) == "1/4 is not a half-integer"
+
+    def test_result_is_an_int(self):
+        for x in (2, -3, 0.5, -1.5, Fraction(3, 2), Fraction(-1, 2), Fraction(0)):
+            assert type(twice(x)) is int
 
     def test_rejects_non_half_integers(self):
         with pytest.raises(ValueError):
-            halfint(0.3)
+            twice(0.3)
         with pytest.raises(ValueError):
-            halfint(Fraction(1, 3))
+            twice(Fraction(1, 3))
         with pytest.raises(TypeError):
-            halfint("1/2")
-
-    def test_twice_is_halfint_twice(self):
-        for x in (2, -3, 0.5, -1.5, Fraction(3, 2), HalfInt(5)):
-            assert twice(x) == halfint(x).twice
-            assert type(twice(x)) is int
+            twice("1/2")
+        with pytest.raises(TypeError):
+            twice(1.0j)
 
     @pytest.mark.parametrize("bad, error, message", [
         (0.25, ValueError, "0.25 is not a half-integer"),
         (True, TypeError, "bool is not a spin value"),
         ("x", TypeError, "cannot interpret 'x' as a half-integer"),
         (Fraction(1, 3), ValueError, "1/3 is not a half-integer"),
+        (Fraction(1, 4), ValueError, "1/4 is not a half-integer"),
     ])
-    def test_twice_raises_what_halfint_raises(self, bad, error, message):
-        for parse in (twice, halfint,
+    def test_messages(self, bad, error, message):
+        for parse in (twice,
                       lambda x: verify_orthogonality_sum(1, 1, 1, 1, 0, x),
                       lambda x: verify_recoupling_sum(x, 1, 1, 1, 0, 0)):
             with pytest.raises(error) as err:
@@ -56,38 +77,10 @@ class TestHalfInt:
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_floats_are_not_half_integers(self, bad):
-        for parse in (halfint, lambda x: six_j(x, 1, 1, 1, 1, 1)):
+        for parse in (twice, lambda x: six_j(x, 1, 1, 1, 1, 1)):
             with pytest.raises(ValueError) as err:
                 parse(bad)
             assert err.type is ValueError and str(err.value) == f"{bad} is not a half-integer"
-
-    def test_arithmetic_and_order(self):
-        assert HalfInt(3) + HalfInt(1) == HalfInt(4)
-        assert HalfInt(3) - 1 == HalfInt(1)
-        assert -HalfInt(3) == HalfInt(-3)
-        assert HalfInt(1) < HalfInt(2)
-        assert str(HalfInt(3)) == "3/2"
-        assert str(HalfInt(4)) == "2"
-
-    def test_range(self):
-        values = halfint_range(0.5, 2.5)
-        assert values == (HalfInt(1), HalfInt(3), HalfInt(5))
-        assert halfint_range(2, 1) == ()
-
-    def test_rejects_non_int_fields_and_bool(self):
-        with pytest.raises(TypeError):
-            HalfInt(1.0)
-        with pytest.raises(TypeError):
-            halfint(True)
-
-    @pytest.mark.parametrize("expr", [
-        lambda h: 1 + h,
-        lambda h: 1 - h,
-        lambda h: abs(h),
-    ], ids=["1 + h", "1 - h", "abs(h)"])
-    def test_no_reflected_or_abs_operators(self, expr):
-        with pytest.raises(TypeError):
-            expr(HalfInt(-3))
 
 
 class TestExactRadical:

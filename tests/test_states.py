@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotinv import states, wigner
-from rotinv.geometry import explicit_l_matrix_4xn
+from rotinv.geometry import explicit_l_matrix_4xn, theta1_polytope
 from rotinv.radical import ExactRadical
 from rotinv.states import (
     AlphaVector,
@@ -44,8 +44,23 @@ class TestSpinPair:
     def test_derived_spins(self):
         s = SpinPair(4, 7)
         assert float(s.j1) == 1.5 and float(s.j2) == 3.0
-        assert [j.twice for j in s.j_values()] == [3, 5, 7, 9]
+        assert [2 * j for j in s.j_values()] == [3, 5, 7, 9]
+        assert {type(j) for j in (s.j1, s.j2, *s.j_values())} == {Fraction}
         assert s.k_values() == (0, 1, 2, 3)
+
+    def test_printed_j_labels(self):
+        """Every J prints as "3/2" or "2" in j_values, alpha labels and theta_1 plane labels."""
+        for n1 in range(2, 13):
+            for n2 in range(n1, n1 + 10):
+                system = SpinPair(n1, n2)
+                want = [f"{tj}/2" if tj % 2 else str(tj // 2)
+                        for tj in range(n2 - n1, n1 + n2 - 1, 2)]
+                assert [str(j) for j in system.j_values()] == want, system
+                alpha = AlphaVector(system, np.zeros(n1))
+                assert [name for name, _ in alpha.labeled()] == [f"J={w}" for w in want], system
+                if n1 % 2 == 0 and n1 >= 4:
+                    assert [plane.label for plane in theta1_polytope(system)] == [
+                        f"alpha[J={w}]=0" for w in want], system
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -94,7 +109,7 @@ class TestLMatrix:
         for system in (SpinPair(2, 2), SpinPair(4, 9), SpinPair(6, 14)):
             l = build_l_matrix(system)
             expected = [
-                ExactRadical.sqrt(Fraction(j.twice + 1, system.dim))
+                ExactRadical.sqrt(Fraction(2 * j + 1, system.dim))
                 for j in system.j_values()
             ]
             assert list(l.exact[0]) == expected
@@ -145,8 +160,8 @@ class TestLMatrix:
         exact = build_l_matrix(system).exact
         for k in system.k_values():
             for idx, j in enumerate(system.j_values()):
-                phase = (-1) ** int((j1 + j2 + j).value)
-                unit = ExactRadical(phase, Fraction((2 * k + 1) * (j.twice + 1)))
+                phase = (-1) ** int(j1 + j2 + j)
+                unit = ExactRadical(phase, Fraction((2 * k + 1) * (2 * j + 1)))
                 assert exact[k][idx] == wigner.six_j(j1, j2, j, j2, j1, k) * unit, \
                     (system, k, j)
 
@@ -205,7 +220,7 @@ class TestStateChecks:
         assert not w.flags.writeable
         with pytest.raises(ValueError):
             w[0] = 0.0
-        expected = [np.sqrt((j.twice + 1) / system.dim) for j in system.j_values()]
+        expected = [np.sqrt(int(2 * j + 1) / system.dim) for j in system.j_values()]
         assert w.tolist() == [float(x) for x in expected]
 
     def test_negative_coordinate_flags(self):
