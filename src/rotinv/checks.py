@@ -51,9 +51,11 @@ def orthogonality_sums(cases) -> float:
     Cases are (a, b, c, d, J, J') tuples.  The sums are compared exactly:
     the residual is 0.0 only if every sum equals its delta exactly.
     """
+    one, zero = ExactRadical.one(), ExactRadical.zero()
+
     def residual(a, b, c, d, j, jp):
         return _exact_residual(wigner.verify_orthogonality_sum(a, b, c, d, j, jp),
-                               ExactRadical.one() if j == jp else ExactRadical.zero())
+                               one if j == jp else zero)
     return _worst(residual(*case) for case in cases)
 
 

@@ -300,7 +300,9 @@ class _CommandParser(argparse.ArgumentParser):
         return namespace, extras
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The rotinv parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="rotinv",
         description="Rotationally invariant bipartite states: classification, "

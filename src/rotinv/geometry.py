@@ -29,11 +29,13 @@ sweeps take the Breuer image's numbers and the class names from states.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from math import comb
+from types import MappingProxyType
 
 import numpy as np
 
@@ -201,8 +203,11 @@ def _exact_point(label: str, system: SpinPair, exact) -> NamedPoint:
     return NamedPoint(label, BetaVector(system, tuple(float(e) for e in exact)), exact)
 
 
-def named_points_4xn(n: int) -> dict[str, NamedPoint]:
+@lru_cache(maxsize=None)
+def named_points_4xn(n: int) -> Mapping[str, NamedPoint]:
     """All labelled 4 x N points, in output order: A..D, A'..D', E..G, E'..G', D''.
+
+    The mapping is cached per N and read-only.
 
     A, B, C, D are the tetrahedron's vertices, the images under L of the
     extreme states with ascending J.  E, F, G with D, D' are the vertices of
@@ -222,7 +227,7 @@ def named_points_4xn(n: int) -> dict[str, NamedPoint]:
         out.update((label + "'", points[label].flipped(label + "'")) for label in labels)
     out["D''"] = _exact_point("D''", system, (ExactRadical.zero() if k % 2 else e
                                               for k, e in enumerate(points["D"].exact)))
-    return out
+    return MappingProxyType(out)
 
 
 @lru_cache(maxsize=None)
@@ -301,10 +306,10 @@ def theta1_polytope(system: SpinPair) -> tuple[Hyperplane, ...]:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _segment_ends(n: int) -> tuple[float, float]:
-    """beta_2 of E'' and G'', the ends of the invariant segment (beta_2 of E and G)."""
+def _segment_ends(n: int) -> tuple[SpinPair, float, float]:
+    """The 4 x N system and beta_2 of E'' and G'', the ends of the invariant segment."""
     named = named_points_4xn(n)
-    return named["E"].beta.coords[2], named["G"].beta.coords[2]
+    return named["E"].system, named["E"].beta.coords[2], named["G"].beta.coords[2]
 
 
 def segment_detection_threshold(n: int) -> float:
@@ -325,8 +330,8 @@ def segment_state_4xn(n: int, t: float) -> BetaVector:
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    e2, g2 = _segment_ends(n)
-    return _beta_from_even(SpinPair(4, n), ((1.0 - t) * e2 + t * g2,))
+    system, e2, g2 = _segment_ends(n)
+    return BetaVector(system, (1.0, 0.0, (1.0 - t) * e2 + t * g2, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +342,24 @@ def segment_state_4xn(n: int, t: float) -> BetaVector:
 # matrix (rows x1, x2, x3, 1; columns D, D', E, E') is
 #     [[3, -3, -1, 1], [1, 1, -1, -1], [1, -1, 3, -3], [1, 1, 1, 1]].
 # Rows of its inverse, times 20, give lambda_D, lambda_D', lambda_E,
-# lambda_E' as linear forms in (x1, x2, x3, 1).
-_HULL_INVERSE_X20 = ((3, 5, 1, 5), (-3, 5, -1, 5), (-1, -5, 3, 5), (1, -5, -3, 5))
+# lambda_E' as linear forms in (x1, x2, x3, 1):
+#     (3, 5, 1, 5), (-3, 5, -1, 5), (-1, -5, 3, 5), (1, -5, -3, 5).
 
 
 def _hull_weights_x20(x) -> list:
-    """20 times the barycentric weights of x = (x1, x2, x3) over D, D', E, E'."""
-    return [sum(c * v for c, v in zip(row, (*x, 1))) for row in _HULL_INVERSE_X20]
+    """20 times the barycentric weights of x = (x1, x2, x3) over D, D', E, E'.
+
+    Each row of the inverse is written out as a left-to-right sum from 0, the
+    float operations of ``sum()`` in Python 3.10 and 3.11.  From 3.12 on a
+    float ``sum()`` is compensated, so the written-out form keeps the bits
+    independent of the Python version.  x may hold floats, float arrays or
+    Fractions.
+    """
+    x1, x2, x3 = x
+    return [0 + 3 * x1 + 5 * x2 + 1 * x3 + 5,
+            0 + -3 * x1 + 5 * x2 + -1 * x3 + 5,
+            0 + -1 * x1 + -5 * x2 + 3 * x3 + 5,
+            0 + 1 * x1 + -5 * x2 + -3 * x3 + 5]
 
 
 def minimal_separable_membership_4xn(beta: BetaVector, tol: float = DEFAULT_TOL) -> bool:
@@ -359,8 +375,9 @@ def minimal_separable_membership_4xn(beta: BetaVector, tol: float = DEFAULT_TOL)
         raise ValueError(f"minimal separable set is only known for n1 = 4, got {sys_.n1}")
     if not _unit_trace(beta.coords[0], max(tol, TRACE_TOL)):
         return False
-    x = [c / r for c, r in zip(beta.coords[1:], _radial_unit_floats(sys_.n2))]
-    return min(_hull_weights_x20(x)) / 20 >= -tol
+    _, c1, c2, c3 = beta.coords
+    r1, r2, r3 = _radial_unit_floats(sys_.n2)
+    return min(_hull_weights_x20((c1 / r1, c2 / r2, c3 / r3))) / 20 >= -tol
 
 
 def _separable_mask_4xn(n: int, beta2: np.ndarray, tol: float) -> np.ndarray:
@@ -499,8 +516,9 @@ def _ray_step(system: SpinPair) -> Fraction:
     return Fraction(system.dim, 4 * comb(system.n1 + system.n2 - 2, system.n1 - 1))
 
 
+@lru_cache(maxsize=None)
 def find_detected_invariant_state(system: SpinPair) -> BetaVector | None:
-    """A theta_1-invariant PPT state beyond Gamma that the Breuer map detects.
+    """A theta_1-invariant PPT state beyond Gamma that the Breuer map detects, cached per system.
 
     Takes x_s = (1+s) x_D on the ray from the maximally mixed state through
     D~'', s = :func:`_ray_step`.  D~'' reads off the theta_1 column

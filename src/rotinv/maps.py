@@ -17,9 +17,12 @@ the image certifies entanglement (possibly bound) for even n1 >= 4.
 
 This module holds the verdicts and the public maps; the coordinate rules,
 the per-system plan and the verdict names live in :mod:`rotinv.states`.
-The maps wrap a rule's coordinates in a BetaVector; :func:`classify`,
-:func:`is_ppt` and :func:`breuer_detects` make one plan lookup per call and
-take each alpha image as one product.  The 4 x N separable rule is
+The Breuer image's scale (the factor -2 at even K >= 2) and its reset
+entries (the trace at K = 0, 0.0 at odd K) are fields of that plan, so the
+image is one scaled copy of the coordinate array.  The maps wrap a rule's
+coordinates in a BetaVector; :func:`classify`, :func:`is_ppt` and
+:func:`breuer_detects` make one plan lookup per call and take each alpha
+image as one product.  The 4 x N separable rule is
 ``geometry.minimal_separable_membership_4xn``.
 """
 
@@ -74,7 +77,9 @@ def breuer_map(beta: BetaVector) -> BetaVector:
     Their trace n1-2 vanishes for n1 = 2; they depend on the input only
     through its theta_1-symmetrization.
     """
-    return BetaVector(beta.system, _breuer_coords(beta.coords))
+    plan = _plan(beta.system)
+    return BetaVector(beta.system, _breuer_coords(beta.as_array(), plan.breuer_scale,
+                                                  plan.breuer_reset))
 
 
 def breuer_detects(beta: BetaVector, tol: float = DEFAULT_TOL) -> bool:
@@ -90,7 +95,8 @@ def breuer_detects(beta: BetaVector, tol: float = DEFAULT_TOL) -> bool:
         raise BreuerNotApplicableError(
             f"Breuer criterion needs even n1 >= 4, got n1 = {beta.system.n1}"
         )
-    return min((plan.lt @ np.array(_breuer_coords(beta.coords))).tolist()) < -tol
+    image = _breuer_coords(beta.as_array(), plan.breuer_scale, plan.breuer_reset)
+    return min((plan.lt @ image).tolist()) < -tol
 
 
 def is_ppt(beta: BetaVector, tol: float = DEFAULT_TOL) -> bool:
@@ -145,16 +151,17 @@ def classify(beta: BetaVector, tol: float = DEFAULT_TOL) -> Classification:
     known separable set stay PptUndetermined: the Breuer criterion is not
     known to be sufficient, so "undetected" is never reported as separable.
 
-    Works on the coordinate tuple and the system's plan: alpha and the
-    theta_1 image's alpha are L^T and the theta_1 matrix times one array,
-    the Breuer image's alpha is L^T times its coordinate list.  Minima are
-    Python ``min`` over the floats, as over an AlphaVector (a 0.0/-0.0 tie
-    keeps the first); the state test reads that minimum.  The record skips
-    the frozen ``__init__`` and its per-field ``object.__setattr__``.
+    Works on one coordinate array and the system's plan: alpha and the
+    theta_1 image's alpha are L^T and the theta_1 matrix times the array,
+    the Breuer image's alpha is L^T times the array scaled and reset by the
+    plan's ``breuer_scale`` and ``breuer_reset``.  Minima are Python ``min``
+    over the floats, as over an AlphaVector (a 0.0/-0.0 tie keeps the
+    first); the state test reads that minimum.  The record skips the frozen
+    ``__init__`` and its per-field ``object.__setattr__``.
     """
-    sys_, coords = beta.system, beta.coords
-    lt, lt_theta1, weights, breuer_applicable = _plan(sys_)
-    c = np.array(coords)
+    sys_ = beta.system
+    lt, lt_theta1, weights, breuer_applicable, breuer_scale, breuer_reset = _plan(sys_)
+    c = np.array(beta.coords)
     alpha = lt @ c
     min_alpha = min(alpha.tolist())
     is_state = abs(float(weights @ alpha) - 1.0) <= tol and min_alpha >= -tol
@@ -164,7 +171,7 @@ def classify(beta: BetaVector, tol: float = DEFAULT_TOL) -> Classification:
     detected: bool | None = None
     min_breuer: float | None = None
     if breuer_applicable:
-        min_breuer = min((lt @ np.array(_breuer_coords(coords))).tolist())
+        min_breuer = min((lt @ _breuer_coords(c, breuer_scale, breuer_reset)).tolist())
         detected = min_breuer < -tol
 
     separable = False

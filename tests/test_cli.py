@@ -456,6 +456,23 @@ class TestEntryPoint:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
 
+    def test_reused_parser_prints_what_a_fresh_process_prints(self, monkeypatch, capsys):
+        """The parser is built once per process; usage errors leave it as a fresh one."""
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text at this width
+        runs = [(["classify", "--n1", "4"], 2), (["verify", "--tol", "1e-8"], 2),
+                (["classify", "--n1", "4", "--n2", "4", "--beta", "1,0,0,0"], 0)]
+        for argv, code in runs:
+            try:
+                got = main(argv)
+            except SystemExit as exc:
+                got = exc.code
+            captured = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "rotinv.cli", *argv],
+                                   capture_output=True, text=True)
+            assert got == fresh.returncode == code, argv
+            assert (captured.out, captured.err) == (fresh.stdout, fresh.stderr), argv
+        assert cli._build_parser() is cli._build_parser()
+
     def test_usage_error_exit_2(self):
         result = subprocess.run(
             [sys.executable, "-m", "rotinv.cli", "classify", "--n1", "4"],

@@ -7,13 +7,19 @@ units), and compares the vertex set with the closed forms.
 """
 
 import dataclasses
+import functools
+import operator
 import random
+import struct
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotinv import geometry, maps, wigner
 from rotinv.geometry import (
@@ -210,6 +216,14 @@ class TestExtremePointsAndVertices:
     def test_points_come_in_output_order(self):
         assert list(named_points_4xn(5)) == ["A", "B", "C", "D", "A'", "B'", "C'", "D'",
                                              "E", "F", "G", "E'", "F'", "G'", "D''"]
+
+    def test_points_are_one_read_only_mapping_per_n(self):
+        named = named_points_4xn(7)
+        assert named_points_4xn(7) is named
+        with pytest.raises(TypeError):
+            named["D"] = named["E"]
+        with pytest.raises(TypeError):
+            del named["D"]
 
     def test_primes_are_time_reversals(self):
         named = named_points_4xn(6)
@@ -582,6 +596,29 @@ class TestSegment:
         assert abs(0.5 * (lo + hi) - segment_detection_threshold(n)) < 1e-9
 
 
+# the inverse vertex matrix that _hull_weights_x20 writes out, row by row
+HULL_INVERSE_X20 = ((3, 5, 1, 5), (-3, 5, -1, 5), (-1, -5, 3, 5), (1, -5, -3, 5))
+
+
+def _left_fold(terms):
+    return functools.reduce(operator.add, terms, 0)
+
+
+def sum_form_weights(x):
+    """The weights as sums of c * v over each row and (x1, x2, x3, 1), per summation route.
+
+    A left fold from 0 on every Python; ``sum()`` too before 3.12, where its
+    float sum is that fold (3.12 compensates it).
+    """
+    totals = [_left_fold] + ([sum] if sys.version_info < (3, 12) else [])
+    return [[total(c * v for c, v in zip(row, (*x, 1))) for row in HULL_INVERSE_X20]
+            for total in totals]
+
+
+def float_bytes(values) -> list[bytes]:
+    return [struct.pack("<d", v) for v in values]
+
+
 class TestMinimalSeparableSet:
     def test_vertices_and_midpoint_belong(self):
         named = named_points_4xn(6)
@@ -616,6 +653,31 @@ class TestMinimalSeparableSet:
             for idx, label in enumerate(("D", "D'", "E", "E'")):
                 weights = geometry._hull_weights_x20(scaled(named[label]))
                 assert weights == [20 * (i == idx) for i in range(4)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(width=64), min_size=3, max_size=3))
+    def test_written_out_weights_equal_the_sum_form_on_floats(self, x):
+        for weights in sum_form_weights(x):
+            assert float_bytes(geometry._hull_weights_x20(x)) == float_bytes(weights)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.floats(width=64), min_size=4, max_size=4),
+                    min_size=3, max_size=3),
+           st.sampled_from([(0, 1, 2), (1,)]))
+    def test_written_out_weights_equal_the_sum_form_on_arrays(self, rows, as_array):
+        # (1,) is the sweep mask's shape: floats beside one beta_2 array
+        x = [np.array(row) if k in as_array else row[0] for k, row in enumerate(rows)]
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = geometry._hull_weights_x20(x)
+            for weights in sum_form_weights(x):
+                assert [w.tobytes() for w in got] == [w.tobytes() for w in weights]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.fractions(), min_size=3, max_size=3))
+    def test_written_out_weights_equal_the_sum_form_on_fractions(self, x):
+        for weights in sum_form_weights(x):
+            got = geometry._hull_weights_x20(x)
+            assert got == weights and all(type(w) is Fraction for w in got)
 
     def test_wrong_system_rejected(self):
         beta = alpha_to_beta(maximally_mixed(SpinPair(6, 6)))

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -365,6 +366,41 @@ def fused_betas(draw) -> BetaVector:
     head = draw(st.just(1.0) | coord)
     return BetaVector(SpinPair(n1, n2), [head, *draw(st.lists(coord, min_size=n1 - 1,
                                                               max_size=n1 - 1))])
+
+
+def list_breuer_coords(coords) -> list[float]:
+    """The Breuer image as a list, one Python product per even K >= 2: the reference."""
+    if not abs(coords[0] - 1.0) <= TRACE_TOL:
+        raise ValueError(f"breuer_map needs a normalized input (beta_0 = 1), got {coords[0]}")
+    trace, factor = states._breuer_rule(len(coords))
+    return [float(trace)] + [0.0 if k % 2 else factor * coords[k] for k in range(1, len(coords))]
+
+
+class TestBreuerImageArray:
+    """The Breuer image is the coordinate array times the plan's scale, K = 0 and odd K reset."""
+
+    @pytest.mark.parametrize("n1, n2", FUSED_SYSTEMS)
+    def test_equals_the_list_form_bitwise(self, n1, n2):
+        system = SpinPair(n1, n2)
+        plan = states._plan(system)
+        scale, reset = plan.breuer_scale, plan.breuer_reset
+        assert not any(array.flags.writeable for array in (scale, *reset))
+        base = [1.0] + [0.5 / k for k in range(1, n1)]
+        for value in (0.0, -0.0, float("inf"), float("-inf"), float("nan")):
+            for k in range(n1):
+                coords = tuple(base[:k] + [value] + base[k + 1:])
+                try:
+                    want = np.array(list_breuer_coords(coords)).tobytes()
+                except ValueError as err:
+                    with pytest.raises(ValueError, match=re.escape(str(err))):
+                        states._breuer_coords(np.array(coords), scale, reset)
+                    continue
+                with warnings.catch_warnings():  # no nan is formed, so numpy stays silent
+                    warnings.simplefilter("error")
+                    got = states._breuer_coords(np.array(coords), scale, reset)
+                    mapped = breuer_map(BetaVector(system, coords))
+                assert got.dtype == np.float64 and got.tobytes() == want, (system, k, value)
+                assert np.array(mapped.coords).tobytes() == want, (system, k, value)
 
 
 class TestClassifyFromCoordinates:
