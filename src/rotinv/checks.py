@@ -117,17 +117,17 @@ def named_points(ns, boundary=("E", "F", "G")) -> float:
 def segment_threshold(ns) -> float:
     """Where Breuer detection flips along the 4 x N segment E''G'' against t*.
 
-    The flip is found by 60 bisection steps on [0, 1].
+    The flip is found by bisection on [0, 1], until lo and hi are adjacent floats.
     """
     def residual(n):
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
+        lo, mid, hi = 0.0, 0.5, 1.0
+        while lo < mid < hi:
             if maps.breuer_detects(geometry.segment_state_4xn(n, mid)):
                 hi = mid
             else:
                 lo = mid
-        return abs(0.5 * (lo + hi) - geometry.segment_detection_threshold(n))
+            mid = 0.5 * (lo + hi)
+        return abs(mid - geometry.segment_detection_threshold(n))
     return _worst(residual(n) for n in ns)
 
 

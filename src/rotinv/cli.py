@@ -116,7 +116,8 @@ def cmd_classify(cfg: RunConfig) -> int:
     if not states._unit_trace(trace):
         raise ValueError(f"the {cfg.basis} coordinates given have trace {trace!r}, but a "
                          "state needs sum_J sqrt((2J+1)/(n1 n2)) alpha_J = 1")
-    result = maps.classify(beta, cfg.tol)
+    with np.errstate(over="ignore"):  # a huge coordinate's Breuer image overflows to inf
+        result = maps.classify(beta, cfg.tol)
     report = {"config": cfg.echo(), "input": beta.to_json_dict()}
     report.update(result.to_json_dict())
     _write(cfg.out, json.dumps(report, indent=2) + "\n")

@@ -8,7 +8,8 @@ an operator or of a pure product state.  The methods here are deliberately
 different from the exact parameter-space path (floating linear algebra vs.
 exact radicals), so agreement between the two is a genuine two-route check
 rather than a tautology; to keep it one, this module imports no
-parameter-space module (``maps``, ``geometry``).
+parameter-space module (``maps``, ``geometry``).  Its symbols come from
+``wigner``'s doubled-int kernels, and each T_{K,q} is built once, read-only.
 
 Operators are complex (d, d) arrays, d = n1*n2.  ``partial_transpose_1``,
 ``theta1``, ``breuer_phi1``, ``spectrum`` and ``extract_beta`` also take a
@@ -32,7 +33,7 @@ import numpy as np
 
 from .radical import ExactRadical
 from .states import AlphaVector, BetaVector, SpinPair
-from .wigner import clebsch_gordan, three_j, twice
+from .wigner import _clebsch_gordan, _three_j, twice
 
 __all__ = [
     "NonInvariantError",
@@ -91,16 +92,11 @@ def coupled_basis(system: SpinPair) -> np.ndarray:
         for tm in range(tj, -tj - 1, -2):
             for i1 in range(n1):
                 tm1 = tj1 - 2 * i1
-                tm2 = tm - tm1
-                if abs(tm2) > tj2 or (tj2 - tm2) % 2:
+                tm2 = tm - tm1  # tj2 - tm2 = (tj1 + tj2 - tm) - 2 i1 is even
+                if abs(tm2) > tj2:
                     continue
                 i2 = (tj2 - tm2) // 2
-                cg = clebsch_gordan(
-                    Fraction(tj1, 2), Fraction(tm1, 2),
-                    Fraction(tj2, 2), Fraction(tm2, 2),
-                    j, Fraction(tm, 2),
-                )
-                u[i1 * n2 + i2, col] = float(cg)
+                u[i1 * n2 + i2, col] = float(_clebsch_gordan(tj1, tj2, tj, tm1, tm2, tm))
             col += 1
     return _frozen(u)
 
@@ -135,14 +131,18 @@ def tensor_matrix_element(j, m, K, q, mp) -> ExactRadical:
     are Hermitian, rotation invariant, and consistent with the L basis
     change; see the dense-oracle tests.)
     """
-    tj, tm, tK = twice(j), twice(m), twice(K)
+    return _tensor_element(*map(twice, (j, m, K, q, mp)))
+
+
+def _tensor_element(tj: int, tm: int, tK: int, tq: int, tmp: int) -> ExactRadical:
+    """:func:`tensor_matrix_element` on doubled ints."""
     phase = -1 if ((tj - tm) // 2) % 2 else 1
-    symbol = three_j(j, K, j, -m, q, mp)
-    return symbol.scale(phase) * ExactRadical.sqrt(tK + 1)
+    return _three_j(tj, tK, tj, -tm, tq, tmp).scale(phase) * ExactRadical.sqrt(tK + 1)
 
 
+@lru_cache(maxsize=None)
 def _tensor_matrix(two_j: int, K: int, q: int) -> np.ndarray:
-    """Dense T_{K,q} for spin j, rows/cols ordered m = j, j-1, ..., -j."""
+    """Dense T_{K,q} for spin j, rows/cols ordered m = j, j-1, ..., -j; read-only."""
     dim = two_j + 1
     out = np.zeros((dim, dim))
     for r in range(dim):
@@ -150,11 +150,8 @@ def _tensor_matrix(two_j: int, K: int, q: int) -> np.ndarray:
         tmp = tm - 2 * q  # selection rule q = m - m'
         if abs(tmp) > two_j:
             continue
-        c = (two_j - tmp) // 2
-        out[r, c] = float(
-            tensor_matrix_element(Fraction(two_j, 2), Fraction(tm, 2), K, q, Fraction(tmp, 2))
-        )
-    return out
+        out[r, (two_j - tmp) // 2] = float(_tensor_element(two_j, tm, 2 * K, 2 * q, tmp))
+    return _frozen(out)
 
 
 @lru_cache(maxsize=None)

@@ -150,6 +150,8 @@ def classify(beta: BetaVector, tol: float = DEFAULT_TOL) -> Classification:
     > KnownSeparable > PptUndetermined.  Undetected PPT states outside the
     known separable set stay PptUndetermined: the Breuer criterion is not
     known to be sufficient, so "undetected" is never reported as separable.
+    Input off the trace condition (beta_0 != 1) is NotAState, except where the
+    Breuer map applies (even n1 >= 4): there it raises the ``breuer_map`` ValueError.
 
     Works on one coordinate array and the system's plan: alpha and the
     theta_1 image's alpha are L^T and the theta_1 matrix times the array,

@@ -35,7 +35,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .radical import ExactRadical
-from .wigner import _radicand, _six_j_sum, _tri_sq, twice
+from .wigner import _six_j_sum, _symbol, _tri_sq, twice
 
 __all__ = [
     "SpinPair",
@@ -249,7 +249,7 @@ def build_l_matrix(system: SpinPair) -> LMatrix:
     L[K, J]**2 = A_J B_K S**2, where A_J = Delta(j1 j2 J)**2 (2J+1) and
     B_K = Delta(j1 j1 K) Delta(j2 j2 K) (2K+1).  A_J is worked out once per
     column and B_K once per row, as integer pairs; each entry then takes one
-    Racah sum and reduces one Fraction.
+    Racah sum, which ``wigner._symbol`` turns into a radical with one gcd.
     """
     tj1, tj2 = system.n1 - 1, system.n2 - 1
     columns = []
@@ -264,10 +264,8 @@ def build_l_matrix(system: SpinPair) -> LMatrix:
         row = []
         for tj, phase, a_num, a_den in columns:
             # the Racah sum alone, not the six_j memo: L is the only store of its symbols
-            s = _six_j_sum(tj1, tj2, tj, tj2, tj1, tk)
-            row.append(ExactRadical(phase if s.numerator > 0 else -phase,
-                                    _radicand(a_num * b_num, a_den * b_den, s))
-                       if s else ExactRadical.zero())
+            row.append(_symbol(phase, a_num * b_num, a_den * b_den,
+                               _six_j_sum(tj1, tj2, tj, tj2, tj1, tk)))
         rows.append(tuple(row))
     return LMatrix(system, tuple(rows))
 

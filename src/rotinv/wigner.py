@@ -7,16 +7,16 @@ exactly, not just to rounding. Phase conventions follow Condon-Shortley as
 in Edmonds, "Angular Momentum in Quantum Mechanics".
 
 Arguments are spins and projections: ints, or half-integer Fractions or
-floats.  :func:`twice` parses each to its doubled int, the one spin parser
-of the package.  Tuples that violate triangle or projection rules evaluate
-to exact zero, matching the usual mathematical convention.
+floats.  Each public function parses them once, by :func:`twice` (the one
+spin parser of the package), into the doubled ints its kernel takes.  Tuples
+that violate triangle or projection rules evaluate to exact zero, as usual.
 
-The triangle coefficient has one home, ``_tri_sq``, which returns it as an
-unreduced integer pair; each symbol multiplies its factors as integers and
-reduces one ``Fraction`` (``_radicand``).  ``states.build_l_matrix`` reads
-``_tri_sq`` to work out L's triangle factors once per row and once per
-column and calls ``_six_j_sum`` per entry, so L is the only store of its
-symbols; the memo ``_six_j`` serves :func:`six_j` and the sums.
+The triangle coefficient has one home, ``_tri_sq`` (an unreduced integer
+pair), and ``_symbol`` alone turns a Racah sum and its prefactor into an
+``ExactRadical``, with one gcd.  ``states.build_l_matrix`` reads ``_tri_sq``
+for L's triangle factors once per row and once per column and takes one
+``_six_j_sum`` per entry, so L is the only store of its symbols; the memo
+``_six_j`` serves :func:`six_j` and the sums.
 """
 
 from __future__ import annotations
@@ -86,9 +86,13 @@ def _tri_sq(ta: int, tb: int, tc: int) -> tuple[int, int]:
             * factorial((-ta + tb + tc) // 2), factorial((ta + tb + tc) // 2 + 1))
 
 
-def _radicand(num: int, den: int, total: Fraction) -> Fraction:
-    """num/den * total**2 in lowest terms, with a single gcd."""
-    return Fraction(num * total.numerator ** 2, den * total.denominator ** 2)
+def _symbol(sign: int, num: int, den: int, total: Fraction) -> ExactRadical:
+    """sign * sgn(total) * sqrt(num/den * total**2), reduced with one gcd; zero if total is 0."""
+    top = total.numerator
+    if not top:
+        return ExactRadical.zero()
+    return ExactRadical(sign if top > 0 else -sign,
+                        Fraction(num * top ** 2, den * total.denominator ** 2))
 
 
 def _racah_sum(lows: tuple[int, ...], highs: tuple[int, ...], rising: int) -> Fraction:
@@ -118,14 +122,10 @@ def _three_j(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) -> Exac
     # all doubled differences below are even by the parity checks
     total = _racah_sum((0, (tj2 - tj3 - tm1) // 2, (tj1 - tj3 + tm2) // 2),
                        ((tj1 + tj2 - tj3) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2), 0)
-    if total == 0:
-        return ExactRadical.zero()
-
     num, den = _tri_sq(tj1, tj2, tj3)
     for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3)):
         num *= factorial((tj + tm) // 2) * factorial((tj - tm) // 2)
-    sign = _phase(tj1 - tj2 - tm3) * (1 if total > 0 else -1)
-    return ExactRadical(sign, _radicand(num, den, total))
+    return _symbol(_phase(tj1 - tj2 - tm3), num, den, total)
 
 
 def _six_j_sum(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> Fraction:
@@ -143,15 +143,11 @@ def _racah_six_j(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> ExactR
         if not _triangle_ok(*tri):
             return ExactRadical.zero()
 
-    total = _six_j_sum(ta, tb, tc, td, te, tf)
-    if total == 0:
-        return ExactRadical.zero()
-
     num = den = 1
     for tri in triads:
         n, d = _tri_sq(*tri)
         num, den = num * n, den * d
-    return ExactRadical(1 if total > 0 else -1, _radicand(num, den, total))
+    return _symbol(1, num, den, _six_j_sum(ta, tb, tc, td, te, tf))
 
 
 _six_j = lru_cache(maxsize=None)(_racah_six_j)
@@ -173,7 +169,11 @@ def clebsch_gordan(j1, m1, j2, m2, J, M) -> ExactRadical:
     Related to the 3-j symbol by
     <j1 m1; j2 m2 | J M> = (-1)**(j1-j2+M) sqrt(2J+1) (j1 j2 J; m1 m2 -M).
     """
-    tj1, tj2, tJ, tm1, tm2, tM = map(twice, (j1, j2, J, m1, m2, M))
+    return _clebsch_gordan(*map(twice, (j1, j2, J, m1, m2, M)))
+
+
+def _clebsch_gordan(tj1: int, tj2: int, tJ: int, tm1: int, tm2: int, tM: int) -> ExactRadical:
+    """:func:`clebsch_gordan` on doubled ints, in the 3-j order (j1 j2 J; m1 m2 M)."""
     symbol = _three_j(tj1, tj2, tJ, tm1, tm2, -tM)
     if symbol.is_zero:
         return symbol

@@ -7,7 +7,7 @@ from itertools import groupby
 import numpy as np
 import pytest
 
-from rotinv import checks, cli, dense, geometry
+from rotinv import checks, cli, dense, geometry, maps
 from rotinv.states import DEFAULT_TOL, LMatrix, SpinPair, build_l_matrix
 
 
@@ -90,3 +90,30 @@ def test_dense_equivalence_on_interleaved_systems_is_the_max_of_single_states():
     single = max(checks.dense_equivalence([a]) for a in alphas)
     assert checks.dense_equivalence(interleaved) == single
     assert checks.dense_equivalence(alphas) == single
+
+
+def test_segment_bisection_ends_where_sixty_steps_end(monkeypatch):
+    """The bisection tests no point twice and ends on the bracket of 60 fixed steps."""
+    def sixty_steps(n):
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if maps.breuer_detects(geometry.segment_state_4xn(n, mid)):
+                hi = mid
+            else:
+                lo = mid
+        return abs(0.5 * (lo + hi) - geometry.segment_detection_threshold(n))
+
+    tested, segment_state_4xn = [], geometry.segment_state_4xn
+
+    def segment_state(n, t):
+        tested.append(t)
+        return segment_state_4xn(n, t)
+
+    for n in range(4, 61):
+        want = sixty_steps(n)
+        tested.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(checks.geometry, "segment_state_4xn", segment_state)
+            assert checks.segment_threshold([n]) == want, n
+        assert len(set(tested)) == len(tested) <= 60, n

@@ -131,6 +131,15 @@ class TestClassify:
         )
         assert code == 2
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_coordinate_prints_no_warning(self, capsys):
+        # the Breuer image of beta_2 = 1e308 overflows to inf without a warning
+        code, out, err = run_main(
+            ["classify", "--n1", "4", "--n2", "4", "--beta", "1,0,1e308,0"], capsys)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "84d46b4668bbfd8661ed9977812ef46d81538274b9c86a05428e2ab2a4fc9b66")
+
 
 class TestGeometry:
     def test_4xn_rows(self, capsys):

@@ -1,5 +1,7 @@
 """Dense-matrix oracle: algebraic identities and parameter-space equivalence."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from rotinv.states import (
     build_l_matrix,
     maximally_mixed,
 )
+from rotinv.wigner import clebsch_gordan
 
 SMALL = [SpinPair(2, 2), SpinPair(4, 4), SpinPair(4, 6), SpinPair(6, 6), SpinPair(6, 8)]
 
@@ -108,6 +111,71 @@ class TestTensorOperators:
     def test_invalid_k_rejected(self):
         with pytest.raises(ValueError):
             dense.invariant_q(SpinPair(4, 4), 4)
+
+
+def public_coupled_basis(system):
+    """The coupled basis through the public clebsch_gordan on Fraction spins."""
+    n1, n2 = system.n1, system.n2
+    j1, j2 = Fraction(n1 - 1, 2), Fraction(n2 - 1, 2)
+    u = np.zeros((system.dim, system.dim))
+    col = 0
+    for j in system.j_values():
+        for big_m in (j - i for i in range(int(2 * j) + 1)):
+            for i1 in range(n1):
+                for i2 in range(n2):
+                    if j1 - i1 + j2 - i2 == big_m:
+                        u[i1 * n2 + i2, col] = float(
+                            clebsch_gordan(j1, j1 - i1, j2, j2 - i2, j, big_m))
+            col += 1
+    return u
+
+
+def public_tensor_matrix(n, k, q):
+    """T_{K,q} through the public tensor_matrix_element on Fraction spins, every entry."""
+    j = Fraction(n - 1, 2)
+    return np.array([[float(dense.tensor_matrix_element(j, j - r, k, q, j - c))
+                      for c in range(n)] for r in range(n)])
+
+
+def public_invariant_q(system, k):
+    total = np.zeros((system.dim, system.dim))
+    for q in range(-k, k + 1):
+        total += np.kron(public_tensor_matrix(system.n1, k, q),
+                         public_tensor_matrix(system.n2, k, q).T)
+    return total
+
+
+class TestDoubledIntRoute:
+    """The oracle's doubled-int kernels against the public Fraction-valued route."""
+
+    @pytest.mark.parametrize("system", [SpinPair(n1, n2) for n1 in range(2, 7)
+                                        for n2 in range(n1, n1 + 4)], ids=str)
+    def test_matrices_equal_the_public_route_bytewise(self, system):
+        assert dense.coupled_basis(system).tobytes() == public_coupled_basis(system).tobytes()
+        for k in system.k_values():
+            assert (dense.invariant_q(system, k).tobytes()
+                    == public_invariant_q(system, k).tobytes()), k
+
+    def test_tensor_matrix_is_one_read_only_array_per_key(self):
+        keys = [(two_j, k, q) for two_j in range(1, 8) for k in range(two_j + 1)
+                for q in range(-k, k + 1)]
+        arrays = {key: dense._tensor_matrix(*key) for key in keys}
+        for key, arr in arrays.items():
+            assert dense._tensor_matrix(*key) is arr
+            assert not arr.flags.writeable
+        assert len({id(arr) for arr in arrays.values()}) == len(keys)
+
+    def test_public_functions_parse_in_their_argument_order(self):
+        # the first bad spin, in the order each function parses, names the error
+        with pytest.raises(ValueError, match=r"^1/3 is not a half-integer$"):
+            dense.tensor_matrix_element(1.5, Fraction(1, 3), 1, 0.25, Fraction(1, 5))
+        with pytest.raises(ValueError, match=r"^0.25 is not a half-integer$"):
+            dense.tensor_matrix_element(1.5, 0.5, 1, 0.25, Fraction(1, 5))
+        # clebsch_gordan parses j1, j2, J before m1, m2, M
+        with pytest.raises(ValueError, match=r"^1/4 is not a half-integer$"):
+            clebsch_gordan(0.5, Fraction(1, 3), Fraction(1, 4), 0.5, 1, 1)
+        with pytest.raises(TypeError, match="bool is not a spin value"):
+            clebsch_gordan(0.5, 0.5, 0.5, 0.5, True, 0.3)
 
 
 class TestAssembleExtract:

@@ -6,7 +6,8 @@ the coordinate rules, the exact weights, the per-state plan and the
 verdict names, each stated once, and geometry scales the 4 x N table in
 one builder; maps holds the verdicts and sits on states and geometry
 alone; checks reads the alpha images through maps.  Spins are Fractions,
-parsed to doubled ints by wigner.twice alone.  The package's import graph
+parsed to doubled ints by wigner.twice alone; wigner._symbol assembles
+every symbol, and the oracle enters wigner's kernels on doubled ints.  The package's import graph
 has no cycle, every import sits at module level, and none is unused.
 """
 
@@ -185,6 +186,32 @@ def test_no_class_stores_a_doubled_spin():
                        if isinstance(node, ast.Constant) and node.value == "twice"]
             found += [(name, cls.name, field) for field in fields if "twice" in field]
     assert not found, found
+
+
+def test_radicand_is_defined_nowhere():
+    """wigner._symbol is the one assembler of a symbol; the radicand helper is gone."""
+    found = [(name, node.lineno) for name, tree in TREES.items() for node in ast.walk(tree)
+             if getattr(node, "name", None) == "_radicand"
+             or getattr(node, "id", None) == "_radicand"]
+    assert not found, found
+
+
+def test_build_l_matrix_assembles_no_radical_itself():
+    """Each L entry is formed by wigner._symbol: build_l_matrix calls no ExactRadical(...)."""
+    assert not [call.lineno for where, call in calls("states", "ExactRadical")
+                if where == "build_l_matrix"]
+    assert [where for where, _ in calls("states", "_symbol")] == ["build_l_matrix"]
+
+
+def test_dense_enters_wigner_on_doubled_ints():
+    """The oracle imports no public, spin-parsing Wigner function."""
+    names = {alias.name for node in _imports(TREES["dense"])
+             if isinstance(node, ast.ImportFrom) and node.module in ("wigner", "rotinv.wigner")
+             for alias in node.names}
+    assert not names & {"three_j", "six_j", "clebsch_gordan"}, names
+    reads = {node.attr for node in ast.walk(TREES["dense"])
+             if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "wigner"}
+    assert not reads & {"three_j", "six_j", "clebsch_gordan"}, reads
 
 
 def private_geometry_names(name: str) -> list[str]:
