@@ -18,13 +18,14 @@ invariant segment E''G'' reads off E and G.  D'', the midpoint of DD', is D
 with its odd coordinates set to zero: the n1 = 4 case of D~'' below.
 
 For general even n1 the theta_1-invariant states form a polytope in the
-even coordinates (beta_2, ..., beta_{n1-2}) bounded by the hyperplanes
-alpha_J = 0, and the Gamma hyperplane (whose Breuer image lies on the face
-alpha_{(n2-n1)/2} = 0) separates the detected bound-entangled region.  The
-point D~'' (the symmetrized extreme state of maximal total momentum) lies
-on Gamma and strictly inside the polytope, which forces the detected
-region to be nonempty for every even n1 >= 4, n2 >= n1.  Gamma and the
-sweeps take the Breuer image's numbers and the class names from states.
+even coordinates (beta_2, ..., beta_{n1-2}) with facets alpha_J = 0,
+ascending J, read off L by :func:`theta1_polytope` (``_slice_alphas`` is
+the one float reader).  Gamma, where the Breuer image meets the Jmin facet,
+separates the detected bound-entangled region; D~'', the Jmax facet over
+its constant (the symmetrized extreme state of maximal total momentum),
+lies on Gamma and strictly inside the polytope, so the detected region is
+nonempty for every even n1 >= 4, n2 >= n1.  Gamma and the sweeps take the
+Breuer image's numbers and the class names from states.
 """
 
 from __future__ import annotations
@@ -253,7 +254,7 @@ def gamma_hyperplane(system: SpinPair) -> Hyperplane:
 
     Gamma(beta) = (L[0, Jmin] - 2/(n1-2) sum_K L[2K, Jmin] beta_2K) / sqrt(2Jmin+1)
 
-    with Jmin = (n2-n1)/2, read off the Jmin column of the exact L matrix;
+    with Jmin = (n2-n1)/2, the Breuer image of the polytope's Jmin facet;
     the constant is 1/sqrt(n1 n2).  Gamma is alpha_Jmin of the Breuer image
     over (n1-2) sqrt(2Jmin+1): the image of a point on Gamma lies on the
     state-space face alpha_Jmin = 0, and Gamma < 0 is exactly the detected
@@ -261,33 +262,32 @@ def gamma_hyperplane(system: SpinPair) -> Hyperplane:
     invariant segment E''G''.
     """
     _require_even(system, "gamma_hyperplane")
-    l = build_l_matrix(system).exact
+    face = theta1_polytope(system)[0]
     unit = ExactRadical.sqrt(Fraction(1, system.n2 - system.n1 + 1))
     trace, factor = _breuer_rule(system.n1)
-    return Hyperplane(system, "Gamma", l[0][0] * unit,
-                      tuple(row[0].scale(Fraction(factor) / trace) * unit for row in l[2::2]))
+    return Hyperplane(system, "Gamma", face.exact_constant * unit,
+                      tuple(c.scale(Fraction(factor) / trace) * unit for c in face.exact_coeffs))
 
 
 @lru_cache(maxsize=None)
 def d_tilde_point(system: SpinPair) -> NamedPoint:
     """The symmetrized maximal-momentum extreme state D~'', cached per system.
 
-    beta_2K = L[2K, Jmax] / w_Jmax, read off the Jmax column of the exact L
-    matrix, with 1/w_Jmax = sqrt(n1 n2 / (n1+n2-1)) (beta_0 = 1); odd
-    coordinates vanish.  It is an
-    interior point of the invariant polytope (all alpha_J > 0) and lies on
-    Gamma, which proves that detected bound entangled states exist for
-    every even n1 >= 4.
+    beta_2K = L[2K, Jmax] / L[0, Jmax], the polytope's Jmax facet's
+    coefficients over its constant w_Jmax = sqrt((n1+n2-1) / (n1 n2)), with
+    beta_0 = 1; odd coordinates vanish.  It is an interior point of the
+    invariant polytope (all alpha_J > 0) and lies on Gamma, which proves
+    that detected bound entangled states exist for every even n1 >= 4.
     """
     _require_even(system, "d_tilde_point")
-    l = build_l_matrix(system).exact
-    unit = ExactRadical.one() / _exact_weights(system)[-1]
-    return _exact_point("D~''", system, (ExactRadical.zero() if k % 2 else unit * l[k][-1]
-                                         for k in range(system.n1)))
+    face = theta1_polytope(system)[-1]
+    even = (ExactRadical.one(),) + tuple(c / face.exact_constant for c in face.exact_coeffs)
+    return _exact_point("D~''", system, (e for b in even for e in (b, ExactRadical.zero())))
 
 
+@lru_cache(maxsize=None)
 def theta1_polytope(system: SpinPair) -> tuple[Hyperplane, ...]:
-    """The half-space constraints alpha_J >= 0 on the even coordinates.
+    """The facets alpha_J >= 0, ascending J: column J of the exact L, cached per system.
 
     A theta_1-invariant coefficient vector (1, 0, beta_2, 0, ...) is a
     state iff every returned functional is >= 0 at (beta_2, ..., beta_{n1-2}).
@@ -426,22 +426,21 @@ def _slice_alphas(system: SpinPair, x) -> tuple[np.ndarray, np.ndarray]:
 def polytope_bounding_box(system: SpinPair) -> tuple[tuple[float, float], ...]:
     """Per-coordinate [min, max] of the invariant polytope, over its vertices.
 
-    Each vertex solves d = (n1-2)/2 of the facet equations alpha_J = 0.
-    Every choice of d facets is solved, singular choices are skipped and
-    infeasible solutions dropped; the binomial(n1, d) solves suit the
-    small n1 that sweeps use.
+    Each vertex solves d = (n1-2)/2 of the facet equations alpha_J = 0, on
+    the facets' floats.  Every choice of d facets is solved, singular
+    choices are skipped and infeasible solutions dropped; the
+    binomial(n1, d) solves suit the small n1 that sweeps use.
     """
     _require_even(system, "invariant polytope")
-    l = build_l_matrix(system).values
-    const, coefs = l[0], l[2::2]
+    faces = np.array([(face.constant, *face.coeffs) for face in theta1_polytope(system)])
     vertices = []
-    for facets in combinations(range(system.n1), coefs.shape[0]):
+    for facets in combinations(range(system.n1), faces.shape[1] - 1):
         rows = list(facets)
         try:
-            x = np.linalg.solve(coefs[:, rows].T, -const[rows])
+            x = np.linalg.solve(faces[rows, 1:], -faces[rows, 0])
         except np.linalg.LinAlgError:
             continue
-        if (const + x @ coefs).min() >= -1e-12:
+        if _slice_alphas(system, x)[0].min() >= -1e-12:
             vertices.append(x)
     return tuple((float(lo), float(hi))
                  for lo, hi in zip(np.min(vertices, axis=0), np.max(vertices, axis=0)))

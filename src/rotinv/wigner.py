@@ -16,7 +16,8 @@ pair), and ``_symbol`` alone turns a Racah sum and its prefactor into an
 ``ExactRadical``, with one gcd.  ``states.build_l_matrix`` reads ``_tri_sq``
 for L's triangle factors once per row and once per column and takes one
 ``_six_j_sum`` per entry, so L is the only store of its symbols; the memo
-``_six_j`` serves :func:`six_j` and the sums.
+``_six_j`` serves :func:`six_j` and the sums.  ``_three_j`` keeps no memo:
+the dense oracle caches the matrices built from it.
 """
 
 from __future__ import annotations
@@ -109,7 +110,6 @@ def _racah_sum(lows: tuple[int, ...], highs: tuple[int, ...], rising: int) -> Fr
     return Fraction((-1 if lo % 2 else 1) * factorial(lo + 1) ** rising * num, first * den)
 
 
-@lru_cache(maxsize=None)
 def _three_j(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) -> ExactRadical:
     if tm1 + tm2 + tm3 != 0:
         return ExactRadical.zero()

@@ -8,6 +8,7 @@ units), and compares the vertex set with the closed forms.
 
 import dataclasses
 import functools
+import math
 import operator
 import random
 import struct
@@ -534,6 +535,14 @@ class TestPolytope:
                 x[k] = end
                 assert (l[0] + x @ l[[2, 4]]).min() >= -1e-12, (k, end)
 
+    def test_one_cached_tuple_per_system(self):
+        # Gamma, D~'' and the bounding box read these facets: each system builds them once
+        for system in (SpinPair(4, 5), SpinPair(6, 9)):
+            planes = theta1_polytope(system)
+            assert type(planes) is tuple
+            assert theta1_polytope(SpinPair(system.n1, system.n2)) is planes
+            assert [p.label for p in planes] == [f"alpha[J={j}]=0" for j in system.j_values()]
+
     def test_polytope_matches_alpha_functionals(self):
         system = SpinPair(8, 12)
         planes = theta1_polytope(system)
@@ -615,8 +624,14 @@ def sum_form_weights(x):
             for total in totals]
 
 
-def float_bytes(values) -> list[bytes]:
-    return [struct.pack("<d", v) for v in values]
+def float_bytes(values) -> list[bytes | None]:
+    """The bytes of each float, None for a NaN: IEEE 754 leaves a NaN's payload unspecified."""
+    return [None if math.isnan(v) else struct.pack("<d", v) for v in values]
+
+
+def assert_written_out_weights_equal_the_sum_form(x):
+    for weights in sum_form_weights(x):
+        assert float_bytes(geometry._hull_weights_x20(x)) == float_bytes(weights)
 
 
 class TestMinimalSeparableSet:
@@ -657,8 +672,15 @@ class TestMinimalSeparableSet:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(width=64), min_size=3, max_size=3))
     def test_written_out_weights_equal_the_sum_form_on_floats(self, x):
-        for weights in sum_form_weights(x):
-            assert float_bytes(geometry._hull_weights_x20(x)) == float_bytes(weights)
+        assert_written_out_weights_equal_the_sum_form(x)
+
+    def test_written_out_weights_equal_the_sum_form_on_nans_once_warm(self):
+        # Once its float adds are specialized (CPython 3.11), NaN + NaN there keeps another
+        # operand's payload than sum() does; the weights still agree as NaN, position by position.
+        for k in range(100):
+            geometry._hull_weights_x20([0.1 * k, 0.2, 0.3])
+        payload_one = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+        assert_written_out_weights_equal_the_sum_form([math.nan, payload_one, 1.26e-77])
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.lists(st.floats(width=64), min_size=4, max_size=4),

@@ -7,8 +7,10 @@ verdict names, each stated once, and geometry scales the 4 x N table in
 one builder; maps holds the verdicts and sits on states and geometry
 alone; checks reads the alpha images through maps.  Spins are Fractions,
 parsed to doubled ints by wigner.twice alone; wigner._symbol assembles
-every symbol, and the oracle enters wigner's kernels on doubled ints.  The package's import graph
-has no cycle, every import sits at module level, and none is unused.
+every symbol, and the oracle enters wigner's kernels on doubled ints.
+geometry reads L in theta1_polytope and _slice_alphas alone.  The
+package's import graph has no cycle, every import sits at module level,
+and none is unused.
 """
 
 import ast
@@ -278,3 +280,18 @@ def test_no_unused_import(name):
             used |= set(ast.literal_eval(node.value))
     unused = sorted(f"{alias} (line {line})" for alias, line in bound.items() if alias not in used)
     assert not unused, f"{name}: unused {unused}"
+
+
+def test_geometry_reads_the_theta1_slice_off_l_twice():
+    """L is read by theta1_polytope (exact) and _slice_alphas (floats) alone; Gamma and D~''
+    take the polytope's Jmin and Jmax facets, so they read neither L nor the weights."""
+    assert sorted(where for where, _ in calls("geometry", "build_l_matrix")) == [
+        "_slice_alphas", "theta1_polytope"]
+    readers = {top.name: {getattr(node, "id", None) or getattr(node, "attr", None)
+                          for node in ast.walk(top)}
+               for top in TREES["geometry"].body
+               if getattr(top, "name", None) in ("gamma_hyperplane", "d_tilde_point")}
+    assert len(readers) == 2, sorted(readers)
+    found = {name: names & {"build_l_matrix", "_exact_weights", "LMatrix"}
+             for name, names in readers.items()}
+    assert not any(found.values()), found
