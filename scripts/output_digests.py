@@ -214,7 +214,7 @@ def command_list(quick: bool) -> list[list[str]]:
         classifies = [["classify", *_system(4, 4), "--alpha", "4,0,0,0"]]
     else:
         sweeps = ([(4, n2, 200) for n2 in range(4, 41)]
-                  + [(4, n2, 40000) for n2 in (4, 5, 9, 17, 20, 40)]
+                  + [(4, n2, 40000) for n2 in (*range(4, 21), 40)]
                   + [(6, n2, 260) for n2 in range(6, 17)])
         geometries = [(n1, n2) for n1 in range(4, 13, 2)
                       for n2 in (n1, n1 + 5, 2 * n1 + 8)]

@@ -213,7 +213,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         return 0
     header, axes, index, classes, fraction = geometry.sweep_columns(system, cfg.grid, cfg.tol)
     # repr once per axis value; a row joins the strings of its coordinates and class
-    columns = [np.array([repr(v) for v in ax.tolist()], dtype=object)[i].tolist()
+    columns = [np.array(list(map(repr, ax.tolist())), dtype=object)[i].tolist()
                for ax, i in zip(axes, index)]
     _write(cfg.out, "\n".join([
         _config_comment(cfg) + ",".join(header),

@@ -19,8 +19,9 @@ with its odd coordinates set to zero: the n1 = 4 case of D~'' below.
 
 For general even n1 the theta_1-invariant states form a polytope in the
 even coordinates (beta_2, ..., beta_{n1-2}) with facets alpha_J = 0,
-ascending J, read off L by :func:`theta1_polytope` (``_slice_alphas`` is
-the one float reader).  Gamma, where the Breuer image meets the Jmin facet,
+ascending J, read off L by :func:`theta1_polytope`; in floats ``_slice_alphas``
+is the one reader, in columns: (d,) or (d, N) even coordinates to (n1,) or
+(n1, N) alphas.  Gamma, where the Breuer image meets the Jmin facet,
 separates the detected bound-entangled region; D~'', the Jmax facet over
 its constant (the symmetrized extreme state of maximal total momentum),
 lies on Gamma and strictly inside the polytope, so the detected region is
@@ -33,7 +34,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
 from types import MappingProxyType
@@ -411,16 +412,19 @@ def exact_hull_membership_4xn(point: NamedPoint) -> bool:
 # ---------------------------------------------------------------------------
 
 def _slice_alphas(system: SpinPair, x) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, alpha of the Phi_1 image) at even coordinates x, a point or rows; n1 is even.
+    """(alpha, alpha of the Phi_1 image) at even coordinates x: (d,) to (n1,), (d, N) to (n1, N).
 
     The theta_1-invariant state (1, 0, x_1, 0, x_2, ...) has alpha
-    L[0,:] + x @ L[2::2,:]; by ``states._breuer_rule`` its Breuer image
-    (trace, 0, factor x_1, ...) has trace L[0,:] + factor x @ L[2::2,:].
+    L[0,:] + L[2::2,:]^T x; by ``states._breuer_rule`` its Breuer image
+    (trace, 0, factor x_1, ...) has alpha trace L[0,:] + factor L[2::2,:]^T x.
     """
     l = build_l_matrix(system).values
-    linear = x @ l[2::2]
+    linear = l[2::2].T @ x
+    const = l[0] if linear.ndim == 1 else l[0][:, None]
     trace, factor = _breuer_rule(system.n1)
-    return l[0] + linear, trace * l[0] + factor * linear
+    phi = factor * linear + trace * const
+    linear += const
+    return linear, phi
 
 
 def polytope_bounding_box(system: SpinPair) -> tuple[tuple[float, float], ...]:
@@ -451,15 +455,10 @@ _SWEEP_CLASSES = tuple(v.value for v in (Verdict.PPT_BOUND_ENTANGLED_DETECTED,
                                          Verdict.KNOWN_SEPARABLE, Verdict.PPT_UNDETERMINED))
 
 
-def _row_min(a: np.ndarray) -> np.ndarray:
-    """The minimum of each row, taken column against column (a.min(axis=1) walks each short row)."""
-    return reduce(np.minimum, a.T)
-
-
 def sweep_columns(system: SpinPair, grid: int, tol: float
                   ) -> tuple[tuple[str, ...], list[np.ndarray], tuple[np.ndarray, ...],
                              list[str], float]:
-    """A uniform grid over the bounding box, in columns.
+    """A uniform grid over the bounding box, in columns (d, N) through ``_slice_alphas``.
 
     Returns (header, axes, index, classes, fraction).  header names the
     even coordinates and the class column; axes[k] holds the grid values of
@@ -475,10 +474,10 @@ def sweep_columns(system: SpinPair, grid: int, tol: float
         raise ValueError(f"grid must be >= 10, got {grid}")
     axes = [np.linspace(lo, hi, grid) for lo, hi in polytope_bounding_box(system)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    alpha, alpha_phi = _slice_alphas(system, np.stack([m.ravel() for m in mesh], axis=-1))
-    flat = np.flatnonzero(_row_min(alpha) >= -tol)
+    alpha, alpha_phi = _slice_alphas(system, np.stack([m.ravel() for m in mesh]))
+    flat = np.flatnonzero(np.minimum.reduce(alpha) >= -tol)
     index = np.unravel_index(flat, mesh[0].shape)
-    detected = _row_min(alpha_phi)[flat] < -tol
+    detected = np.minimum.reduce(alpha_phi)[flat] < -tol
     separable = np.zeros(len(flat), dtype=bool)
     if system.n1 == 4:
         # classify's DD'EE' rule: the shared weights _hull_weights_x20 on the beta_2 column

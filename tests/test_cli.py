@@ -214,8 +214,15 @@ class TestSweep:
         assert classes <= {"PptBoundEntangledDetected", "PptUndetermined", "KnownSeparable"}
         assert "PptBoundEntangledDetected" in classes
 
-    @pytest.mark.parametrize("grid", [10, 37, 200])
-    @pytest.mark.parametrize("dims", [(4, 4), (4, 5), (4, 20), (6, 6), (6, 8), (6, 14)])
+    # six systems at three grids, then the benchmark's grids as two cases:
+    # 40000 for 4 x N and 260 for 6 x N
+    @pytest.mark.parametrize("dims, grid", [
+        *(pytest.param(dims, grid, id=f"dims{i}-{grid}")
+          for i, dims in enumerate([(4, 4), (4, 5), (4, 20), (6, 6), (6, 8), (6, 14)])
+          for grid in (10, 37, 200)),
+        pytest.param((4, 9), 40000, id="4x9-40000"),
+        pytest.param((6, 10), 260, id="6x10-260"),
+    ])
     def test_csv_matches_csv_writer_over_sweep_rows(self, dims, grid, tmp_path):
         out = tmp_path / "sweep.csv"
         n1, n2 = dims

@@ -44,6 +44,7 @@ from rotinv.states import (
     AlphaVector,
     BetaVector,
     SpinPair,
+    _breuer_rule,
     alpha_to_beta,
     beta_to_alpha,
     build_l_matrix,
@@ -284,7 +285,7 @@ class TestGammaPlane:
             plane = gamma_hyperplane(system)
             box = polytope_bounding_box(system)
             pts = np.column_stack([rng.uniform(lo, hi, 800) for lo, hi in box])
-            inside = geometry._slice_alphas(system, pts)[0].min(axis=1) >= 0
+            inside = geometry._slice_alphas(system, pts.T)[0].min(axis=0) >= 0
             for x in pts[inside]:
                 value = plane.evaluate_even(x)
                 if abs(value) < 1e-9:
@@ -877,3 +878,88 @@ class TestDetectionExistence:
     @pytest.mark.parametrize("dims", [(22, 22), (16, 32), (20, 40)])
     def test_unconfirmed_witness_is_none(self, dims):
         assert find_detected_invariant_state(SpinPair(*dims)) is None
+
+
+# the theta_1 slice in rows, one per point: the bitwise reference for
+# _slice_alphas, which takes and returns columns
+def row_form_alphas(system: SpinPair, x) -> tuple[np.ndarray, np.ndarray]:
+    l = build_l_matrix(system).values
+    linear = x @ l[2::2]
+    trace, factor = _breuer_rule(system.n1)
+    return l[0] + linear, trace * l[0] + factor * linear
+
+
+def row_min(a: np.ndarray) -> np.ndarray:
+    return functools.reduce(np.minimum, a.T)
+
+
+def row_form_sweep(system: SpinPair, grid: int, tol: float = 1e-10):
+    """sweep_columns on rows: (box, axes, index, classes, fraction, alpha, alpha_phi)."""
+    faces = np.array([(face.constant, *face.coeffs) for face in theta1_polytope(system)])
+    vertices = []
+    for rows in map(list, combinations(range(system.n1), faces.shape[1] - 1)):
+        try:
+            x = np.linalg.solve(faces[rows, 1:], -faces[rows, 0])
+        except np.linalg.LinAlgError:
+            continue
+        if row_form_alphas(system, x)[0].min() >= -1e-12:
+            vertices.append(x)
+    box = tuple((float(lo), float(hi))
+                for lo, hi in zip(np.min(vertices, axis=0), np.max(vertices, axis=0)))
+    axes = [np.linspace(lo, hi, grid) for lo, hi in box]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    alpha, alpha_phi = row_form_alphas(system, np.stack([m.ravel() for m in mesh], axis=-1))
+    flat = np.flatnonzero(row_min(alpha) >= -tol)
+    index = np.unravel_index(flat, mesh[0].shape)
+    detected = row_min(alpha_phi)[flat] < -tol
+    separable = np.zeros(len(flat), dtype=bool)
+    if system.n1 == 4:
+        separable = geometry._separable_mask_4xn(system.n2, axes[0][index[0]], tol)
+    codes = np.where(detected, 0, np.where(separable, 1, 2))
+    classes = np.array(geometry._SWEEP_CLASSES, dtype=object)[codes].tolist()
+    fraction = float(detected.sum() / len(flat)) if len(flat) else 0.0
+    return box, axes, index, classes, fraction, alpha, alpha_phi
+
+
+# every sweep of the full digest listing, and every sweep the sweep benchmark can
+# draw (4 x N at grid 40000, 6 x N at grid 260, and its warm-ups at grid 10)
+SWEEP_SPAN = sorted({(4, n2, 200) for n2 in range(4, 41)}
+                    | {(4, n2, 40000) for n2 in [*range(4, 21), 40]}
+                    | {(6, n2, 260) for n2 in range(6, 17)} | {(6, 8, 15)}
+                    | {(4, n2, 10) for n2 in range(4, 21)} | {(6, n2, 10) for n2 in range(6, 17)})
+
+EXISTENCE_LADDER = [SpinPair(n1, n2) for n1 in range(4, 41, 2)
+                    for n2 in sorted({n1, n1 + 2, 2 * n1, 2 * n1 + 8})]
+
+
+class TestColumnLayout:
+    """_slice_alphas in columns gives the row layout's bits, sweeps and single points alike."""
+
+    @pytest.mark.parametrize("n1, n2, grid", SWEEP_SPAN)
+    def test_sweep_equals_the_row_form_bitwise(self, n1, n2, grid, monkeypatch):
+        system = SpinPair(n1, n2)
+        box, axes, index, classes, fraction, alpha, alpha_phi = row_form_sweep(system, grid)
+        assert polytope_bounding_box(system) == box
+        calls = []
+        slice_alphas = geometry._slice_alphas
+        monkeypatch.setattr(geometry, "_slice_alphas",
+                            lambda *args: calls.append(slice_alphas(*args)) or calls[-1])
+        _, axes2, index2, classes2, fraction2 = geometry.sweep_columns(system, grid, 1e-10)
+        assert [a.tobytes() for a in axes2] == [a.tobytes() for a in axes]
+        assert all(np.array_equal(i2, i) for i2, i in zip(index2, index, strict=True))
+        assert classes2 == classes
+        assert repr(fraction2) == repr(fraction)
+        # the last call is the grid's, in columns (the bounding box's come first)
+        assert [a.T.tobytes() for a in calls[-1]] == [alpha.tobytes(), alpha_phi.tobytes()]
+
+    def test_point_path_equals_the_row_form_bitwise(self):
+        assert len(EXISTENCE_LADDER) == 76
+        for system in EXISTENCE_LADDER:
+            rng = np.random.default_rng([25, system.n1, system.n2])
+            witness = ((1.0 + float(geometry._ray_step(system)))
+                       * np.array(d_tilde_point(system).beta.coords[2::2]))
+            points = [witness, *(witness * rng.uniform(-2.0, 2.0, size=(100, len(witness))))]
+            for x in points:
+                got = geometry._slice_alphas(system, x)
+                want = row_form_alphas(system, x)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (system, x)
