@@ -33,7 +33,7 @@ import numpy as np
 
 from .radical import ExactRadical
 from .states import AlphaVector, BetaVector, SpinPair
-from .wigner import _clebsch_gordan, _three_j, twice
+from .wigner import _clebsch_gordan, _phase, _three_j, twice
 
 __all__ = [
     "NonInvariantError",
@@ -136,8 +136,7 @@ def tensor_matrix_element(j, m, K, q, mp) -> ExactRadical:
 
 def _tensor_element(tj: int, tm: int, tK: int, tq: int, tmp: int) -> ExactRadical:
     """:func:`tensor_matrix_element` on doubled ints."""
-    phase = -1 if ((tj - tm) // 2) % 2 else 1
-    return _three_j(tj, tK, tj, -tm, tq, tmp).scale(phase) * ExactRadical.sqrt(tK + 1)
+    return _three_j(tj, tK, tj, -tm, tq, tmp).scale(_phase(tj - tm)) * ExactRadical.sqrt(tK + 1)
 
 
 @lru_cache(maxsize=None)
@@ -250,7 +249,7 @@ def time_reversal(n: int) -> np.ndarray:
     for i in range(n):  # column index: m = j - i
         tm = tj - 2 * i
         row = (tj + tm) // 2  # position of -m
-        v[row, i] = -1.0 if ((tj - tm) // 2) % 2 else 1.0
+        v[row, i] = _phase(tj - tm)
     return _frozen(v)
 
 

@@ -130,6 +130,9 @@ class Hyperplane:
         return self.constant + x @ np.array(self.coeffs)
 
     def evaluate(self, beta: BetaVector) -> float:
+        """Evaluate on a state of this plane's system; another system raises ValueError."""
+        if beta.system != self.system:
+            raise ValueError(f"{self.label} lives on {self.system}, got a state of {beta.system}")
         return float(self.evaluate_even(beta.coords[2::2]))
 
 
@@ -306,13 +309,6 @@ def theta1_polytope(system: SpinPair) -> tuple[Hyperplane, ...]:
 # the invariant segment and detection threshold (4 x N)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _segment_ends(n: int) -> tuple[SpinPair, float, float]:
-    """The 4 x N system and beta_2 of E'' and G'', the ends of the invariant segment."""
-    named = named_points_4xn(n)
-    return named["E"].system, named["E"].beta.coords[2], named["G"].beta.coords[2]
-
-
 def segment_detection_threshold(n: int) -> float:
     """t* = (N-2)(N+5) / ((N-1)(N+4)): the Breuer flip point on E''G''.
 
@@ -331,8 +327,9 @@ def segment_state_4xn(n: int, t: float) -> BetaVector:
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    system, e2, g2 = _segment_ends(n)
-    return BetaVector(system, (1.0, 0.0, (1.0 - t) * e2 + t * g2, 0.0))
+    named = named_points_4xn(n)
+    e, g = named["E"].beta, named["G"].beta
+    return BetaVector(e.system, (1.0, 0.0, (1.0 - t) * e.coords[2] + t * g.coords[2], 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,8 @@ def partial_time_reversal(beta: BetaVector) -> BetaVector:
 
 
 def symmetrize(beta: BetaVector) -> BetaVector:
-    """(beta + theta_1 beta)/2, i.e. the odd-K coordinates set to zero."""
-    flipped = _theta1_coords(beta.coords)
-    return BetaVector(beta.system, tuple(0.5 * (a + b) for a, b in zip(beta.coords, flipped)))
+    """(beta + theta_1 beta)/2, i.e. the odd-K coordinates set to zero and the even ones kept."""
+    return BetaVector(beta.system, tuple(0.0 if k % 2 else c for k, c in enumerate(beta.coords)))
 
 
 def breuer_map(beta: BetaVector) -> BetaVector:

@@ -95,10 +95,6 @@ class ExactRadical:
     def is_zero(self) -> bool:
         return self.sign == 0
 
-    def square(self) -> Fraction:
-        """The exact value of self**2."""
-        return self.radicand
-
     def as_rational(self) -> Fraction | None:
         """The exact rational value, or None if irrational."""
         root = _rational_sqrt(self.radicand)

@@ -15,8 +15,9 @@ alpha is indexed by increasing J, beta by K = 0 .. n1-1.  rho is a state
 iff alpha_J >= 0 and sum_J sqrt((2J+1)/(n1*n2)) alpha_J = 1; in beta
 coordinates normalization reads beta_0 = 1.
 
-L is built here from Racah's sum (its 4 x N closed form is in geometry),
-beside the rules that maps and geometry share: the exact weights w_J
+L's exact entries are Racah sums assembled by ``wigner._l_rows`` (its 4 x N
+closed form is in geometry).  It is cached here per system, beside the
+rules that maps and geometry share: the exact weights w_J
 (``_exact_weights``, whose floats are ``norm_weights``), theta_1
 (``_theta1_coords``), the Breuer image (``_breuer_rule``, and
 ``_breuer_coords``, which scales a coordinate array by the plan's
@@ -35,7 +36,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .radical import ExactRadical
-from .wigner import _six_j_sum, _symbol, _tri_sq, twice
+from .wigner import _l_rows, twice
 
 __all__ = [
     "SpinPair",
@@ -243,31 +244,8 @@ class LMatrix:
 
 @lru_cache(maxsize=None)
 def build_l_matrix(system: SpinPair) -> LMatrix:
-    """L[K, J] = sqrt((2K+1)(2J+1)) (-1)**(j1+j2+J) {j1 j2 J; j2 j1 K}.
-
-    With Delta the squared triangle coefficient and S the symbol's Racah sum,
-    L[K, J]**2 = A_J B_K S**2, where A_J = Delta(j1 j2 J)**2 (2J+1) and
-    B_K = Delta(j1 j1 K) Delta(j2 j2 K) (2K+1).  A_J is worked out once per
-    column and B_K once per row, as integer pairs; each entry then takes one
-    Racah sum, which ``wigner._symbol`` turns into a radical with one gcd.
-    """
-    tj1, tj2 = system.n1 - 1, system.n2 - 1
-    columns = []
-    for tj in range(tj2 - tj1, tj1 + tj2 + 1, 2):
-        num, den = _tri_sq(tj1, tj2, tj)
-        phase = -1 if ((tj1 + tj2 + tj) // 2) % 2 else 1
-        columns.append((tj, phase, num * num * (tj + 1), den * den))
-    rows = []
-    for tk in range(0, 2 * system.n1, 2):
-        (num1, den1), (num2, den2) = _tri_sq(tj1, tj1, tk), _tri_sq(tj2, tj2, tk)
-        b_num, b_den = num1 * num2 * (tk + 1), den1 * den2
-        row = []
-        for tj, phase, a_num, a_den in columns:
-            # the Racah sum alone, not the six_j memo: L is the only store of its symbols
-            row.append(_symbol(phase, a_num * b_num, a_den * b_den,
-                               _six_j_sum(tj1, tj2, tj, tj2, tj1, tk)))
-        rows.append(tuple(row))
-    return LMatrix(system, tuple(rows))
+    """L[K, J] = sqrt((2K+1)(2J+1)) (-1)**(j1+j2+J) {j1 j2 J; j2 j1 K}, by ``wigner._l_rows``."""
+    return LMatrix(system, _l_rows(system.n1 - 1, system.n2 - 1))
 
 
 class _Plan(NamedTuple):

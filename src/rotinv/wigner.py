@@ -12,12 +12,13 @@ spin parser of the package), into the doubled ints its kernel takes.  Tuples
 that violate triangle or projection rules evaluate to exact zero, as usual.
 
 The triangle coefficient has one home, ``_tri_sq`` (an unreduced integer
-pair), and ``_symbol`` alone turns a Racah sum and its prefactor into an
-``ExactRadical``, with one gcd.  ``states.build_l_matrix`` reads ``_tri_sq``
-for L's triangle factors once per row and once per column and takes one
-``_six_j_sum`` per entry, so L is the only store of its symbols; the memo
-``_six_j`` serves :func:`six_j` and the sums.  ``_three_j`` keeps no memo:
-the dense oracle caches the matrices built from it.
+pair), the sign (-1)**(x/2) another, ``_phase``, and ``_symbol`` alone turns
+a Racah sum and its prefactor into an ``ExactRadical``, with one gcd.  The
+entries of the basis change L are assembled here, by ``_l_rows`` (which
+``states.build_l_matrix`` caches): it reads ``_tri_sq`` once per row and once
+per column and takes one ``_six_j_sum`` per entry, so L is the only store of
+its symbols; the memo ``_six_j`` serves :func:`six_j` and the sums.
+``_three_j`` keeps no memo: the dense oracle caches the matrices built from it.
 """
 
 from __future__ import annotations
@@ -71,9 +72,11 @@ def _triangle_ok(ta: int, tb: int, tc: int) -> bool:
 
 
 def _phase(texp: int) -> int:
-    """(-1)**(texp/2) for an even doubled exponent."""
-    if texp % 2 != 0:
-        raise ValueError("phase exponent is not an integer")
+    """(-1)**(texp/2) for an even doubled exponent; an odd one takes the floor of texp/2.
+
+    Every caller passes an even exponent, or an odd one only beside a symbol
+    that its selection rules have already made zero.
+    """
     return -1 if (texp // 2) % 2 else 1
 
 
@@ -136,8 +139,9 @@ def _six_j_sum(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> Fraction
                        (tc + ta + tf + td) // 2), 1)
 
 
-def _racah_six_j(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> ExactRadical:
-    """Racah's sum for {a b c; d e f} on doubled ints; no memo (``_six_j`` is the memo)."""
+@lru_cache(maxsize=None)
+def _six_j(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> ExactRadical:
+    """Racah's sum for {a b c; d e f} on doubled ints, memoized."""
     triads = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
     for tri in triads:
         if not _triangle_ok(*tri):
@@ -150,7 +154,31 @@ def _racah_six_j(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> ExactR
     return _symbol(1, num, den, _six_j_sum(ta, tb, tc, td, te, tf))
 
 
-_six_j = lru_cache(maxsize=None)(_racah_six_j)
+def _l_rows(tj1: int, tj2: int) -> tuple[tuple[ExactRadical, ...], ...]:
+    """L[K, J] = sqrt((2K+1)(2J+1)) (-1)**(j1+j2+J) {j1 j2 J; j2 j1 K} on doubled spins.
+
+    Rows K = 0 .. 2j1, columns ascending J = j2-j1 .. j1+j2, exact.  With
+    Delta the squared triangle coefficient and S the symbol's Racah sum,
+    L[K, J]**2 = A_J B_K S**2, where A_J = Delta(j1 j2 J)**2 (2J+1) and
+    B_K = Delta(j1 j1 K) Delta(j2 j2 K) (2K+1).  A_J is worked out once per
+    column and B_K once per row, as integer pairs; each entry then takes one
+    Racah sum, which :func:`_symbol` turns into a radical with one gcd.
+    """
+    columns = []
+    for tj in range(tj2 - tj1, tj1 + tj2 + 1, 2):
+        num, den = _tri_sq(tj1, tj2, tj)
+        columns.append((tj, _phase(tj1 + tj2 + tj), num * num * (tj + 1), den * den))
+    rows = []
+    for tk in range(0, 2 * tj1 + 2, 2):
+        (num1, den1), (num2, den2) = _tri_sq(tj1, tj1, tk), _tri_sq(tj2, tj2, tk)
+        b_num, b_den = num1 * num2 * (tk + 1), den1 * den2
+        row = []
+        for tj, phase, a_num, a_den in columns:
+            # the Racah sum alone, not the six_j memo: L is the only store of its symbols
+            row.append(_symbol(phase, a_num * b_num, a_den * b_den,
+                               _six_j_sum(tj1, tj2, tj, tj2, tj1, tk)))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def three_j(j1, j2, j3, m1, m2, m3) -> ExactRadical:

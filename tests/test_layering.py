@@ -8,7 +8,10 @@ one builder; maps holds the verdicts and sits on states and geometry
 alone; checks reads the alpha images through maps.  Spins are Fractions,
 parsed to doubled ints by wigner.twice alone; wigner._symbol assembles
 every symbol, and the oracle enters wigner's kernels on doubled ints.
-geometry reads L in theta1_polytope and _slice_alphas alone.  The
+wigner keeps its Racah internals: L's entries come from wigner._l_rows, the
+one thing states reads there beside twice, and the sign (-1)**(x/2) is
+written in wigner._phase alone.  geometry reads L in theta1_polytope and
+_slice_alphas alone.  The
 package's import graph has no cycle, every import sits at module level,
 and none is unused.
 """
@@ -199,10 +202,70 @@ def test_radicand_is_defined_nowhere():
 
 
 def test_build_l_matrix_assembles_no_radical_itself():
-    """Each L entry is formed by wigner._symbol: build_l_matrix calls no ExactRadical(...)."""
+    """Each L entry is formed by wigner._symbol in wigner._l_rows, which calls no
+    ExactRadical(...); states assembles no symbol."""
+    assert not [call.lineno for where, call in calls("wigner", "ExactRadical")
+                if where == "_l_rows"]
+    assert "_l_rows" in {where for where, _ in calls("wigner", "_symbol")}
+    assert not calls("states", "_symbol")
     assert not [call.lineno for where, call in calls("states", "ExactRadical")
                 if where == "build_l_matrix"]
-    assert [where for where, _ in calls("states", "_symbol")] == ["build_l_matrix"]
+
+
+def test_states_reads_only_twice_and_l_rows_from_wigner():
+    names = {alias.name for node in _imports(TREES["states"])
+             if isinstance(node, ast.ImportFrom) and node.module in ("wigner", "rotinv.wigner")
+             for alias in node.names}
+    assert names == {"twice", "_l_rows"}, names
+    assert "wigner" not in {getattr(node.value, "id", None) for node in ast.walk(TREES["states"])
+                            if isinstance(node, ast.Attribute)}
+
+
+def mentions(name: str, ident: str) -> list:
+    """Lines where module ``name`` defines, imports or reads the name ``ident``."""
+    return [getattr(node, "lineno", None) for node in ast.walk(TREES[name])
+            if ident in (getattr(node, "id", None), getattr(node, "attr", None),
+                         getattr(node, "name", None))]
+
+
+@pytest.mark.parametrize("internal", ["_tri_sq", "_six_j_sum", "_symbol"])
+def test_racah_internal_is_read_in_wigner_alone(internal):
+    found = {name: mentions(name, internal) for name in TREES if name != "wigner"}
+    assert not any(found.values()), found
+
+
+def half_parity_tests(tree) -> list[int]:
+    """Lines of ``(x // 2) % 2``, the parity of half a doubled exponent: the sign rule."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+            and isinstance(node.right, ast.Constant) and node.right.value == 2
+            and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.FloorDiv)
+            and isinstance(node.left.right, ast.Constant) and node.left.right.value == 2]
+
+
+def test_sign_rule_is_written_in_phase_alone():
+    phase = next(node for node in TREES["wigner"].body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_phase")
+    assert len(half_parity_tests(phase)) == 1
+    inside = range(phase.lineno, phase.end_lineno + 1)
+    found = [(name, line) for name, tree in TREES.items() for line in half_parity_tests(tree)
+             if name != "wigner" or line not in inside]
+    assert not found, found
+
+
+@pytest.mark.parametrize("helper", ["_racah_six_j", "_segment_ends"])
+def test_folded_helper_is_defined_nowhere(helper):
+    """The 6-j memo is one function, _six_j, and the segment reads E and G off the 4 x N
+    builder, with no cache of its own."""
+    found = {name: mentions(name, helper) for name in TREES}
+    assert not any(found.values()), found
+
+
+def test_exact_radical_has_no_square_method():
+    """A radical's square is its radicand field."""
+    cls = next(node for node in TREES["radical"].body
+               if isinstance(node, ast.ClassDef) and node.name == "ExactRadical")
+    assert "square" not in {getattr(node, "name", None) for node in cls.body}
 
 
 def test_dense_enters_wigner_on_doubled_ints():

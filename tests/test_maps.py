@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import sys
 import warnings
 from fractions import Fraction
 
@@ -67,6 +68,22 @@ class TestPartialTimeReversal:
         assert sym.coords[1] == 0.0 and sym.coords[3] == 0.0
         assert symmetrize(sym) == sym
         assert partial_time_reversal(sym) == sym
+
+    def test_symmetrize_sets_odd_coordinates_to_zero_without_overflow(self):
+        system = SpinPair(4, 6)
+        huge = BetaVector(system, (1, 1e308, 1e308, 0))
+        assert symmetrize(huge).coords == (1.0, 0.0, 1e308, 0.0)
+        for bad in (np.inf, -np.inf, np.nan):
+            sym = symmetrize(BetaVector(system, (1, bad, 0.5, bad)))
+            assert sym.coords == (1.0, 0.0, 0.5, 0.0), bad
+        assert symmetrize(BetaVector(system, (1, 0, np.inf, 0))).coords[2] == np.inf
+
+    @given(coords=st.lists(st.floats(-sys.float_info.max / 2, sys.float_info.max / 2),
+                           min_size=4, max_size=4))
+    def test_symmetrize_is_the_half_sum_bitwise_below_overflow(self, coords):
+        beta = BetaVector(SpinPair(4, 6), coords)
+        half_sum = [0.5 * (a + b) for a, b in zip(beta.coords, partial_time_reversal(beta).coords)]
+        assert np.array(symmetrize(beta).coords).tobytes() == np.array(half_sum).tobytes()
 
 
 class TestBreuerMap:
@@ -181,7 +198,7 @@ class TestTensorMatrixElements:
                             continue
                         total += tensor_matrix_element(
                             Fraction(tj, 2), Fraction(tm, 2), K, q, Fraction(tmp, 2)
-                        ).square()
+                        ).radicand
                     assert total == 1, (tj, K, q)
 
     def test_conjugation_rule(self):
