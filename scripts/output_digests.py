@@ -225,6 +225,8 @@ def command_list(quick: bool) -> list[list[str]]:
         classifies = CLASSIFY_COMMANDS
     commands = [["sweep", *_system(n1, n2), "--grid", str(grid)] for n1, n2, grid in sweeps]
     commands.append(["sweep", *_system(6, 8), "--grid", "15", "--format", "json"])
+    if not quick:  # a 4 x N JSON sweep prints KnownSeparable, which 6 x N cannot
+        commands.append(["sweep", *_system(4, 9), "--grid", "200", "--format", "json"])
     commands += [["geometry", *_system(n1, n2), "--format", fmt]
                  for n1, n2 in geometries for fmt in ("csv", "json")]
     return commands + verifies + errors + classifies

@@ -211,15 +211,21 @@ def cmd_sweep(cfg: RunConfig) -> int:
         }
         _write(cfg.out, json.dumps(data, indent=2) + "\n")
         return 0
-    header, axes, index, classes, fraction = geometry.sweep_columns(system, cfg.grid, cfg.tol)
-    # repr once per axis value; a row joins the strings of its coordinates and class
-    columns = [np.array(list(map(repr, ax.tolist())), dtype=object)[i].tolist()
-               for ax, i in zip(axes, index)]
-    _write(cfg.out, "\n".join([
-        _config_comment(cfg) + ",".join(header),
-        *map(",".join, zip(*columns, classes)),
-        f"# be_region_fraction={fraction!r}\n",
-    ]))
+    header, axes, index, codes, fraction = geometry.sweep_columns(system, cfg.grid, cfg.tol)
+    texts = [list(map(repr, ax.tolist())) for ax in axes]  # repr once per axis value
+    # a run: consecutive inside points of one class that share every coordinate but the
+    # last, whose grid index steps by one; a run's rows are one join of that axis's texts
+    *lead, last = index
+    new_run = (np.diff(codes, prepend=-1) != 0) | (np.diff(last, prepend=-1) != 1)
+    for i in lead:
+        new_run |= np.diff(i, prepend=-1) != 0
+    starts = np.flatnonzero(new_run).tolist()
+    body = [_config_comment(cfg) + ",".join(header) + "\n"]
+    for start, stop in zip(starts, starts[1:] + [len(last)]):
+        prefix = "".join(text[i[start]] + "," for text, i in zip(texts, lead))
+        end, j = f",{geometry.SWEEP_CLASSES[codes[start]]}\n", last[start]
+        body.append(prefix + (end + prefix).join(texts[-1][j:j + stop - start]) + end)
+    _write(cfg.out, "".join(body) + f"# be_region_fraction={fraction!r}\n")
     return 0
 
 

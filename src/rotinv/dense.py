@@ -131,7 +131,10 @@ def tensor_matrix_element(j, m, K, q, mp) -> ExactRadical:
     are Hermitian, rotation invariant, and consistent with the L basis
     change; see the dense-oracle tests.)
     """
-    return _tensor_element(*map(twice, (j, m, K, q, mp)))
+    tj, tm, tK, tq, tmp = map(twice, (j, m, K, q, mp))
+    if tK < 0:
+        raise ValueError(f"K must be >= 0, got {K}")
+    return _tensor_element(tj, tm, tK, tq, tmp)
 
 
 def _tensor_element(tj: int, tm: int, tK: int, tq: int, tmp: int) -> ExactRadical:

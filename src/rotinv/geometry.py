@@ -73,6 +73,7 @@ __all__ = [
     "polytope_bounding_box",
     "be_region_fraction",
     "find_detected_invariant_state",
+    "SWEEP_CLASSES",
     "sweep_columns",
     "sweep_rows",
 ]
@@ -419,7 +420,8 @@ def _slice_alphas(system: SpinPair, x) -> tuple[np.ndarray, np.ndarray]:
     linear = l[2::2].T @ x
     const = l[0] if linear.ndim == 1 else l[0][:, None]
     trace, factor = _breuer_rule(system.n1)
-    phi = factor * linear + trace * const
+    phi = factor * linear
+    phi += trace * const
     linear += const
     return linear, phi
 
@@ -447,33 +449,33 @@ def polytope_bounding_box(system: SpinPair) -> tuple[tuple[float, float], ...]:
                  for lo, hi in zip(np.min(vertices, axis=0), np.max(vertices, axis=0)))
 
 
-# the PPT verdicts, in precedence order: sweep class codes 0, 1, 2
-_SWEEP_CLASSES = tuple(v.value for v in (Verdict.PPT_BOUND_ENTANGLED_DETECTED,
-                                         Verdict.KNOWN_SEPARABLE, Verdict.PPT_UNDETERMINED))
+# the PPT verdicts, in precedence order: the names of sweep class codes 0, 1, 2
+SWEEP_CLASSES = tuple(v.value for v in (Verdict.PPT_BOUND_ENTANGLED_DETECTED,
+                                        Verdict.KNOWN_SEPARABLE, Verdict.PPT_UNDETERMINED))
 
 
 def sweep_columns(system: SpinPair, grid: int, tol: float
                   ) -> tuple[tuple[str, ...], list[np.ndarray], tuple[np.ndarray, ...],
-                             list[str], float]:
+                             np.ndarray, float]:
     """A uniform grid over the bounding box, in columns (d, N) through ``_slice_alphas``.
 
-    Returns (header, axes, index, classes, fraction).  header names the
+    Returns (header, axes, index, codes, fraction).  header names the
     even coordinates and the class column; axes[k] holds the grid values of
     the k-th even coordinate.  The grid points inside the polytope, in
     row-major grid order, are (axes[0][index[0][i]], axes[1][index[1][i]],
-    ...) with class name classes[i]: detected, else 4 x N separable, else
-    undetermined.  fraction is the detected share of them (0.0 if there
-    are none).
+    ...) with class code codes[i], in precedence order 0 detected, else 1
+    4 x N separable, else 2 undetermined, named by ``SWEEP_CLASSES``.
+    fraction is the detected share of them (0.0 if there are none).
     """
     if system.n1 not in (4, 6):
         raise ValueError(f"region sweep supports n1 in (4, 6), got {system.n1}")
     if grid < 10:
         raise ValueError(f"grid must be >= 10, got {grid}")
     axes = [np.linspace(lo, hi, grid) for lo, hi in polytope_bounding_box(system)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    alpha, alpha_phi = _slice_alphas(system, np.stack([m.ravel() for m in mesh]))
+    points = np.stack(np.meshgrid(*axes, indexing="ij", copy=False)).reshape(len(axes), -1)
+    alpha, alpha_phi = _slice_alphas(system, points)
     flat = np.flatnonzero(np.minimum.reduce(alpha) >= -tol)
-    index = np.unravel_index(flat, mesh[0].shape)
+    index = np.unravel_index(flat, (grid,) * len(axes))
     detected = np.minimum.reduce(alpha_phi)[flat] < -tol
     separable = np.zeros(len(flat), dtype=bool)
     if system.n1 == 4:
@@ -481,9 +483,8 @@ def sweep_columns(system: SpinPair, grid: int, tol: float
         separable = _separable_mask_4xn(system.n2, axes[0][index[0]], tol)
     codes = np.where(detected, 0, np.where(separable, 1, 2))
     fraction = float(detected.sum() / len(flat)) if len(flat) else 0.0
-    classes = np.array(_SWEEP_CLASSES, dtype=object)[codes].tolist()
     header = tuple(f"beta_K={2 * (k + 1)}" for k in range(len(axes))) + ("class",)
-    return header, axes, index, classes, fraction
+    return header, axes, index, codes, fraction
 
 
 def _beta_from_even(system: SpinPair, x) -> BetaVector:
@@ -541,8 +542,9 @@ def sweep_rows(system: SpinPair, grid: int, tol: float = DEFAULT_TOL
 
     One row per grid point inside the polytope, carrying the even
     coordinates and the classification of the point (all such points are
-    PPT states by theta_1 invariance).
+    PPT states by theta_1 invariance), named by ``SWEEP_CLASSES``.
     """
-    header, axes, index, classes, fraction = sweep_columns(system, grid, tol)
+    header, axes, index, codes, fraction = sweep_columns(system, grid, tol)
+    classes = np.array(SWEEP_CLASSES, dtype=object)[codes].tolist()
     rows = list(zip(*(ax[i].tolist() for ax, i in zip(axes, index)), classes))
     return header, rows, fraction

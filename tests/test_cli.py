@@ -8,6 +8,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from rotinv import SpinPair, cli, geometry
@@ -237,6 +238,35 @@ class TestSweep:
         writer.writerow(header)
         writer.writerows([repr(v) for v in row[:-1]] + [row[-1]] for row in rows)
         buf.write(f"# be_region_fraction={fraction!r}\n")
+        assert out.read_text() == buf.getvalue()
+
+    # hand-built columns: grid indices per axis and class codes, over the last
+    # len(index) of two axes
+    @pytest.mark.parametrize("index, codes", [
+        pytest.param(([0, 0, 1, 1, 2], [1, 2, 3, 4, 4]), [0, 0, 0, 0, 1],
+                     id="next-row-starts-one-past-the-last"),
+        pytest.param(([0, 0, 0, 0, 1], [0, 1, 2, 3, 0]), [0, 0, 2, 2, 2],
+                     id="class-change-mid-row"),
+        pytest.param(([0, 1, 2, 4],), [1, 0, 0, 0], id="class-change-and-gap-1d"),
+        pytest.param(([], []), [], id="empty"),
+    ])
+    def test_runs_match_csv_writer_on_hand_built_columns(self, index, codes, monkeypatch,
+                                                         tmp_path):
+        axes = [np.array([-0.0, 0.1, 1 / 3]),
+                np.array([1e-17, -2.5, 0.2, 7.0, 1 / 7])][-len(index):]
+        header = tuple(f"beta_K={2 * (k + 1)}" for k in range(len(axes))) + ("class",)
+        columns = (header, axes, tuple(np.array(i, dtype=np.intp) for i in index),
+                   np.array(codes, dtype=np.int64), 0.25)
+        monkeypatch.setattr(geometry, "sweep_columns", lambda *args: columns)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--n1", "6", "--n2", "8", "--grid", "10", "--out", str(out)]) == 0
+        buf = io.StringIO()
+        buf.write("# rotinv command=sweep n1=6 n2=8 tol=1e-10 grid=10\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([*(repr(float(ax[i[p]])) for ax, i in zip(axes, index)),
+                          geometry.SWEEP_CLASSES[c]] for p, c in enumerate(codes))
+        buf.write("# be_region_fraction=0.25\n")
         assert out.read_text() == buf.getvalue()
 
     # the coordinate bytes are not pinned: the bounding box comes from LAPACK

@@ -177,6 +177,12 @@ class TestDoubledIntRoute:
         with pytest.raises(TypeError, match="bool is not a spin value"):
             clebsch_gordan(0.5, 0.5, 0.5, 0.5, True, 0.3)
 
+    @pytest.mark.parametrize("K", [-1, -0.5, Fraction(-3, 2)])
+    def test_negative_rank_is_named(self, K):
+        # the rank, not the square root sqrt(2K+1) it would reach, names the error
+        with pytest.raises(ValueError, match=rf"^K must be >= 0, got {K}$"):
+            dense.tensor_matrix_element(1, 1, K, 0, 1)
+
 
 class TestAssembleExtract:
     def test_round_trip(self):

@@ -903,7 +903,7 @@ def row_min(a: np.ndarray) -> np.ndarray:
 
 
 def row_form_sweep(system: SpinPair, grid: int, tol: float = 1e-10):
-    """sweep_columns on rows: (box, axes, index, classes, fraction, alpha, alpha_phi)."""
+    """sweep_columns on rows: (box, axes, index, codes, fraction, alpha, alpha_phi)."""
     faces = np.array([(face.constant, *face.coeffs) for face in theta1_polytope(system)])
     vertices = []
     for rows in map(list, combinations(range(system.n1), faces.shape[1] - 1)):
@@ -925,9 +925,8 @@ def row_form_sweep(system: SpinPair, grid: int, tol: float = 1e-10):
     if system.n1 == 4:
         separable = geometry._separable_mask_4xn(system.n2, axes[0][index[0]], tol)
     codes = np.where(detected, 0, np.where(separable, 1, 2))
-    classes = np.array(geometry._SWEEP_CLASSES, dtype=object)[codes].tolist()
     fraction = float(detected.sum() / len(flat)) if len(flat) else 0.0
-    return box, axes, index, classes, fraction, alpha, alpha_phi
+    return box, axes, index, codes, fraction, alpha, alpha_phi
 
 
 # every sweep of the full digest listing, and every sweep the sweep benchmark can
@@ -947,16 +946,16 @@ class TestColumnLayout:
     @pytest.mark.parametrize("n1, n2, grid", SWEEP_SPAN)
     def test_sweep_equals_the_row_form_bitwise(self, n1, n2, grid, monkeypatch):
         system = SpinPair(n1, n2)
-        box, axes, index, classes, fraction, alpha, alpha_phi = row_form_sweep(system, grid)
+        box, axes, index, codes, fraction, alpha, alpha_phi = row_form_sweep(system, grid)
         assert polytope_bounding_box(system) == box
         calls = []
         slice_alphas = geometry._slice_alphas
         monkeypatch.setattr(geometry, "_slice_alphas",
                             lambda *args: calls.append(slice_alphas(*args)) or calls[-1])
-        _, axes2, index2, classes2, fraction2 = geometry.sweep_columns(system, grid, 1e-10)
+        _, axes2, index2, codes2, fraction2 = geometry.sweep_columns(system, grid, 1e-10)
         assert [a.tobytes() for a in axes2] == [a.tobytes() for a in axes]
         assert all(np.array_equal(i2, i) for i2, i in zip(index2, index, strict=True))
-        assert classes2 == classes
+        assert np.array_equal(codes2, codes)
         assert repr(fraction2) == repr(fraction)
         # the last call is the grid's, in columns (the bounding box's come first)
         assert [a.T.tobytes() for a in calls[-1]] == [alpha.tobytes(), alpha_phi.tobytes()]

@@ -60,6 +60,19 @@ def test_full_list_digests_four_deep_verify_seeds():
     assert not any("--deep" in c for c in command_list(True))
 
 
+def test_full_list_digests_a_json_sweep_of_each_n1():
+    script = load()
+
+    def json_sweeps(quick):
+        return [c for c in script["command_list"](quick)
+                if c[0] == "sweep" and "json" in c and c not in script["ERROR_COMMANDS"]]
+
+    assert json_sweeps(False) == [
+        ["sweep", "--n1", "6", "--n2", "8", "--grid", "15", "--format", "json"],
+        ["sweep", "--n1", "4", "--n2", "9", "--grid", "200", "--format", "json"]]
+    assert json_sweeps(True) == json_sweeps(False)[:1]
+
+
 def test_classify_commands_cover_every_verdict_from_both_bases():
     script = load()
     commands = script["CLASSIFY_COMMANDS"]
