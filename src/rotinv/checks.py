@@ -49,14 +49,24 @@ def orthogonality_sums(cases) -> float:
     """sum_K (2J+1)(2K+1) {a b J; c d K} {a b J'; c d K} = delta(J, J').
 
     Cases are (a, b, c, d, J, J') tuples.  The sums are compared exactly:
-    the residual is 0.0 only if every sum equals its delta exactly.
+    the residual is 0.0 only if every sum equals its delta exactly.  A case
+    is decided by whether its terms minus the delta sum exactly to zero; the
+    float distance of the sum from its delta is taken only where they do not.
+    With J = J' every term is rational, so subtracting 1 never meets an
+    incompatible radical.
     """
     one, zero = ExactRadical.one(), ExactRadical.zero()
 
-    def residual(a, b, c, d, j, jp):
-        return _exact_residual(wigner.verify_orthogonality_sum(a, b, c, d, j, jp),
-                               one if j == jp else zero)
-    return _worst(residual(*case) for case in cases)
+    def residual(case):
+        doubled = tuple(map(wigner.twice, case))
+        terms = wigner._orthogonality_terms(*doubled)
+        same = doubled[4] == doubled[5]
+        if same:
+            terms.append((-1, one))
+        if exact_sum(terms).is_zero:
+            return 0.0
+        return _exact_residual(wigner.verify_orthogonality_sum(*case), one if same else zero)
+    return _worst(map(residual, cases))
 
 
 def appendix_sum(systems) -> float:
@@ -67,11 +77,10 @@ def appendix_sum(systems) -> float:
     equals -1/n2 exactly.
     """
     def residual(system):
-        j1, j2 = system.j1, system.j2
-        j_min, j_max = j2 - j1, j1 + j2
-        total = exact_sum((2 * (2 * k + 1), wigner.six_j(j1, j2, j_min, j2, j1, k),
-                           wigner.six_j(j1, j2, j_max, j2, j1, k))
-                          for k in range(0, system.n1, 2))
+        tj1, tj2 = system.n1 - 1, system.n2 - 1  # doubled spins
+        total = exact_sum([(2 * (tk + 1), wigner._six_j(tj1, tj2, tj2 - tj1, tj2, tj1, tk),
+                            wigner._six_j(tj1, tj2, tj1 + tj2, tj2, tj1, tk))
+                           for tk in range(0, 2 * system.n1, 4)])
         return _exact_residual(total, ExactRadical.from_rational(Fraction(-1, system.n2)))
     return _worst(residual(s) for s in systems)
 
@@ -168,15 +177,18 @@ def dense_equivalence(alphas) -> float:
     from the real part of rho, in float64; the extraction and the two spectra
     stay complex, because their rounding shows in the residual.  Consecutive
     alphas of one system go through the oracle as one stack; each state's
-    residual is the one it gets alone.
+    residual is the one it gets alone.  A stack's partial transpose is formed
+    once: its theta_1 image is read off it, and the Breuer image reads the
+    real part of that theta_1 image, which is theta_1 of the real part.
     """
     def residuals(system, group):
         group = list(group)
         rho = dense.from_alpha(group)
         extracted = dense.extract_beta(rho, system)
-        min_eigs = dense.spectrum(dense.breuer_phi1(rho.real, system))[:, 0].tolist()
-        spectra = np.abs(dense.spectrum(dense.theta1(rho, system))
-                         - dense.spectrum(dense.partial_transpose_1(rho, system))).max(axis=-1)
+        transposed = dense.partial_transpose_1(rho, system)
+        image = dense._time_reversed_1(transposed, system)
+        min_eigs = dense.spectrum(dense._phi1(rho.real, image.real, system))[:, 0].tolist()
+        spectra = np.abs(dense.spectrum(image) - dense.spectrum(transposed)).max(axis=-1)
         for alpha, dense_beta, min_eig, gap in zip(group, extracted, min_eigs, spectra.tolist()):
             beta = states.alpha_to_beta(alpha)
             extract = float(np.abs(dense_beta.as_array() - beta.as_array()).max())

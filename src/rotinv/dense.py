@@ -173,17 +173,46 @@ def invariant_q(system: SpinPair, K: int) -> np.ndarray:
     return _frozen(total)
 
 
-def _assemble(system: SpinPair, coords, degeneracies, operators) -> np.ndarray:
-    """sum_i coords[..., i] O_i / sqrt(n1 n2 d_i) for coefficient rows (..., n).
+@lru_cache(maxsize=None)
+def _on_support(system: SpinPair, basis: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The operators of one basis on their joint support: sqrt(n1 n2 d_i), slots, entries.
 
-    Summed in float64 and cast to complex once; a single row gives one
-    operator, rows (m, n) give a stack (m, d, d).
+    ``basis`` is "alpha" (the P_J, d_i = 2J+1) or "beta" (the Q_K, d_i = 2K+1).
+    Every such operator conserves the total projection M, so it is zero, or
+    -0.0, off the entries of equal M (218 of the 2304 at 6 x 8).  The slots are
+    where those entries' real parts sit in a complex array viewed as floats;
+    the entries have one row per operator.  Cached per system, read-only.
     """
-    scales = np.asarray(coords, dtype=float) / np.sqrt(system.dim * np.asarray(degeneracies))
-    rho = np.zeros(scales.shape[:-1] + (system.dim, system.dim))
-    for i, op in enumerate(operators):
-        rho += scales[..., i, None, None] * op
-    return rho.astype(complex)
+    if basis == "alpha":
+        degeneracies = [twice(j) + 1 for j in system.j_values()]
+        operators = [projector(system, j) for j in system.j_values()]
+    else:
+        degeneracies = [2 * k + 1 for k in system.k_values()]
+        operators = [invariant_q(system, k) for k in system.k_values()]
+    flat = np.stack(operators).reshape(len(operators), -1)
+    support = np.flatnonzero(flat.any(axis=0))
+    return (_frozen(np.sqrt(system.dim * np.asarray(degeneracies))), _frozen(2 * support),
+            _frozen(flat[:, support]))
+
+
+def _assemble(system: SpinPair, coords, basis: str) -> np.ndarray:
+    """sum_i coords[..., i] O_i / sqrt(n1 n2 d_i) over a basis, for coefficient rows (..., n).
+
+    The sum runs over the operators' joint support alone, in float64, from 0.0
+    and in place through one scratch array, and lands in the real parts of a
+    complex zero array: every other entry stays +0.0, as the full sum leaves
+    it.  A single row gives one operator, rows (m, n) give a stack (m, d, d).
+    """
+    norms, slots, entries = _on_support(system, basis)
+    scales = np.asarray(coords, dtype=float) / norms
+    lead = scales.shape[:-1]
+    total = np.zeros(lead + slots.shape)
+    term = np.empty_like(total)
+    for i, op in enumerate(entries):
+        total += np.multiply(scales[..., i, None], op, out=term)
+    rho = np.zeros(lead + (2 * system.dim ** 2,))  # real and imaginary parts interleaved
+    rho[..., slots] = total
+    return rho.view(complex).reshape(lead + (system.dim, system.dim))
 
 
 def from_alpha(alpha: AlphaVector | Sequence[AlphaVector]) -> np.ndarray:
@@ -195,26 +224,24 @@ def from_alpha(alpha: AlphaVector | Sequence[AlphaVector]) -> np.ndarray:
     systems = {a.system for a in alphas}
     if len(systems) != 1:
         raise ValueError(f"from_alpha needs alphas of one system, got {len(systems)}")
-    sys_ = systems.pop()
-    js = sys_.j_values()
-    coords = [a.coords for a in alphas]
-    rho = _assemble(sys_, coords, [twice(j) + 1 for j in js], [projector(sys_, j) for j in js])
+    rho = _assemble(systems.pop(), [a.coords for a in alphas], "alpha")
     return rho[0] if isinstance(alpha, AlphaVector) else rho
 
 
 def from_beta(beta: BetaVector) -> np.ndarray:
     """Assemble the dense operator sum_K beta_K Q_K / sqrt(n1 n2 (2K+1))."""
-    return _from_beta_coords(beta.system, beta.coords)
-
-
-def _from_beta_coords(system: SpinPair, coords) -> np.ndarray:
-    ks = system.k_values()
-    return _assemble(system, coords, [2 * k + 1 for k in ks],
-                     [invariant_q(system, k) for k in ks])
+    return _assemble(beta.system, beta.coords, "beta")
 
 
 # largest entry of |rho - twirl(rho)| that extract_beta accepts as invariant
 _INVARIANCE_TOL = 1e-8
+
+
+def _require_operators(rho: np.ndarray, system: SpinPair) -> None:
+    """Raise ValueError unless the last two axes of ``rho`` are (n1 n2, n1 n2)."""
+    if rho.shape[-2:] != (system.dim, system.dim):
+        raise ValueError(f"an operator on {system} has shape ({system.dim}, {system.dim}) "
+                         f"in its last two axes, got shape {rho.shape}")
 
 
 def extract_beta(rho: np.ndarray, system: SpinPair) -> BetaVector | list[BetaVector]:
@@ -224,12 +251,13 @@ def extract_beta(rho: np.ndarray, system: SpinPair) -> BetaVector | list[BetaVec
     operator must equal its own twirl; a non-invariant one raises
     :class:`NonInvariantError` carrying its projected coordinates.
     """
+    _require_operators(rho, system)
     coords = np.stack([
         np.sqrt(system.dim / (2 * k + 1))
         * np.trace(invariant_q(system, k) @ rho, axis1=-2, axis2=-1).real
         for k in system.k_values()
     ], axis=-1)
-    residuals = np.abs(rho - _from_beta_coords(system, coords)).max(axis=(-2, -1))
+    residuals = np.abs(rho - _assemble(system, coords, "beta")).max(axis=(-2, -1))
     betas = [BetaVector(system, row) for row in coords.reshape(-1, system.n1).tolist()]
     for beta, residual in zip(betas, residuals.ravel().tolist()):
         if residual > _INVARIANCE_TOL:
@@ -258,6 +286,7 @@ def time_reversal(n: int) -> np.ndarray:
 
 def partial_transpose_1(rho: np.ndarray, system: SpinPair) -> np.ndarray:
     """Transpose the first subsystem of one operator or of each in a stack."""
+    _require_operators(rho, system)
     n1, n2 = system.n1, system.n2
     blocks = rho.reshape(rho.shape[:-2] + (n1, n2, n1, n2))
     return blocks.swapaxes(-4, -2).reshape(rho.shape)
@@ -276,13 +305,20 @@ def theta1(rho: np.ndarray, system: SpinPair) -> np.ndarray:
     V (x) 1 is a signed permutation: it sends (a, b) to (n1-1-a, b) with sign
     (-1)**a.  So the image is the partial transpose with the first factor's
     indices reversed, times a sign grid, in O(d^2) and in the dtype of ``rho``.
+    """
+    return _time_reversed_1(partial_transpose_1(rho, system), system)
+
+
+def _time_reversed_1(transposed: np.ndarray, system: SpinPair) -> np.ndarray:
+    """(V (x) 1) X (V (x) 1)^dag of a formed partial transpose X = rho^T1: theta_1(rho).
+
     Adding 0.0 turns every -0.0 into +0.0, so the bytes are those of the
     matrix product (whose BLAS kernel leaves a -0.0 in some zero real parts
     only for complex input with n1 n2 not a multiple of 4).
     """
     n1, n2 = system.n1, system.n2
-    blocks = partial_transpose_1(rho, system).reshape(rho.shape[:-2] + (n1, n2, n1, n2))
-    image = blocks[..., ::-1, :, ::-1, :].reshape(rho.shape) * _theta1_signs(system)
+    blocks = transposed.reshape(transposed.shape[:-2] + (n1, n2, n1, n2))
+    image = blocks[..., ::-1, :, ::-1, :].reshape(transposed.shape) * _theta1_signs(system)
     image += 0.0
     return image
 
@@ -292,10 +328,15 @@ def breuer_phi1(rho: np.ndarray, system: SpinPair) -> np.ndarray:
 
     1 (x) Tr_1(rho) is the product np.kron forms, broadcast over a stack.
     """
+    return _phi1(rho, theta1(rho, system), system)
+
+
+def _phi1(rho: np.ndarray, image: np.ndarray, system: SpinPair) -> np.ndarray:
+    """:func:`breuer_phi1` with theta_1(rho) already formed, as ``image``."""
     n1, n2 = system.n1, system.n2
     tr1 = np.trace(rho.reshape(rho.shape[:-2] + (n1, n2, n1, n2)), axis1=-4, axis2=-2)
     eye_tr1 = np.eye(n1)[:, None, :, None] * tr1[..., None, :, None, :]
-    return eye_tr1.reshape(rho.shape) - rho - theta1(rho, system)
+    return eye_tr1.reshape(rho.shape) - rho - image
 
 
 def twirl_alpha(rho: np.ndarray, system: SpinPair) -> AlphaVector:
@@ -304,6 +345,7 @@ def twirl_alpha(rho: np.ndarray, system: SpinPair) -> AlphaVector:
     alpha_J = sqrt(n1 n2 / (2J+1)) Tr(P_J rho); the twirl is the identity
     on invariant states and preserves separability in general.
     """
+    _require_operators(rho, system)
     coords = [
         np.sqrt(system.dim / (twice(j) + 1)) * np.trace(projector(system, j) @ rho).real
         for j in system.j_values()

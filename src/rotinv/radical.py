@@ -165,6 +165,9 @@ class ExactRadical:
         return f"ExactRadical({self})"
 
 
+_ZERO = ExactRadical.zero()  # immutable, so one instance serves every zero sum
+
+
 def _signed_sqrt(signed: int, square: Fraction) -> ExactRadical:
     """sign(signed) * sqrt(square), for square > 0."""
     return ExactRadical((signed > 0) - (signed < 0), square)
@@ -175,26 +178,30 @@ def exact_sum(terms) -> ExactRadical:
 
     With r0 = a0/b0 the first nonzero term's radicand, c * sqrt(a/b) is
     (c * isqrt(a*b*a0*b0) / b) * sqrt(r0) / a0: one integer numerator runs over a
-    common denominator and one Fraction is built at the end.  A term off r0's class
-    raises ValueError as the fold of ``+`` would, unless the partial sum is exactly 0.
+    common denominator and one Fraction is built at the end, none for a zero sum.
+    A term off r0's class raises ValueError as the fold of ``+`` would, unless the
+    partial sum is exactly 0.  Radicands are read through the Fraction slots, as
+    :func:`rotinv.wigner.twice` reads them: each public property is a call.
     """
     num, den, s0 = 0, 1, 0  # partial sum = num / (den * a0) * sqrt(a0 / b0), s0 = a0 * b0
-    for c, *factors in terms:
-        a = b = 1
-        for f in factors:
-            c, a, b = c * f.sign, a * f.radicand.numerator, b * f.radicand.denominator
-        if c == 0:
+    for term in terms:
+        c, a, b = term[0], 1, 1
+        for f in term[1:]:
+            r = f.radicand
+            c, a, b = c * f.sign, a * r._numerator, b * r._denominator
+        if not c:
             continue
-        root = math.isqrt(a * b * s0)
-        if s0 == 0 or root * root != a * b * s0:
+        ab = a * b
+        root = math.isqrt(ab * s0)
+        if not s0 or root * root != ab * s0:
             if num:
                 raise ValueError(
                     "cannot add incompatible radicals "
                     f"{_signed_sqrt(num, Fraction(num * num, den * den * s0))} and "
                     f"{_signed_sqrt(c, Fraction(c * c * a, b))} exactly")
-            num, den, s0 = c * a, 1, a * b
+            num, den, s0 = c * a, 1, ab
         elif den % b:
             num, den = num * b + c * root * den, den * b
         else:
             num += c * root * (den // b)
-    return _signed_sqrt(num, Fraction(num * num, den * den * s0)) if num else ExactRadical.zero()
+    return _signed_sqrt(num, Fraction(num * num, den * den * s0)) if num else _ZERO

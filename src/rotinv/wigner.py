@@ -224,9 +224,13 @@ def verify_orthogonality_sum(a, b, c, d, J, Jp) -> ExactRadical:
     Equals delta(J, J') whenever the triads (a,b,J), (c,d,J) and the primed
     pair are all admissible (the 6-j orthogonality relation).
     """
-    ta, tb, tc, td, tJ, tJp = map(twice, (a, b, c, d, J, Jp))
-    return exact_sum(((tJ + 1) * (tK + 1), _six_j(ta, tb, tJ, tc, td, tK),
-                      _six_j(ta, tb, tJp, tc, td, tK)) for tK in _k_range(ta, td, tb, tc))
+    return exact_sum(_orthogonality_terms(*map(twice, (a, b, c, d, J, Jp))))
+
+
+def _orthogonality_terms(ta: int, tb: int, tc: int, td: int, tJ: int, tJp: int) -> list:
+    """The terms of :func:`verify_orthogonality_sum` on doubled ints, for ``exact_sum``."""
+    return [((tJ + 1) * (tK + 1), _six_j(ta, tb, tJ, tc, td, tK), _six_j(ta, tb, tJp, tc, td, tK))
+            for tK in _k_range(ta, td, tb, tc)]
 
 
 def verify_recoupling_sum(a, b, c, d, J, Jp) -> ExactRadical:

@@ -1,13 +1,16 @@
 """The verification checks shared by `rotinv verify` and the acceptance suite."""
 
+import contextlib
+import io
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import groupby
 
 import numpy as np
 import pytest
 
-from rotinv import checks, cli, dense, geometry, maps
+from rotinv import checks, cli, dense, geometry, maps, wigner
 from rotinv.states import DEFAULT_TOL, LMatrix, SpinPair, build_l_matrix
 
 
@@ -20,6 +23,49 @@ def test_orthogonality_sums_are_exact():
     assert checks.orthogonality_sums([(1, 1, 1, 1, 0, 0), (1, 1, 1, 1, 0, 2)]) == 0.0
     # a = 1, d = 1/2 leaves no admissible K, so the sum is 0 where the delta is 1
     assert checks.orthogonality_sums([(1, 1, 1, 0.5, 0, 0)]) == 1.0
+
+
+def test_a_six_j_off_by_one_part_in_1e20_fails_both_sums(monkeypatch):
+    # as in test_explicit_l_4xn_is_exact: a factor 1 + 1e-20 on one symbol,
+    # which float64 cannot see, still leaves a nonzero residual
+    six_j = wigner._six_j
+
+    def off(target):
+        def patched(*doubled):
+            value = six_j(*doubled)
+            return value.scale(Fraction(10 ** 20 + 1, 10 ** 20)) if doubled == target else value
+        return patched
+
+    cases, system = [(1, 1, 1, 1, 0, 0), (1, 1, 1, 1, 0, 2)], SpinPair(4, 6)
+    assert checks.orthogonality_sums(cases) == checks.appendix_sum([system]) == 0.0
+    monkeypatch.setattr(wigner, "_six_j", off((2, 2, 0, 2, 2, 2)))
+    assert checks.orthogonality_sums(cases[:1]) > 0.0
+    assert checks.orthogonality_sums(cases[1:]) > 0.0
+    monkeypatch.setattr(wigner, "_six_j", off((3, 5, 2, 5, 3, 0)))  # {3/2 5/2 1; 5/2 3/2 0}
+    assert checks.appendix_sum([system]) > 0.0
+
+
+def test_each_verify_evaluates_every_sum_and_oracle_stack(monkeypatch):
+    """Nothing is kept between calls: two in-process verify --deep runs of one seed
+    each take all 605 orthogonality sums, all 56 appendix sums and four oracle stacks."""
+    counts = Counter()
+
+    def counted(name, function):
+        def wrapper(*args):
+            counts[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(wigner, "_orthogonality_terms",
+                        counted("orthogonality", wigner._orthogonality_terms))
+    # checks takes one exact_sum per orthogonality case and one per appendix system
+    monkeypatch.setattr(checks, "exact_sum", counted("exact_sum", checks.exact_sum))
+    monkeypatch.setattr(dense, "from_alpha", counted("oracle stack", dense.from_alpha))
+    for _ in range(2):
+        counts.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "--deep", "--seed", "3"]) == 0
+        assert counts == {"orthogonality": 605, "exact_sum": 605 + 56, "oracle stack": 4}
 
 
 def test_l_orthogonality_sees_a_perturbed_entry():
@@ -55,8 +101,8 @@ def test_dense_equivalence_sees_a_negated_breuer_image(monkeypatch):
     # the oracle check decides the Breuer sign from eigenvalues alone; a wrong
     # sign on the dense side must still fail it
     assert checks.dense_equivalence(cli._seeded_states(7)) < 1e-10
-    breuer_phi1 = dense.breuer_phi1
-    monkeypatch.setattr(dense, "breuer_phi1", lambda rho, system: -breuer_phi1(rho, system))
+    phi1 = dense._phi1  # the Breuer image of a formed theta_1 image, as breuer_phi1 takes it
+    monkeypatch.setattr(dense, "_phi1", lambda rho, image, system: -phi1(rho, image, system))
     assert checks.dense_equivalence(cli._seeded_states(7)) == 1.0
 
 

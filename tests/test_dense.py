@@ -1,5 +1,6 @@
 """Dense-matrix oracle: algebraic identities and parameter-space equivalence."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -281,6 +282,45 @@ class TestStacks:
             dense.extract_beta(stack[1], system)
         assert str(err.value) == str(alone.value)
         assert err.value.projected_beta == alone.value.projected_beta
+
+
+class TestOperatorShape:
+    """A mis-sized operator raises ValueError naming the system and the shape."""
+
+    SHAPED = {
+        "twirl_alpha": dense.twirl_alpha,
+        "extract_beta": dense.extract_beta,
+        "partial_transpose_1": dense.partial_transpose_1,
+        "theta1": dense.theta1,
+        "breuer_phi1": dense.breuer_phi1,
+    }
+
+    @pytest.mark.parametrize("name", SHAPED)
+    @pytest.mark.parametrize("shape", [(16, 15), (15, 16), (24, 24), (2, 16, 15), (16,)])
+    def test_mis_sized_operator_raises(self, name, shape):
+        with pytest.raises(ValueError, match=re.escape("SpinPair(n1=4, n2=4)")) as err:
+            self.SHAPED[name](np.ones(shape), SpinPair(4, 4))
+        assert str(shape) in str(err.value)
+
+    def test_twirl_of_a_non_square_product_raises(self):
+        # np.trace of the (16, 15) product succeeds, so the shape is checked first
+        with pytest.raises(ValueError, match=r"got shape \(16, 15\)$"):
+            dense.twirl_alpha(np.ones((16, 15)), SpinPair(4, 4))
+
+
+class TestOracleShortcut:
+    """The oracle check forms each stack's partial transpose once and reads
+    theta_1 and the Breuer image of the real part off it."""
+
+    @pytest.mark.parametrize("system", STACK_SYSTEMS, ids=str)
+    def test_shortcut_equals_the_public_images_bitwise(self, system):
+        rng = np.random.default_rng([11, system.n1, system.n2])
+        rho = dense.from_alpha([random_state(system, rng) for _ in range(5)])
+        transposed = dense.partial_transpose_1(rho, system)
+        image = dense._time_reversed_1(transposed, system)
+        assert image.tobytes() == dense.theta1(rho, system).tobytes()
+        assert (dense._phi1(rho.real, image.real, system).tobytes()
+                == dense.breuer_phi1(rho.real, system).tobytes())
 
 
 class TestTimeReversal:

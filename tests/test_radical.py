@@ -1,6 +1,7 @@
 """Exact radical arithmetic and the spin parser."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -327,3 +328,45 @@ class TestExactSum:
             exact_sum(terms)
         assert str(from_sum.value) == str(from_fold.value) == (
             "cannot add incompatible radicals sqrt(18) and -sqrt(12) exactly")
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_seeded_factor_counts_equal_the_left_fold(self, seed):
+        # terms of no factor, one factor and three factors, with zero coefficients
+        # and zero factors among them; a term of no factor is the rational c, so
+        # it is drawn only when the base is rational and every sum stays in one class
+        rng = random.Random(seed)
+        base = ExactRadical.sqrt(rng.choice((Fraction(1), Fraction(2), Fraction(3, 5))))
+        kinds = (0, 1, 3) if base.as_rational() is not None else (1, 3)
+        terms = []
+        for _ in range(rng.randint(0, 10)):
+            c, kind = rng.randint(-6, 6), rng.choice(kinds)
+            q = Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+            if kind == 0:
+                terms.append((c,))
+            elif kind == 1:
+                terms.append((c, base.scale(q)))
+            else:
+                k, m = ExactRadical.sqrt(rng.randint(1, 30)), ExactRadical.sqrt(rng.randint(1, 30))
+                factors = [base.scale(q) * k * m, k, m]
+                if rng.random() < 0.2:
+                    factors[rng.randrange(3)] = ExactRadical.zero()
+                terms.append((c, *factors))
+        assert exact_sum(terms) == fold(terms) == ratio_fold(terms)
+
+    @pytest.mark.parametrize("terms, message", [
+        ([(2,), (1, ExactRadical.sqrt(2))], "2 and sqrt(2)"),
+        ([(1, ExactRadical.sqrt(3), ExactRadical.sqrt(5), ExactRadical.sqrt(7)),
+          (-2, ExactRadical.sqrt(105)), (1, ExactRadical.sqrt(6))], "-sqrt(105) and sqrt(6)"),
+        ([(3, ExactRadical.sqrt(Fraction(2, 3))), (0, ExactRadical.sqrt(5)),
+          (1, ExactRadical.zero(), ExactRadical.sqrt(7)),
+          (-1, ExactRadical.sqrt(Fraction(1, 5)), ExactRadical.sqrt(Fraction(1, 3)),
+           ExactRadical.sqrt(2))], "sqrt(6) and -sqrt(2/15)"),
+        ([(1, ExactRadical.sqrt(2)), (-1, ExactRadical.sqrt(2)), (4,),
+          (1, -ExactRadical.sqrt(Fraction(9, 8)), ExactRadical.sqrt(Fraction(1, 2)),
+           ExactRadical.sqrt(3))], "4 and -sqrt(27/16)"),
+    ])
+    def test_incompatible_terms_of_any_factor_count_keep_their_message(self, terms, message):
+        # the partial sum and the offending term, each as one radical
+        with pytest.raises(ValueError) as err:
+            exact_sum(terms)
+        assert str(err.value) == f"cannot add incompatible radicals {message} exactly"
