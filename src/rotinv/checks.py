@@ -169,17 +169,25 @@ def be_existence(systems) -> float:
 def dense_equivalence(alphas) -> float:
     """The dense-matrix oracle against the parameter-space maps, per alpha state.
 
-    A state's residual covers the extracted beta against L alpha and the
-    theta_1 spectrum against the partial-transpose spectrum; a disagreement
-    on the sign of the Breuer image (beyond 1e-10), read off its eigenvalues
-    alone against ``breuer_detects`` where the map is positive (even n1 >= 4),
-    counts 1.0.  Only that sign is read, so the Breuer image is taken
-    from the real part of rho, in float64; the extraction and the two spectra
-    stay complex, because their rounding shows in the residual.  Consecutive
-    alphas of one system go through the oracle as one stack; each state's
-    residual is the one it gets alone.  A stack's partial transpose is formed
-    once: its theta_1 image is read off it, and the Breuer image reads the
-    real part of that theta_1 image, which is theta_1 of the real part.
+    A state's residual covers the extracted beta against L alpha, the
+    theta_1 spectrum against the partial-transpose spectrum, and the largest
+    entry of any of the three operators off its charge blocks; a
+    disagreement on the sign of the Breuer image (beyond 1e-10), read off its
+    eigenvalues alone against ``breuer_detects`` where the map is positive
+    (even n1 >= 4), counts 1.0.  The spectra are read block by block: the
+    theta_1 and Breuer images conserve M = m1 + m2 and the partial transpose
+    conserves m2 - m1.  On correct operators the off-block entry is exactly
+    0.0, since ``from_alpha`` fills only the entries of equal M and partial
+    transposition only moves entries, so it moves no residual; an operator
+    that breaks its charge shows it as the residual, where the block spectra
+    alone would leave it out.  Only the Breuer sign is read, so that image is
+    taken from the real part of rho, in float64; the extraction and the two
+    compared spectra stay complex, and the extraction is taken from full
+    matrix products.  Consecutive alphas of one system go through the oracle
+    as one stack; each state's residual is the one it gets alone.  A stack's
+    partial transpose is formed once: its theta_1 image is read off it, and
+    the Breuer image reads the real part of that theta_1 image, which is
+    theta_1 of the real part.
     """
     def residuals(system, group):
         group = list(group)
@@ -187,13 +195,18 @@ def dense_equivalence(alphas) -> float:
         extracted = dense.extract_beta(rho, system)
         transposed = dense.partial_transpose_1(rho, system)
         image = dense._time_reversed_1(transposed, system)
-        min_eigs = dense.spectrum(dense._phi1(rho.real, image.real, system))[:, 0].tolist()
-        spectra = np.abs(dense.spectrum(image) - dense.spectrum(transposed)).max(axis=-1)
-        for alpha, dense_beta, min_eig, gap in zip(group, extracted, min_eigs, spectra.tolist()):
+        breuer, breuer_off = dense._block_spectra(dense._phi1(rho.real, image.real, system),
+                                                  system, "m1+m2")
+        image_spectra, image_off = dense._block_spectra(image, system, "m1+m2")
+        transposed_spectra, transposed_off = dense._block_spectra(transposed, system, "m2-m1")
+        gaps = np.abs(image_spectra - transposed_spectra).max(axis=-1)
+        off = np.maximum.reduce([breuer_off, image_off, transposed_off])
+        for alpha, dense_beta, min_eig, gap, outside in zip(
+                group, extracted, breuer[:, 0].tolist(), gaps.tolist(), off.tolist()):
             beta = states.alpha_to_beta(alpha)
             extract = float(np.abs(dense_beta.as_array() - beta.as_array()).max())
             signs = float(system.breuer_applicable
                           and maps.breuer_detects(beta) != (min_eig < -states.DEFAULT_TOL))
-            yield max(extract, signs, gap)
+            yield max(extract, signs, gap, outside)
     return _worst(r for system, group in groupby(alphas, key=lambda a: a.system)
                   for r in residuals(system, group))

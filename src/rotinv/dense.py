@@ -18,6 +18,13 @@ One operator runs through the same code as a stack, and each matrix of a
 stack comes out with the bytes of its own one-operator call.
 ``partial_transpose_1``, ``theta1`` and ``breuer_phi1`` keep a real input real.
 
+Each operator whose spectrum the oracle check reads conserves a charge, so
+it is block-diagonal in the product basis: rho, theta_1(rho) and
+Phi_1(rho) conserve M = m1 + m2, and rho^T1 conserves m2 - m1.  A
+private routine reads a stack's spectra block by block, from one cached
+table per (system, charge), and reports the largest entry off the blocks,
+so an operator that breaks its charge is seen, not dropped.
+
 Product-basis convention: index i = i1*n2 + i2 with m1 = j1 - i1 and
 m2 = j2 - i2 (projections descending within each factor).
 """
@@ -435,6 +442,55 @@ def product_rotation(system: SpinPair, axis: int, angle: float) -> np.ndarray:
 def spectrum(op: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian operator, or of each in a stack (..., d, d)."""
     return np.linalg.eigvalsh(op)
+
+
+# the two conserved charges of the product basis, as functions of (i1, i2)
+_CHARGES = {"m1+m2": lambda i1, i2: i1 + i2, "m2-m1": lambda i1, i2: i2 - i1}
+
+
+@lru_cache(maxsize=None)
+def _sectors(system: SpinPair, charge: str) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The blocks of one conserved charge, as flat indices into a (d, d) operator; read-only.
+
+    Index i = i1 n2 + i2 has m1 + m2 = j1 + j2 - (i1 + i2) and m2 - m1 =
+    j2 - j1 - (i2 - i1).  An operator that conserves ``charge`` links only
+    indices with equal charge, so it is zero off the blocks they span.
+    Returns one (blocks, s, s) array per block size s (each s <= n1), the
+    flat entries of all blocks of that size, and the flat entries off every
+    block.
+    """
+    i1, i2 = np.divmod(np.arange(system.dim), system.n2)
+    label = _CHARGES[charge](i1, i2)
+    rows_by_size: dict[int, list[np.ndarray]] = {}
+    for value in np.unique(label):
+        rows = np.flatnonzero(label == value)
+        rows_by_size.setdefault(len(rows), []).append(rows)
+    blocks = tuple(_frozen(rows[:, :, None] * system.dim + rows[:, None, :])
+                   for rows in map(np.array, rows_by_size.values()))
+    off = np.ones(system.dim ** 2, dtype=bool)
+    for flat in blocks:
+        off[flat.ravel()] = False
+    return blocks, _frozen(np.flatnonzero(off))
+
+
+def _block_spectra(ops: np.ndarray, system: SpinPair, charge: str
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of each operator of a stack (..., d, d) that conserves ``charge``.
+
+    One ``eigvalsh`` per block size takes every block of that size, so no
+    product runs over the entries that conservation makes zero.  Returns the
+    spectra (..., d) and, per operator, the largest |entry| off the blocks:
+    0.0 for an operator that conserves the charge, and the size of the
+    entries whose eigenvalues the spectra leave out otherwise.
+    """
+    _require_operators(ops, system)
+    blocks, off = _sectors(system, charge)
+    lead = ops.shape[:-2]
+    flat = ops.reshape(lead + (-1,))
+    values = np.concatenate([np.linalg.eigvalsh(flat[..., entries]).reshape(lead + (-1,))
+                             for entries in blocks], axis=-1)
+    values.sort(axis=-1)
+    return values, np.abs(flat[..., off]).max(axis=-1, initial=0.0)
 
 
 def min_eigenvalue(op: np.ndarray) -> tuple[float, float]:

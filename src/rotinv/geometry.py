@@ -449,6 +449,9 @@ def polytope_bounding_box(system: SpinPair) -> tuple[tuple[float, float], ...]:
                  for lo, hi in zip(np.min(vertices, axis=0), np.max(vertices, axis=0)))
 
 
+# the most grid points (grid ** d) a sweep evaluates: about 210 bytes of peak memory each
+_SWEEP_POINT_BUDGET = 4_000_000
+
 # the PPT verdicts, in precedence order: the names of sweep class codes 0, 1, 2
 SWEEP_CLASSES = tuple(v.value for v in (Verdict.PPT_BOUND_ENTANGLED_DETECTED,
                                         Verdict.KNOWN_SEPARABLE, Verdict.PPT_UNDETERMINED))
@@ -465,13 +468,20 @@ def sweep_columns(system: SpinPair, grid: int, tol: float
     row-major grid order, are (axes[0][index[0][i]], axes[1][index[1][i]],
     ...) with class code codes[i], in precedence order 0 detected, else 1
     4 x N separable, else 2 undetermined, named by ``SWEEP_CLASSES``.
-    fraction is the detected share of them (0.0 if there are none).
+    fraction is the detected share of them (0.0 if there are none).  A grid
+    of more than ``_SWEEP_POINT_BUDGET`` points raises ValueError before any
+    array is allocated.
     """
     if system.n1 not in (4, 6):
         raise ValueError(f"region sweep supports n1 in (4, 6), got {system.n1}")
     if grid < 10:
         raise ValueError(f"grid must be >= 10, got {grid}")
-    axes = [np.linspace(lo, hi, grid) for lo, hi in polytope_bounding_box(system)]
+    box = polytope_bounding_box(system)
+    count = grid ** len(box)
+    if count > _SWEEP_POINT_BUDGET:
+        raise ValueError(f"a sweep of {system} at grid {grid} has {count} points, "
+                         f"above the budget of {_SWEEP_POINT_BUDGET}")
+    axes = [np.linspace(lo, hi, grid) for lo, hi in box]
     points = np.stack(np.meshgrid(*axes, indexing="ij", copy=False)).reshape(len(axes), -1)
     alpha, alpha_phi = _slice_alphas(system, points)
     flat = np.flatnonzero(np.minimum.reduce(alpha) >= -tol)

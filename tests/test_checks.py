@@ -106,6 +106,42 @@ def test_dense_equivalence_sees_a_negated_breuer_image(monkeypatch):
     assert checks.dense_equivalence(cli._seeded_states(7)) == 1.0
 
 
+@pytest.mark.parametrize("wrong", [lambda rho, system: rho,
+                                   lambda rho, system: np.swapaxes(rho, -2, -1)],
+                         ids=["identity", "full-transpose"])
+def test_dense_equivalence_sees_a_wrong_partial_transpose(wrong, monkeypatch):
+    monkeypatch.setattr(dense, "partial_transpose_1", wrong)
+    assert checks.dense_equivalence(cli._seeded_states(7)) == 1.0
+
+
+def test_dense_equivalence_sees_a_scaled_theta1_image(monkeypatch):
+    # the block spectra give the gap that the full spectra give, to rounding
+    image = dense._time_reversed_1
+    scaled = lambda transposed, system: 1.001 * image(transposed, system)  # noqa: E731
+    full = 0.0
+    for system, group in groupby(cli._seeded_states(3), key=lambda a: a.system):
+        transposed = dense.partial_transpose_1(dense.from_alpha(list(group)), system)
+        full = max(full, np.abs(dense.spectrum(scaled(transposed, system))
+                                - dense.spectrum(transposed)).max())
+    monkeypatch.setattr(dense, "_time_reversed_1", scaled)
+    residual = checks.dense_equivalence(cli._seeded_states(3))
+    assert residual > 1e-10 and residual == pytest.approx(full, rel=1e-9)
+
+
+def test_dense_equivalence_folds_in_an_entry_off_the_blocks(monkeypatch):
+    # an entry that links m1 + m2 = j1 + j2 to j1 + j2 - 1 breaks conservation; the block
+    # spectra leave it out, so it comes back as the residual itself
+    image = dense._time_reversed_1
+
+    def leaky(transposed, system):
+        out = image(transposed, system)
+        out[..., 0, 1] += 1e-6
+        out[..., 1, 0] += 1e-6
+        return out
+    monkeypatch.setattr(dense, "_time_reversed_1", leaky)
+    assert checks.dense_equivalence(cli._seeded_states(7)) == 1e-6
+
+
 def test_eigenvalue_sign_agrees_with_min_eigenvalue():
     for alpha in cli._seeded_states(7):
         image = dense.breuer_phi1(dense.from_alpha(alpha), alpha.system)

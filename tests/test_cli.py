@@ -450,6 +450,37 @@ class TestOutOfMemory:
         assert err.startswith(shown) and err.count("\n") == 1
 
 
+class TestSweepBudget:
+    """A sweep of more than 4,000,000 grid points (grid ** d) exits 2 before it allocates:
+    np.linspace is never reached."""
+
+    class Reached(Exception):
+        pass
+
+    @pytest.fixture
+    def no_linspace(self, monkeypatch):
+        def reached(*args, **kwargs):
+            raise self.Reached
+        monkeypatch.setattr(np, "linspace", reached)
+
+    @pytest.mark.parametrize("n1, grid, points", [(4, 4_000_001, 4_000_001),
+                                                  (4, 100_000_000, 100_000_000),
+                                                  (6, 2001, 4_004_001),
+                                                  (6, 1_000_000, 10 ** 12)])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_grid_above_the_budget_exits_2(self, n1, grid, points, fmt, no_linspace, capsys):
+        code, out, err = run_main(["sweep", "--n1", str(n1), "--n2", "6", "--grid", str(grid),
+                                   "--format", fmt], capsys)
+        assert code == 2 and out == ""
+        assert err == (f"error: a sweep of SpinPair(n1={n1}, n2=6) at grid {grid} has {points} "
+                       "points, above the budget of 4000000\n")
+
+    @pytest.mark.parametrize("n1, grid", [(4, 4_000_000), (6, 2000)])
+    def test_grid_at_the_budget_reaches_the_grid(self, n1, grid, no_linspace):
+        with pytest.raises(self.Reached):
+            geometry.sweep_columns(SpinPair(n1, 6), grid, 1e-10)
+
+
 class TestTolOption:
     """--tol belongs to classify and sweep: geometry is exact, and verify runs
     every check at the library default."""

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rotinv import dense
+from rotinv import cli, dense
 from rotinv.geometry import find_detected_invariant_state
 from rotinv.dense import pi_project, PureProductState
 from rotinv.maps import breuer_map, partial_time_reversal
@@ -293,6 +293,7 @@ class TestOperatorShape:
         "partial_transpose_1": dense.partial_transpose_1,
         "theta1": dense.theta1,
         "breuer_phi1": dense.breuer_phi1,
+        "_block_spectra": lambda op, system: dense._block_spectra(op, system, "m1+m2"),
     }
 
     @pytest.mark.parametrize("name", SHAPED)
@@ -321,6 +322,66 @@ class TestOracleShortcut:
         assert image.tobytes() == dense.theta1(rho, system).tobytes()
         assert (dense._phi1(rho.real, image.real, system).tobytes()
                 == dense.breuer_phi1(rho.real, system).tobytes())
+
+
+SEEDED_SYSTEMS = [SpinPair(*dims) for dims in ((4, 4), (4, 6), (6, 6), (6, 8), (3, 4), (5, 6))]
+
+
+def _seeded_stack(system):
+    """The verify --deep stack of seed 7 where it sweeps ``system``, else 25 seeded states."""
+    group = [alpha for alpha in cli._seeded_states(7) if alpha.system == system]
+    if not group:
+        rng = np.random.default_rng([system.n1, system.n2])
+        group = [random_state(system, rng) for _ in range(25)]
+    return dense.from_alpha(group)
+
+
+class TestBlockSpectra:
+    """rho, theta_1(rho) and Phi_1(rho) conserve m1 + m2, rho^T1 conserves m2 - m1:
+    the oracle reads their spectra block by block."""
+
+    @pytest.mark.parametrize("system", SEEDED_SYSTEMS, ids=str)
+    def test_block_spectra_equal_the_full_spectra(self, system):
+        rho = _seeded_stack(system)
+        assert rho.shape == (25, system.dim, system.dim)
+        transposed = dense.partial_transpose_1(rho, system)
+        for op, charge in ((rho, "m1+m2"), (dense.theta1(rho, system), "m1+m2"),
+                           (dense.breuer_phi1(rho.real, system), "m1+m2"),
+                           (transposed, "m2-m1")):
+            values, outside = dense._block_spectra(op, system, charge)
+            assert values.shape == op.shape[:-1]
+            assert np.abs(values - dense.spectrum(op)).max() < 1e-13
+            assert outside.shape == op.shape[:-2] and (outside == 0.0).all()
+
+    @pytest.mark.parametrize("system", [SpinPair(3, 4), SpinPair(4, 6), SpinPair(6, 8)], ids=str)
+    @pytest.mark.parametrize("charge", ["m1+m2", "m2-m1"])
+    def test_sectors_partition_the_indices(self, system, charge):
+        blocks, off = dense._sectors(system, charge)
+        assert dense._sectors(system, charge) is dense._sectors(system, charge)
+        diagonal = np.concatenate([np.diagonal(flat, axis1=-2, axis2=-1).ravel()
+                                   for flat in blocks])
+        assert sorted(diagonal // system.dim) == list(range(system.dim))
+        i1, i2 = np.divmod(np.arange(system.dim), system.n2)
+        label = i1 + i2 if charge == "m1+m2" else i2 - i1
+        for flat in blocks:
+            rows = np.diagonal(flat, axis1=-2, axis2=-1) // system.dim
+            assert (label[rows] == label[rows[:, :1]]).all()
+        assert sum(len(flat) for flat in blocks) == len(np.unique(label))
+        assert max(flat.shape[-1] for flat in blocks) == system.n1
+        entries = np.concatenate([flat.ravel() for flat in blocks] + [off])
+        assert sorted(entries) == list(range(system.dim ** 2))
+        assert not any(arr.flags.writeable for arr in (*blocks, off))
+
+    def test_planted_off_block_entry_is_the_outside_maximum(self):
+        system = SpinPair(6, 8)
+        rho = _seeded_stack(system).copy()
+        _, off = dense._sectors(system, "m1+m2")
+        row, col = divmod(int(off[40]), system.dim)
+        rho[3, row, col] = rho[3, col, row] = 0.25
+        values, outside = dense._block_spectra(rho, system, "m1+m2")
+        assert outside[3] == 0.25 and np.delete(outside, 3).max() == 0.0
+        assert np.abs(np.delete(values, 3, axis=0)
+                      - np.delete(dense.spectrum(rho), 3, axis=0)).max() < 1e-13
 
 
 class TestTimeReversal:

@@ -11,7 +11,8 @@ every symbol, and the oracle enters wigner's kernels on doubled ints.
 wigner keeps its Racah internals: L's entries come from wigner._l_rows, the
 one thing states reads there beside twice, and the sign (-1)**(x/2) is
 written in wigner._phase alone.  geometry reads L in theta1_polytope and
-_slice_alphas alone.  The
+_slice_alphas alone.  Spectra are taken in dense alone, whose one table
+per conserved charge gives the blocks they are read in.  The
 package's import graph has no cycle, every import sits at module level,
 and none is unused.
 """
@@ -358,3 +359,36 @@ def test_geometry_reads_the_theta1_slice_off_l_twice():
     found = {name: names & {"build_l_matrix", "_exact_weights", "LMatrix"}
              for name, names in readers.items()}
     assert not any(found.values()), found
+
+
+def linalg_reads(name: str) -> list[tuple[str, str]]:
+    """(enclosing top-level function, attribute) for each np.linalg.x that module ``name`` reads."""
+    return [(getattr(top, "name", None), node.attr)
+            for top in TREES[name].body for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "linalg" and getattr(node.value.value, "id", None) == "np"]
+
+
+def test_linear_algebra_runs_in_dense():
+    """Every spectrum is taken in dense; the one np.linalg read elsewhere is
+    polytope_bounding_box's solve of its facet rows."""
+    found = {name: linalg_reads(name) for name in TREES if name != "dense"}
+    assert sorted(found.pop("geometry")) == [("polytope_bounding_box", "LinAlgError"),
+                                             ("polytope_bounding_box", "solve")]
+    assert not any(found.values()), found
+    assert {attr for _, attr in linalg_reads("dense")} == {"eigvalsh", "eigh", "norm"}
+
+
+def test_sector_tables_have_one_home_in_dense():
+    """The blocks of a conserved charge are built by dense._sectors and read by
+    dense._block_spectra alone; checks builds no index table of its own."""
+    assert "_sectors" in definitions("dense")
+    assert [where for where, _ in calls("dense", "_sectors")] == ["_block_spectra"]
+    found = {name: mentions(name, "_sectors") + mentions(name, "_CHARGES")
+             for name in TREES if name != "dense"}
+    assert not any(found.values()), found
+    builders = {"arange", "divmod", "unique", "flatnonzero", "nonzero", "argsort", "indices",
+                "ix_", "where", "tril_indices", "triu_indices", "diag_indices"}
+    built = [(node.func.attr, node.lineno) for node in ast.walk(TREES["checks"])
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in builders]
+    assert not built, built
