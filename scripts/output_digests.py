@@ -17,12 +17,18 @@ existence ladder (even n1, n2 in {n1, n1+2, 2n1, 2n1+8}); the full list's
 n1 = 2..20, n2 = n1..n1+12, and its ``named-4xn`` digest covers, for
 N = 4..40, ``repr`` of every exact coordinate and the float bytes of each
 labelled 4 x N point (signed zeros included) and ``repr`` of every entry
-of ``explicit_l_matrix_4xn``.  To check that a change leaves every output
-byte-identical, run the script against both trees and diff the listings:
+of ``explicit_l_matrix_4xn``; its ``verify --deep`` runs are seeds 0..199
+and 12345, one line each, and ``--perturb-l``.  To check that a change
+leaves every output byte-identical, run the script against both trees and
+diff the listings, once with default BLAS and once with one BLAS thread:
 
     PYTHONPATH=/path/to/old/src python scripts/output_digests.py > old.txt
     PYTHONPATH=src python scripts/output_digests.py > new.txt
     diff old.txt new.txt
+    # again with OPENBLAS_NUM_THREADS=1 before each python
+
+This listing is the whole byte contract: CI diffs it in exactly this way
+and captures no other output.
 
 ``--quick`` runs a short list with a few outputs of each kind.  The seeded
 states come from numpy and the public rotinv API only, and the oracle is
@@ -219,7 +225,8 @@ def command_list(quick: bool) -> list[list[str]]:
         geometries = [(n1, n2) for n1 in range(4, 13, 2)
                       for n2 in (n1, n1 + 5, 2 * n1 + 8)]
         verifies = [["verify"],
-                    *(["verify", "--deep", "--seed", str(seed)] for seed in (1, 2, 7, 12345)),
+                    *(["verify", "--deep", "--seed", str(seed)] for seed in (*range(200), 12345)),
+                    ["verify", "--deep", "--perturb-l"],
                     ["verify", "--perturb-l"]]
         errors = ERROR_COMMANDS
         classifies = CLASSIFY_COMMANDS

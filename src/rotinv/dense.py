@@ -108,22 +108,17 @@ def coupled_basis(system: SpinPair) -> np.ndarray:
     return _frozen(u)
 
 
-@lru_cache(maxsize=None)
-def _projector_cached(system: SpinPair, tj: int) -> np.ndarray:
-    u = coupled_basis(system)
+def projector(system: SpinPair, J) -> np.ndarray:
+    """P_J = sum_M |J M><J M|: Hermitian idempotent with trace 2J+1."""
+    tj, u = twice(J), coupled_basis(system)
     col = 0
     for j in system.j_values():
         width = twice(j) + 1
         if width == tj + 1:
             block = u[:, col:col + width]
-            return _frozen(block @ block.T)
+            return block @ block.T
         col += width
     raise ValueError(f"J = {Fraction(tj, 2)} is not a total momentum of {system}")
-
-
-def projector(system: SpinPair, J) -> np.ndarray:
-    """P_J = sum_M |J M><J M|: Hermitian idempotent with trace 2J+1."""
-    return _projector_cached(system, twice(J))
 
 
 def tensor_matrix_element(j, m, K, q, mp) -> ExactRadical:
@@ -185,10 +180,10 @@ def _on_support(system: SpinPair, basis: str) -> tuple[np.ndarray, np.ndarray, n
     """The operators of one basis on their joint support: sqrt(n1 n2 d_i), slots, entries.
 
     ``basis`` is "alpha" (the P_J, d_i = 2J+1) or "beta" (the Q_K, d_i = 2K+1).
-    Every such operator conserves the total projection M, so it is zero, or
-    -0.0, off the entries of equal M (218 of the 2304 at 6 x 8).  The slots are
-    where those entries' real parts sit in a complex array viewed as floats;
-    the entries have one row per operator.  Cached per system, read-only.
+    Each conserves M = m1 + m2, so it is zero, or -0.0, off the M sector table
+    (218 of the 2304 entries at 6 x 8), its support.  The slots are where
+    those entries' real parts sit in a complex array viewed as floats; the
+    entries have one row per operator.  Cached per system, read-only.
     """
     if basis == "alpha":
         degeneracies = [twice(j) + 1 for j in system.j_values()]
@@ -197,7 +192,8 @@ def _on_support(system: SpinPair, basis: str) -> tuple[np.ndarray, np.ndarray, n
         degeneracies = [2 * k + 1 for k in system.k_values()]
         operators = [invariant_q(system, k) for k in system.k_values()]
     flat = np.stack(operators).reshape(len(operators), -1)
-    support = np.flatnonzero(flat.any(axis=0))
+    blocks, _ = _sectors(system, "m1+m2")
+    support = np.sort(np.concatenate([entries.ravel() for entries in blocks]))
     return (_frozen(np.sqrt(system.dim * np.asarray(degeneracies))), _frozen(2 * support),
             _frozen(flat[:, support]))
 

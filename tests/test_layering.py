@@ -381,9 +381,11 @@ def test_linear_algebra_runs_in_dense():
 
 def test_sector_tables_have_one_home_in_dense():
     """The blocks of a conserved charge are built by dense._sectors and read by
-    dense._block_spectra alone; checks builds no index table of its own."""
+    dense._on_support and dense._block_spectra alone; checks builds no index
+    table of its own."""
     assert "_sectors" in definitions("dense")
-    assert [where for where, _ in calls("dense", "_sectors")] == ["_block_spectra"]
+    assert ([where for where, _ in calls("dense", "_sectors")]
+            == ["_on_support", "_block_spectra"])
     found = {name: mentions(name, "_sectors") + mentions(name, "_CHARGES")
              for name in TREES if name != "dense"}
     assert not any(found.values()), found

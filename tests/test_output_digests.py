@@ -53,10 +53,12 @@ def test_seeded_states_are_normalized_and_span_the_sizes():
     assert all(b.coords[0] == 1.0 and b.system.n2 - b.system.n1 <= 8 for b in betas)
 
 
-def test_full_list_digests_four_deep_verify_seeds():
+def test_full_list_digests_deep_verify_seeds_and_perturbed_l():
     command_list = load()["command_list"]
     deep = [c for c in command_list(False) if "--deep" in c]
-    assert deep == [["verify", "--deep", "--seed", s] for s in ("1", "2", "7", "12345")]
+    seeds = [*map(str, range(200)), "12345"]
+    assert deep == [*(["verify", "--deep", "--seed", s] for s in seeds),
+                    ["verify", "--deep", "--perturb-l"]]
     assert not any("--deep" in c for c in command_list(True))
 
 

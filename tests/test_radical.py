@@ -173,6 +173,8 @@ class TestExactRadical:
         assert ExactRadical.sqrt(2).ratio(ExactRadical.sqrt(3)) is None
         with pytest.raises(ZeroDivisionError):
             a.ratio(ExactRadical.zero())
+        with pytest.raises(ZeroDivisionError):
+            a / ExactRadical.zero()
 
     def test_ratio_of_zero_rational_and_irrational_quotients(self):
         b = -ExactRadical.sqrt(Fraction(2, 3))
