@@ -28,9 +28,11 @@ diff the listings, once with default BLAS and once with one BLAS thread:
     # again with OPENBLAS_NUM_THREADS=1 before each python
 
 This listing is the whole byte contract: CI diffs it in exactly this way
-and captures no other output.
+and captures no other output.  On every Python it tests, CI also diffs the
+``--quick`` list under default BLAS against one BLAS thread.
 
-``--quick`` runs a short list with a few outputs of each kind.  The seeded
+``--quick`` runs a short list with a few outputs of each kind, the dense
+oracle check of ``verify --deep --seed 7`` among them.  The seeded
 states come from numpy and the public rotinv API only, and the oracle is
 reached as ``rotinv.dense``, ``rotinv.pi_project`` and
 ``rotinv.PureProductState``, so both trees see the same inputs.
@@ -215,7 +217,7 @@ def command_list(quick: bool) -> list[list[str]]:
     if quick:
         sweeps = [(4, 5, 200), (6, 8, 30)]
         geometries = [(4, 4), (6, 11)]
-        verifies = [["verify", "--perturb-l"]]
+        verifies = [["verify", "--perturb-l"], ["verify", "--deep", "--seed", "7"]]
         errors = [["geometry", *_system(6, 8), "--tol", "1e-8"]]
         classifies = [["classify", *_system(4, 4), "--alpha", "4,0,0,0"]]
     else:

@@ -177,30 +177,24 @@ def dense_equivalence(alphas) -> float:
     (even n1 >= 4), counts 1.0.  The spectra are read block by block: the
     theta_1 and Breuer images conserve M = m1 + m2 and the partial transpose
     conserves m2 - m1.  On correct operators the off-block entry is exactly
-    0.0, since ``from_alpha`` fills only the entries of equal M and partial
-    transposition only moves entries, so it moves no residual; an operator
-    that breaks its charge shows it as the residual, where the block spectra
-    alone would leave it out.  Only the Breuer sign is read, so that image is
-    taken from the real part of rho, in float64; the extraction and the two
-    compared spectra stay complex, and the extraction is taken from full
+    0.0, since ``from_alpha`` fills only the entries of equal M and each
+    map reads an image's off-block entries from rho's other entries alone,
+    so it moves no residual; an operator that breaks its charge shows it as the residual,
+    where the block spectra alone would leave it out.  The three spectra are
+    taken in float64, from the real part of rho: ``from_alpha`` leaves every
+    imaginary part +0.0, and ``extract_beta`` raises on any operator that
+    strays from its real, invariant projection by more than 1e-8.  Each
+    image's blocks are gathered straight from rho by ``dense``; no image is
+    formed whole.  The extraction stays complex and is taken from full
     matrix products.  Consecutive alphas of one system go through the oracle
-    as one stack; each state's residual is the one it gets alone.  A stack's
-    partial transpose is formed once: its theta_1 image is read off it, and
-    the Breuer image reads the real part of that theta_1 image, which is
-    theta_1 of the real part.
+    as one stack; each state's residual is the one it gets alone.
     """
     def residuals(system, group):
         group = list(group)
         rho = dense.from_alpha(group)
         extracted = dense.extract_beta(rho, system)
-        transposed = dense.partial_transpose_1(rho, system)
-        image = dense._time_reversed_1(transposed, system)
-        breuer, breuer_off = dense._block_spectra(dense._phi1(rho.real, image.real, system),
-                                                  system, "m1+m2")
-        image_spectra, image_off = dense._block_spectra(image, system, "m1+m2")
-        transposed_spectra, transposed_off = dense._block_spectra(transposed, system, "m2-m1")
-        gaps = np.abs(image_spectra - transposed_spectra).max(axis=-1)
-        off = np.maximum.reduce([breuer_off, image_off, transposed_off])
+        image, transposed, breuer, off = dense._block_spectra(rho, system)
+        gaps = np.abs(image - transposed).max(axis=-1)
         for alpha, dense_beta, min_eig, gap, outside in zip(
                 group, extracted, breuer[:, 0].tolist(), gaps.tolist(), off.tolist()):
             beta = states.alpha_to_beta(alpha)

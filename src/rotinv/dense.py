@@ -16,14 +16,22 @@ Operators are complex (d, d) arrays, d = n1*n2.  ``partial_transpose_1``,
 stack (..., d, d), and ``from_alpha`` a sequence of one system's alphas.
 One operator runs through the same code as a stack, and each matrix of a
 stack comes out with the bytes of its own one-operator call.
-``partial_transpose_1``, ``theta1`` and ``breuer_phi1`` keep a real input real.
+``partial_transpose_1``, ``theta1`` and ``breuer_phi1`` keep a real or
+complex input's dtype.
 
-Each operator whose spectrum the oracle check reads conserves a charge, so
-it is block-diagonal in the product basis: rho, theta_1(rho) and
-Phi_1(rho) conserve M = m1 + m2, and rho^T1 conserves m2 - m1.  A
-private routine reads a stack's spectra block by block, from one cached
-table per (system, charge), and reports the largest entry off the blocks,
-so an operator that breaks its charge is seen, not dropped.
+Each of those three maps has one implementation: a gather that reads its
+image at any set of flat positions straight from the entries of rho,
+through one cached, read-only table per system (where rho^T1 reads rho;
+where theta_1 reads rho^T1 and its sign; where 1 (x) Tr_1(rho) reads
+Tr_1(rho)).  The public map reads every position.  Each operator whose
+spectrum the oracle check reads conserves a charge, so it is
+block-diagonal in the product basis: rho, theta_1(rho) and Phi_1(rho)
+conserve M = m1 + m2, and rho^T1 conserves m2 - m1.  A private routine
+gathers the three images' charge blocks from the real part of a stack,
+through the same gathers and one cached table per (system, charge), takes
+their spectra in float64 with one ``eigvalsh`` per block size, and reports
+the largest entry of the images off the blocks, so an operator that
+breaks its charge is seen, not dropped.
 
 Product-basis convention: index i = i1*n2 + i2 with m1 = j1 - i1 and
 m2 = j2 - i2 (projections descending within each factor).
@@ -260,7 +268,10 @@ def extract_beta(rho: np.ndarray, system: SpinPair) -> BetaVector | list[BetaVec
         * np.trace(invariant_q(system, k) @ rho, axis1=-2, axis2=-1).real
         for k in system.k_values()
     ], axis=-1)
-    residuals = np.abs(rho - _assemble(system, coords, "beta")).max(axis=(-2, -1))
+    diff = rho - _assemble(system, coords, "beta")
+    # |x + 0i| is |x| exactly, so a difference with no imaginary part takes the real modulus
+    real = not np.abs(diff.imag).max(initial=0.0)
+    residuals = np.abs(diff.real if real else diff).max(axis=(-2, -1))
     betas = [BetaVector(system, row) for row in coords.reshape(-1, system.n1).tolist()]
     for beta, residual in zip(betas, residuals.ravel().tolist()):
         if residual > _INVARIANCE_TOL:
@@ -287,41 +298,81 @@ def time_reversal(n: int) -> np.ndarray:
     return _frozen(v)
 
 
+def _flat(ops: np.ndarray) -> np.ndarray:
+    """The entries of each operator of a stack (..., d, d) in one row (..., d * d)."""
+    return ops.reshape(ops.shape[:-2] + (-1,))
+
+
+def _every(system: SpinPair) -> np.ndarray:
+    """Every flat position of a (d, d) operator, as a (d, d) array: where a whole image is read."""
+    return np.arange(system.dim ** 2).reshape(system.dim, system.dim)
+
+
+# Each map below is one gather: its image at flat positions ``at`` (an int
+# array of any shape) is read from the flat entries of rho through one cached
+# (d, d) table per system, so a whole image (``at = _every(system)``) and the
+# charge blocks the oracle check reads (``at`` a sector table) are the same
+# code, entry for entry.  The arithmetic on a gathered array runs in place:
+# on the oracle's off-block entries a fresh array per step took about three
+# times as long.
+
+@lru_cache(maxsize=None)
+def _transposed_source(system: SpinPair) -> np.ndarray:
+    """The flat index into rho of each entry of rho^T1, as (d, d); read-only.
+
+    rho^T1 at ((a, b), (a', b')) is rho at ((a', b), (a, b')).
+    """
+    n1, n2 = system.n1, system.n2
+    index = np.arange(system.dim ** 2).reshape(n1, n2, n1, n2)
+    return _frozen(index.swapaxes(0, 2).reshape(system.dim, system.dim))
+
+
+def _transposed_1(flat: np.ndarray, system: SpinPair, at: np.ndarray) -> np.ndarray:
+    """rho^T1 at flat positions ``at``, read from the flat entries (..., d * d) of rho."""
+    return np.take(flat, _transposed_source(system).ravel()[at], axis=-1)
+
+
 def partial_transpose_1(rho: np.ndarray, system: SpinPair) -> np.ndarray:
     """Transpose the first subsystem of one operator or of each in a stack."""
     _require_operators(rho, system)
-    n1, n2 = system.n1, system.n2
-    blocks = rho.reshape(rho.shape[:-2] + (n1, n2, n1, n2))
-    return blocks.swapaxes(-4, -2).reshape(rho.shape)
+    return _transposed_1(_flat(rho), system, _every(system))
 
 
 @lru_cache(maxsize=None)
-def _theta1_signs(system: SpinPair) -> np.ndarray:
-    """(-1)**(a+a') at ((a, b), (a', b')): the signs V (x) 1 puts on both sides; read-only."""
-    parity = np.arange(system.dim) // system.n2 % 2
-    return _frozen(np.where(parity[:, None] == parity[None, :], 1.0, -1.0))
+def _theta1_table(system: SpinPair) -> tuple[np.ndarray, np.ndarray]:
+    """Where theta_1(rho) reads rho^T1, and the sign it puts there: (d, d) each, read-only.
+
+    V (x) 1 sends (a, b) to (n1-1-a, b) with sign (-1)**a, so theta_1(rho) at
+    ((a, b), (a', b')) is (-1)**(a+a') rho^T1 at ((n1-1-a, b), (n1-1-a', b')).
+    """
+    n1, n2 = system.n1, system.n2
+    index = np.arange(system.dim ** 2).reshape(n1, n2, n1, n2)
+    parity = np.arange(system.dim) // n2 % 2
+    signs = np.where(parity[:, None] == parity[None, :], 1.0, -1.0)
+    return (_frozen(index[::-1, :, ::-1, :].reshape(system.dim, system.dim)), _frozen(signs))
 
 
 def theta1(rho: np.ndarray, system: SpinPair) -> np.ndarray:
     """Partial time reversal (V (x) 1) rho^T1 (V (x) 1)^dag, for one operator or a stack.
 
-    V (x) 1 is a signed permutation: it sends (a, b) to (n1-1-a, b) with sign
-    (-1)**a.  So the image is the partial transpose with the first factor's
-    indices reversed, times a sign grid, in O(d^2) and in the dtype of ``rho``.
+    V (x) 1 is a signed permutation, so the image is the partial transpose
+    with the first factor's indices reversed, times a sign grid, in O(d^2)
+    and in the dtype of ``rho``.
     """
-    return _time_reversed_1(partial_transpose_1(rho, system), system)
+    _require_operators(rho, system)
+    return _time_reversed_1(_flat(rho), system, _every(system))
 
 
-def _time_reversed_1(transposed: np.ndarray, system: SpinPair) -> np.ndarray:
-    """(V (x) 1) X (V (x) 1)^dag of a formed partial transpose X = rho^T1: theta_1(rho).
+def _time_reversed_1(flat: np.ndarray, system: SpinPair, at: np.ndarray) -> np.ndarray:
+    """theta_1(rho) at flat positions ``at``, read from the flat entries (..., d * d) of rho.
 
     Adding 0.0 turns every -0.0 into +0.0, so the bytes are those of the
     matrix product (whose BLAS kernel leaves a -0.0 in some zero real parts
     only for complex input with n1 n2 not a multiple of 4).
     """
-    n1, n2 = system.n1, system.n2
-    blocks = transposed.reshape(transposed.shape[:-2] + (n1, n2, n1, n2))
-    image = blocks[..., ::-1, :, ::-1, :].reshape(transposed.shape) * _theta1_signs(system)
+    positions, signs = _theta1_table(system)
+    image = _transposed_1(flat, system, positions.ravel()[at])
+    image *= signs.ravel()[at]
     image += 0.0
     return image
 
@@ -329,17 +380,43 @@ def _time_reversed_1(transposed: np.ndarray, system: SpinPair) -> np.ndarray:
 def breuer_phi1(rho: np.ndarray, system: SpinPair) -> np.ndarray:
     """(Phi (x) id)(rho) = 1 (x) Tr_1(rho) - rho - theta_1(rho).
 
-    1 (x) Tr_1(rho) is the product np.kron forms, broadcast over a stack.
+    1 (x) Tr_1(rho) has the entries of the product np.kron forms, broadcast
+    over a stack.
     """
-    return _phi1(rho, theta1(rho, system), system)
+    _require_operators(rho, system)
+    flat, at = _flat(rho), _every(system)
+    return _phi1(flat, _trace_1(rho, system), _time_reversed_1(flat, system, at), system, at)
 
 
-def _phi1(rho: np.ndarray, image: np.ndarray, system: SpinPair) -> np.ndarray:
-    """:func:`breuer_phi1` with theta_1(rho) already formed, as ``image``."""
+def _trace_1(rho: np.ndarray, system: SpinPair) -> np.ndarray:
+    """Tr_1(rho) of one operator or of each in a stack, as (..., n2, n2)."""
     n1, n2 = system.n1, system.n2
-    tr1 = np.trace(rho.reshape(rho.shape[:-2] + (n1, n2, n1, n2)), axis1=-4, axis2=-2)
-    eye_tr1 = np.eye(n1)[:, None, :, None] * tr1[..., None, :, None, :]
-    return eye_tr1.reshape(rho.shape) - rho - image
+    return np.trace(rho.reshape(rho.shape[:-2] + (n1, n2, n1, n2)), axis1=-4, axis2=-2)
+
+
+@lru_cache(maxsize=None)
+def _phi1_table(system: SpinPair) -> tuple[np.ndarray, np.ndarray]:
+    """Where 1 (x) Tr_1(rho) reads Tr_1(rho), and the entry of 1 there: (d, d) each, read-only.
+
+    1 (x) Tr_1(rho) at ((a, b), (a', b')) is delta(a, a') Tr_1(rho) at (b, b').
+    """
+    n1, n2, shape = system.n1, system.n2, (system.dim, system.dim)
+    grid = (n1, n2, n1, n2)
+    slots = np.broadcast_to(np.arange(n2 * n2).reshape(1, n2, 1, n2), grid)
+    eye = np.broadcast_to(np.eye(n1)[:, None, :, None], grid)
+    return _frozen(slots.reshape(shape)), _frozen(eye.reshape(shape))
+
+
+def _phi1(flat: np.ndarray, trace: np.ndarray, image: np.ndarray, system: SpinPair,
+          at: np.ndarray) -> np.ndarray:
+    """Phi_1(rho) at flat positions ``at``, from the flat entries (..., d * d) of rho,
+    Tr_1(rho) as ``trace`` (..., n2, n2) and theta_1(rho) at ``at`` as ``image``."""
+    slots, eye = _phi1_table(system)
+    phi = np.take(_flat(trace), slots.ravel()[at], axis=-1)
+    phi *= eye.ravel()[at]
+    phi -= np.take(flat, at, axis=-1)
+    phi -= image
+    return phi
 
 
 def twirl_alpha(rho: np.ndarray, system: SpinPair) -> AlphaVector:
@@ -458,7 +535,7 @@ def _sectors(system: SpinPair, charge: str) -> tuple[tuple[np.ndarray, ...], np.
     i1, i2 = np.divmod(np.arange(system.dim), system.n2)
     label = _CHARGES[charge](i1, i2)
     rows_by_size: dict[int, list[np.ndarray]] = {}
-    for value in np.unique(label):
+    for value in range(label.min(), label.max() + 1):  # every value in between is taken
         rows = np.flatnonzero(label == value)
         rows_by_size.setdefault(len(rows), []).append(rows)
     blocks = tuple(_frozen(rows[:, :, None] * system.dim + rows[:, None, :])
@@ -469,24 +546,38 @@ def _sectors(system: SpinPair, charge: str) -> tuple[tuple[np.ndarray, ...], np.
     return blocks, _frozen(np.flatnonzero(off))
 
 
-def _block_spectra(ops: np.ndarray, system: SpinPair, charge: str
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of each operator of a stack (..., d, d) that conserves ``charge``.
+def _block_spectra(rho: np.ndarray, system: SpinPair
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Ascending spectra of theta_1, the partial transpose and Phi_1 of the real part of a stack.
 
-    One ``eigvalsh`` per block size takes every block of that size, so no
-    product runs over the entries that conservation makes zero.  Returns the
-    spectra (..., d) and, per operator, the largest |entry| off the blocks:
-    0.0 for an operator that conserves the charge, and the size of the
-    entries whose eigenvalues the spectra leave out otherwise.
+    theta_1(rho) and Phi_1(rho) conserve m1 + m2 and rho^T1 conserves m2 - m1
+    when rho conserves m1 + m2, and both charges have as many blocks of each
+    size.  So each image is read as its charge blocks, gathered from the real
+    part of rho through the maps' tables, and one float64 ``eigvalsh`` per
+    block size takes the blocks of that size from all three images; no image
+    is formed whole.  Returns the theta_1, partial-transpose and Phi_1
+    spectra (..., d) and, per operator, the largest |entry| of the three
+    images off their blocks: 0.0 for a stack that conserves m1 + m2, and the
+    size of the entries whose eigenvalues the spectra leave out otherwise.
     """
-    _require_operators(ops, system)
-    blocks, off = _sectors(system, charge)
-    lead = ops.shape[:-2]
-    flat = ops.reshape(lead + (-1,))
-    values = np.concatenate([np.linalg.eigvalsh(flat[..., entries]).reshape(lead + (-1,))
-                             for entries in blocks], axis=-1)
-    values.sort(axis=-1)
-    return values, np.abs(flat[..., off]).max(axis=-1, initial=0.0)
+    _require_operators(rho, system)
+    real, lead = rho.real, rho.shape[:-2]
+    # np.take reads a contiguous copy several times faster than the strided real part
+    flat, trace = np.ascontiguousarray(_flat(real)), _trace_1(real, system)
+    (blocks, off), (transposed_blocks, transposed_off) = (
+        _sectors(system, "m1+m2"), _sectors(system, "m2-m1"))
+    values = []
+    for at, transposed_at in zip(blocks, transposed_blocks, strict=True):
+        image = _time_reversed_1(flat, system, at)
+        values.append(np.linalg.eigvalsh(np.concatenate(
+            [image, _transposed_1(flat, system, transposed_at),
+             _phi1(flat, trace, image, system, at)], axis=-3)).reshape(lead + (3, -1)))
+    spectra = np.sort(np.concatenate(values, axis=-1), axis=-1)
+    image_off = _time_reversed_1(flat, system, off)
+    outside = (image_off, _transposed_1(flat, system, transposed_off),
+               _phi1(flat, trace, image_off, system, off))
+    return (spectra[..., 0, :], spectra[..., 1, :], spectra[..., 2, :], np.maximum.reduce(
+        [np.abs(entries).max(axis=-1, initial=0.0) for entries in outside]))
 
 
 def min_eigenvalue(op: np.ndarray) -> tuple[float, float]:

@@ -23,6 +23,7 @@ its symbols; the memo ``_six_j`` serves :func:`six_j` and the sums.
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
@@ -40,9 +41,10 @@ __all__ = [
 
 
 def twice(x) -> int:
-    """2x as an int for a spin value: an int, or a Fraction or float that is a half-integer.
+    """2x as an int for a spin value: an integer, or a Fraction or float that is a half-integer.
 
     Exact ints and Fractions, the types the package passes, are tested first.
+    Any other integer (a numpy integer, say) gives a Python int; bool is no spin.
     """
     kind = type(x)
     if kind is int:
@@ -56,13 +58,13 @@ def twice(x) -> int:
         raise ValueError(f"{x} is not a half-integer")
     if isinstance(x, bool):
         raise TypeError("bool is not a spin value")
-    if isinstance(x, int):
-        return 2 * x
     if isinstance(x, float):
         doubled = 2.0 * x
         if not doubled.is_integer():  # nor is inf or nan
             raise ValueError(f"{x} is not a half-integer")
         return int(doubled)
+    if isinstance(x, numbers.Integral):
+        return 2 * int(x)
     raise TypeError(f"cannot interpret {x!r} as a half-integer")
 
 

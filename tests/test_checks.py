@@ -101,29 +101,30 @@ def test_dense_equivalence_sees_a_negated_breuer_image(monkeypatch):
     # the oracle check decides the Breuer sign from eigenvalues alone; a wrong
     # sign on the dense side must still fail it
     assert checks.dense_equivalence(cli._seeded_states(7)) < 1e-10
-    phi1 = dense._phi1  # the Breuer image of a formed theta_1 image, as breuer_phi1 takes it
-    monkeypatch.setattr(dense, "_phi1", lambda rho, image, system: -phi1(rho, image, system))
+    phi1 = dense._phi1  # the Breuer image's entries, gathered as the check reads them
+    monkeypatch.setattr(dense, "_phi1", lambda *args: -phi1(*args))
     assert checks.dense_equivalence(cli._seeded_states(7)) == 1.0
 
 
-@pytest.mark.parametrize("wrong", [lambda rho, system: rho,
-                                   lambda rho, system: np.swapaxes(rho, -2, -1)],
+@pytest.mark.parametrize("wrong", [lambda index: index, lambda index: index.T],
                          ids=["identity", "full-transpose"])
 def test_dense_equivalence_sees_a_wrong_partial_transpose(wrong, monkeypatch):
-    monkeypatch.setattr(dense, "partial_transpose_1", wrong)
+    # the partial transpose's table, which the theta_1 and Breuer gathers read too
+    monkeypatch.setattr(dense, "_transposed_source", lambda system: wrong(
+        np.arange(system.dim ** 2).reshape(system.dim, system.dim)))
     assert checks.dense_equivalence(cli._seeded_states(7)) == 1.0
 
 
 def test_dense_equivalence_sees_a_scaled_theta1_image(monkeypatch):
     # the block spectra give the gap that the full spectra give, to rounding
-    image = dense._time_reversed_1
-    scaled = lambda transposed, system: 1.001 * image(transposed, system)  # noqa: E731
+    table = dense._theta1_table
     full = 0.0
     for system, group in groupby(cli._seeded_states(3), key=lambda a: a.system):
-        transposed = dense.partial_transpose_1(dense.from_alpha(list(group)), system)
-        full = max(full, np.abs(dense.spectrum(scaled(transposed, system))
-                                - dense.spectrum(transposed)).max())
-    monkeypatch.setattr(dense, "_time_reversed_1", scaled)
+        rho = dense.from_alpha(list(group))
+        full = max(full, np.abs(dense.spectrum(1.001 * dense.theta1(rho, system))
+                                - dense.spectrum(dense.partial_transpose_1(rho, system))).max())
+    monkeypatch.setattr(dense, "_theta1_table", lambda system: (
+        table(system)[0], 1.001 * table(system)[1]))
     residual = checks.dense_equivalence(cli._seeded_states(3))
     assert residual > 1e-10 and residual == pytest.approx(full, rel=1e-9)
 
@@ -133,10 +134,9 @@ def test_dense_equivalence_folds_in_an_entry_off_the_blocks(monkeypatch):
     # spectra leave it out, so it comes back as the residual itself
     image = dense._time_reversed_1
 
-    def leaky(transposed, system):
-        out = image(transposed, system)
-        out[..., 0, 1] += 1e-6
-        out[..., 1, 0] += 1e-6
+    def leaky(flat, system, at):
+        out = image(flat, system, at)
+        out += 1e-6 * np.isin(at, (1, system.dim))  # flat positions (0, 1) and (1, 0)
         return out
     monkeypatch.setattr(dense, "_time_reversed_1", leaky)
     assert checks.dense_equivalence(cli._seeded_states(7)) == 1e-6

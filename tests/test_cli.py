@@ -533,6 +533,18 @@ class TestEntryPoint:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
 
+    def test_verify_deep_loads_numpy_ma_only_if_numpy_does(self):
+        # np.unique imports numpy.ma (about 8 ms); the oracle takes its charges as int ranges
+        code = ("import contextlib, io, sys\n"
+                "import numpy\n"
+                "bare = 'numpy.ma' in sys.modules\n"
+                "from rotinv.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert main(['verify', '--deep', '--seed', '7']) == 0\n"
+                "assert bare or 'numpy.ma' not in sys.modules\n")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+
     def test_reused_parser_prints_what_a_fresh_process_prints(self, monkeypatch, capsys):
         """The parser is built once per process; usage errors leave it as a fresh one."""
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text at this width

@@ -272,6 +272,17 @@ class TestStacks:
         with pytest.raises(ValueError, match="one system"):
             dense.from_alpha(alphas)
 
+    def test_imaginary_entry_in_a_stack_reported(self):
+        # the stack's difference from its projection is no longer real, so it takes the
+        # complex modulus, 1.004e-06 here: its real part alone, 1e-07, would pass
+        system = SpinPair(4, 4)
+        stack = dense.from_alpha(self._states(system, 3))
+        stack[2, 3, 3] += 1e-7 + 1e-6j
+        with pytest.raises(dense.NonInvariantError) as err:
+            dense.extract_beta(stack, system)
+        assert str(err.value) == ("operator is not rotationally invariant (residual 1.004e-06); "
+                                  "use twirl_alpha for the projection")
+
     def test_non_invariant_matrix_in_a_stack_reported(self):
         system = SpinPair(4, 4)
         stack = dense.from_alpha(self._states(system, 3))
@@ -293,7 +304,7 @@ class TestOperatorShape:
         "partial_transpose_1": dense.partial_transpose_1,
         "theta1": dense.theta1,
         "breuer_phi1": dense.breuer_phi1,
-        "_block_spectra": lambda op, system: dense._block_spectra(op, system, "m1+m2"),
+        "_block_spectra": dense._block_spectra,
     }
 
     @pytest.mark.parametrize("name", SHAPED)
@@ -310,18 +321,30 @@ class TestOperatorShape:
 
 
 class TestOracleShortcut:
-    """The oracle check forms each stack's partial transpose once and reads
-    theta_1 and the Breuer image of the real part off it."""
+    """The oracle check gathers the charge blocks of theta_1, the partial transpose
+    and the Breuer image straight from the real part of rho, through the tables
+    the public maps read."""
 
     @pytest.mark.parametrize("system", STACK_SYSTEMS, ids=str)
     def test_shortcut_equals_the_public_images_bitwise(self, system):
         rng = np.random.default_rng([11, system.n1, system.n2])
         rho = dense.from_alpha([random_state(system, rng) for _ in range(5)])
-        transposed = dense.partial_transpose_1(rho, system)
-        image = dense._time_reversed_1(transposed, system)
-        assert image.tobytes() == dense.theta1(rho, system).tobytes()
-        assert (dense._phi1(rho.real, image.real, system).tobytes()
-                == dense.breuer_phi1(rho.real, system).tobytes())
+        real = rho.real
+        # theta_1 of the real part is, bit for bit, the real part of theta_1
+        assert (dense.theta1(real, system).tobytes()
+                == np.ascontiguousarray(dense.theta1(rho, system).real).tobytes())
+        flat, trace = np.ascontiguousarray(dense._flat(real)), dense._trace_1(real, system)
+        theta, phi, transposed = (dense._flat(f(real, system)) for f in (
+            dense.theta1, dense.breuer_phi1, dense.partial_transpose_1))
+        blocks, off = dense._sectors(system, "m1+m2")
+        for at in (*blocks, off):
+            image = dense._time_reversed_1(flat, system, at)
+            assert image.tobytes() == theta[..., at].tobytes()
+            assert (dense._phi1(flat, trace, image, system, at).tobytes()
+                    == phi[..., at].tobytes())
+        blocks, off = dense._sectors(system, "m2-m1")
+        for at in (*blocks, off):
+            assert dense._transposed_1(flat, system, at).tobytes() == transposed[..., at].tobytes()
 
 
 SEEDED_SYSTEMS = [SpinPair(*dims) for dims in ((4, 4), (4, 6), (6, 6), (6, 8), (3, 4), (5, 6))]
@@ -342,16 +365,20 @@ class TestBlockSpectra:
 
     @pytest.mark.parametrize("system", SEEDED_SYSTEMS, ids=str)
     def test_block_spectra_equal_the_full_spectra(self, system):
+        # the gathered real blocks against the full complex operators
         rho = _seeded_stack(system)
         assert rho.shape == (25, system.dim, system.dim)
-        transposed = dense.partial_transpose_1(rho, system)
-        for op, charge in ((rho, "m1+m2"), (dense.theta1(rho, system), "m1+m2"),
-                           (dense.breuer_phi1(rho.real, system), "m1+m2"),
-                           (transposed, "m2-m1")):
-            values, outside = dense._block_spectra(op, system, charge)
-            assert values.shape == op.shape[:-1]
+        *spectra, outside = dense._block_spectra(rho, system)
+        full = (dense.theta1(rho, system), dense.partial_transpose_1(rho, system),
+                dense.breuer_phi1(rho, system))
+        for values, op in zip(spectra, full, strict=True):
+            assert values.shape == op.shape[:-1] and values.dtype == float
             assert np.abs(values - dense.spectrum(op)).max() < 1e-13
-            assert outside.shape == op.shape[:-2] and (outside == 0.0).all()
+        assert outside.shape == rho.shape[:-2] and (outside == 0.0).all()
+        # one matrix alone reads as it does in the stack
+        for got, want in zip(dense._block_spectra(rho[4], system),
+                             dense._block_spectra(rho, system)):
+            assert got.tobytes() == np.ascontiguousarray(want[4]).tobytes()
 
     @pytest.mark.parametrize("system", [SpinPair(3, 4), SpinPair(4, 6), SpinPair(6, 8)], ids=str)
     @pytest.mark.parametrize("charge", ["m1+m2", "m2-m1"])
@@ -378,10 +405,13 @@ class TestBlockSpectra:
         _, off = dense._sectors(system, "m1+m2")
         row, col = divmod(int(off[40]), system.dim)
         rho[3, row, col] = rho[3, col, row] = 0.25
-        values, outside = dense._block_spectra(rho, system, "m1+m2")
+        *spectra, outside = dense._block_spectra(rho, system)
         assert outside[3] == 0.25 and np.delete(outside, 3).max() == 0.0
-        assert np.abs(np.delete(values, 3, axis=0)
-                      - np.delete(dense.spectrum(rho), 3, axis=0)).max() < 1e-13
+        full = (dense.theta1(rho, system), dense.partial_transpose_1(rho, system),
+                dense.breuer_phi1(rho, system))
+        for values, op in zip(spectra, full, strict=True):
+            assert np.abs(np.delete(values, 3, axis=0)
+                          - np.delete(dense.spectrum(op), 3, axis=0)).max() < 1e-13
 
 
 class TestTimeReversal:
@@ -409,9 +439,9 @@ class TestTimeReversal:
             v = np.kron(dense.time_reversal(system.n1), np.eye(system.n2))
             expected = v @ dense.partial_transpose_1(rho, system) @ v.conj().T
             assert dense.theta1(rho, system).tobytes() == expected.tobytes()
-            cached = dense._theta1_signs(system)
-            assert cached is dense._theta1_signs(SpinPair(system.n1, system.n2))
-            assert not cached.flags.writeable
+            cached = dense._theta1_table(system)
+            assert cached is dense._theta1_table(SpinPair(system.n1, system.n2))
+            assert not any(table.flags.writeable for table in cached)
 
     @staticmethod
     def _stack(system, dtype, kind, rng):

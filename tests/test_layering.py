@@ -381,11 +381,11 @@ def test_linear_algebra_runs_in_dense():
 
 def test_sector_tables_have_one_home_in_dense():
     """The blocks of a conserved charge are built by dense._sectors and read by
-    dense._on_support and dense._block_spectra alone; checks builds no index
-    table of its own."""
+    dense._on_support and dense._block_spectra alone (the latter reads both
+    charges); checks builds no index table of its own."""
     assert "_sectors" in definitions("dense")
     assert ([where for where, _ in calls("dense", "_sectors")]
-            == ["_on_support", "_block_spectra"])
+            == ["_on_support", "_block_spectra", "_block_spectra"])
     found = {name: mentions(name, "_sectors") + mentions(name, "_CHARGES")
              for name in TREES if name != "dense"}
     assert not any(found.values()), found
@@ -394,3 +394,20 @@ def test_sector_tables_have_one_home_in_dense():
     built = [(node.func.attr, node.lineno) for node in ast.walk(TREES["checks"])
              if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in builders]
     assert not built, built
+
+
+@pytest.mark.parametrize("table, gather, public", [
+    ("_transposed_source", "_transposed_1", "partial_transpose_1"),
+    ("_theta1_table", "_time_reversed_1", "theta1"),
+    ("_phi1_table", "_phi1", "breuer_phi1")])
+def test_each_map_has_one_implementation_in_dense(table, gather, public):
+    """Each of rho^T1, theta_1 and Phi_1 is one gather through one cached table: the
+    table is read by its gather alone, the public map is that gather over every entry,
+    and the oracle check reads the same gather through dense._block_spectra."""
+    assert {table, gather, public} <= definitions("dense")
+    assert [where for where, _ in calls("dense", table)] == [gather]
+    readers = {where for where, _ in calls("dense", gather)}
+    assert public in readers and "_block_spectra" in readers
+    assert readers <= {public, "_block_spectra", "_time_reversed_1", "breuer_phi1"}
+    found = {name: mentions(name, table) for name in TREES if name != "dense"}
+    assert not any(found.values()), found

@@ -24,6 +24,7 @@ def test_quick_list_prints_one_stable_digest_per_output(capsys):
     assert len(set(names)) == len(names)
     assert sum(name.startswith("classify n1=") for name in names) == 9
     assert "rotinv verify --perturb-l" in names
+    assert "rotinv verify --deep --seed 7" in names
     assert "dense oracle 4x4 (seed 8)" in names
     assert "witness, 1 existence-ladder size(s) up to 4x6" in names
     assert "rotinv sweep --n1 6 --n2 8 --grid 15 --format json" in names
@@ -59,7 +60,7 @@ def test_full_list_digests_deep_verify_seeds_and_perturbed_l():
     seeds = [*map(str, range(200)), "12345"]
     assert deep == [*(["verify", "--deep", "--seed", s] for s in seeds),
                     ["verify", "--deep", "--perturb-l"]]
-    assert not any("--deep" in c for c in command_list(True))
+    assert [c for c in command_list(True) if "--deep" in c] == [["verify", "--deep", "--seed", "7"]]
 
 
 def test_full_list_digests_a_json_sweep_of_each_n1():

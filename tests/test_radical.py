@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,6 +51,12 @@ class TestTwice:
     def test_result_is_an_int(self):
         for x in (2, -3, 0.5, -1.5, Fraction(3, 2), Fraction(-1, 2), Fraction(0)):
             assert type(twice(x)) is int
+
+    def test_numpy_integers_give_python_ints(self):
+        for x in (np.int64(3), np.int32(-2), np.uint8(5), np.int64(2 ** 40)):
+            assert twice(x) == 2 * int(x) and type(twice(x)) is int
+        with pytest.raises(TypeError):
+            twice(np.True_)  # numpy's bool is no integer to numbers.Integral
 
     def test_rejects_non_half_integers(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ import random
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -285,6 +286,13 @@ class TestClebschGordan:
 
     def test_projection_selection_rule(self):
         assert clebsch_gordan(1, 1, 1, 0, 2, 0).is_zero
+
+    def test_numpy_integer_arguments(self):
+        # each argument is parsed to a Python int, so the exact kernels see what an int gives
+        assert (clebsch_gordan(np.int64(10), 3, 10, -3, 20, 0)
+                == clebsch_gordan(10, 3, 10, -3, 20, 0))
+        assert (clebsch_gordan(*map(np.int32, (10, 3, 10, -3, 20, 0)))
+                == clebsch_gordan(10, 3, 10, -3, 20, 0))
 
     def test_orthonormal_rows(self):
         # sum over (j1 m1 j2 m2) of CG(...JM) CG(...J'M') = delta delta, exact
