@@ -357,9 +357,10 @@ def theta1(rho: np.ndarray, system: SpinPair) -> np.ndarray:
 
     V (x) 1 is a signed permutation, so the image is the partial transpose
     with the first factor's indices reversed, times a sign grid, in O(d^2)
-    and in the dtype of ``rho``.
+    and in the dtype of ``rho`` (float64 for int or bool input).
     """
     _require_operators(rho, system)
+    rho = rho.astype(np.result_type(rho, 1.0), copy=False)
     return _time_reversed_1(_flat(rho), system, _every(system))
 
 
@@ -381,9 +382,10 @@ def breuer_phi1(rho: np.ndarray, system: SpinPair) -> np.ndarray:
     """(Phi (x) id)(rho) = 1 (x) Tr_1(rho) - rho - theta_1(rho).
 
     1 (x) Tr_1(rho) has the entries of the product np.kron forms, broadcast
-    over a stack.
+    over a stack.  Int or bool input gives float64, as for :func:`theta1`.
     """
     _require_operators(rho, system)
+    rho = rho.astype(np.result_type(rho, 1.0), copy=False)
     flat, at = _flat(rho), _every(system)
     return _phi1(flat, _trace_1(rho, system), _time_reversed_1(flat, system, at), system, at)
 
@@ -453,13 +455,14 @@ class PureProductState:
 
     @classmethod
     def basis_state(cls, system: SpinPair, m1, m2) -> "PureProductState":
-        """|j1, m1> (x) |j2, m2>."""
-        tm1, tm2 = twice(m1), twice(m2)
-        a1 = [0.0] * system.n1
-        a2 = [0.0] * system.n2
-        a1[(system.n1 - 1 - tm1) // 2] = 1.0
-        a2[(system.n2 - 1 - tm2) // 2] = 1.0
-        return cls(system, tuple(a1), tuple(a2))
+        """|j1, m1> (x) |j2, m2>; each m must satisfy |m| <= j with j - m an integer."""
+        amps = []
+        for n, m in ((system.n1, m1), (system.n2, m2)):
+            tm = twice(m)
+            if abs(tm) > n - 1 or (n - 1 - tm) % 2:
+                raise ValueError(f"m = {m} is not a projection of spin j = {Fraction(n - 1, 2)}")
+            amps.append(tuple(1.0 if 2 * i == n - 1 - tm else 0.0 for i in range(n)))
+        return cls(system, *amps)
 
 
 def pi_project(product: PureProductState) -> BetaVector:
@@ -581,7 +584,10 @@ def _block_spectra(rho: np.ndarray, system: SpinPair
 
 
 def min_eigenvalue(op: np.ndarray) -> tuple[float, float]:
-    """Smallest eigenvalue and the residual ||M v - lambda v|| certifying it."""
+    """Smallest eigenvalue and the residual ||M v - lambda v|| certifying it, for one operator."""
+    shape = np.shape(op)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"min_eigenvalue takes one square operator, got shape {shape}")
     vals, vecs = np.linalg.eigh(op)
     idx = int(np.argmin(vals))
     v = vecs[:, idx]

@@ -19,14 +19,15 @@ with its odd coordinates set to zero: the n1 = 4 case of D~'' below.
 
 For general even n1 the theta_1-invariant states form a polytope in the
 even coordinates (beta_2, ..., beta_{n1-2}) with facets alpha_J = 0,
-ascending J, read off L by :func:`theta1_polytope`; in floats ``_slice_alphas``
-is the one reader, in columns: (d,) or (d, N) even coordinates to (n1,) or
-(n1, N) alphas.  Gamma, where the Breuer image meets the Jmin facet,
-separates the detected bound-entangled region; D~'', the Jmax facet over
-its constant (the symmetrized extreme state of maximal total momentum),
-lies on Gamma and strictly inside the polytope, so the detected region is
-nonempty for every even n1 >= 4, n2 >= n1.  Gamma and the sweeps take the
-Breuer image's numbers and the class names from states.
+ascending J, read off L by :func:`theta1_polytope`; in floats ``_slice_margins``
+is the one reader, in columns: (d,) or (d, N) even coordinates to the
+state's and its Breuer image's smallest alpha, which its callers only
+compare.  Gamma, where the Breuer image meets the Jmin facet, separates the
+detected bound-entangled region; D~'', the Jmax facet over its constant (the
+symmetrized extreme state of maximal total momentum), lies on Gamma and
+strictly inside the polytope, so the detected region is nonempty for every
+even n1 >= 4, n2 >= n1.  Gamma and the sweeps take the Breuer image's
+numbers and the class names from states.
 """
 
 from __future__ import annotations
@@ -409,12 +410,13 @@ def exact_hull_membership_4xn(point: NamedPoint) -> bool:
 # polytope sweeps and the bound-entangled region
 # ---------------------------------------------------------------------------
 
-def _slice_alphas(system: SpinPair, x) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, alpha of the Phi_1 image) at even coordinates x: (d,) to (n1,), (d, N) to (n1, N).
+def _slice_margins(system: SpinPair, x) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """(state margin, Breuer margin) at even coordinates x: floats at (d,), (N,) arrays at (d, N).
 
     The theta_1-invariant state (1, 0, x_1, 0, x_2, ...) has alpha
     L[0,:] + L[2::2,:]^T x; by ``states._breuer_rule`` its Breuer image
     (trace, 0, factor x_1, ...) has alpha trace L[0,:] + factor L[2::2,:]^T x.
+    Each margin is the smallest of its alphas, column by column.
     """
     l = build_l_matrix(system).values
     linear = l[2::2].T @ x
@@ -423,7 +425,7 @@ def _slice_alphas(system: SpinPair, x) -> tuple[np.ndarray, np.ndarray]:
     phi = factor * linear
     phi += trace * const
     linear += const
-    return linear, phi
+    return np.minimum.reduce(linear), np.minimum.reduce(phi)
 
 
 def polytope_bounding_box(system: SpinPair) -> tuple[tuple[float, float], ...]:
@@ -443,7 +445,7 @@ def polytope_bounding_box(system: SpinPair) -> tuple[tuple[float, float], ...]:
             x = np.linalg.solve(faces[rows, 1:], -faces[rows, 0])
         except np.linalg.LinAlgError:
             continue
-        if _slice_alphas(system, x)[0].min() >= -1e-12:
+        if _slice_margins(system, x)[0] >= -1e-12:
             vertices.append(x)
     return tuple((float(lo), float(hi))
                  for lo, hi in zip(np.min(vertices, axis=0), np.max(vertices, axis=0)))
@@ -460,7 +462,7 @@ SWEEP_CLASSES = tuple(v.value for v in (Verdict.PPT_BOUND_ENTANGLED_DETECTED,
 def sweep_columns(system: SpinPair, grid: int, tol: float
                   ) -> tuple[tuple[str, ...], list[np.ndarray], tuple[np.ndarray, ...],
                              np.ndarray, float]:
-    """A uniform grid over the bounding box, in columns (d, N) through ``_slice_alphas``.
+    """A uniform grid over the bounding box, in columns (d, N) through ``_slice_margins``.
 
     Returns (header, axes, index, codes, fraction).  header names the
     even coordinates and the class column; axes[k] holds the grid values of
@@ -483,10 +485,10 @@ def sweep_columns(system: SpinPair, grid: int, tol: float
                          f"above the budget of {_SWEEP_POINT_BUDGET}")
     axes = [np.linspace(lo, hi, grid) for lo, hi in box]
     points = np.stack(np.meshgrid(*axes, indexing="ij", copy=False)).reshape(len(axes), -1)
-    alpha, alpha_phi = _slice_alphas(system, points)
-    flat = np.flatnonzero(np.minimum.reduce(alpha) >= -tol)
+    state, breuer = _slice_margins(system, points)
+    flat = np.flatnonzero(state >= -tol)
     index = np.unravel_index(flat, (grid,) * len(axes))
-    detected = np.minimum.reduce(alpha_phi)[flat] < -tol
+    detected = breuer[flat] < -tol
     separable = np.zeros(len(flat), dtype=bool)
     if system.n1 == 4:
         # classify's DD'EE' rule: the shared weights _hull_weights_x20 on the beta_2 column
@@ -540,8 +542,8 @@ def find_detected_invariant_state(system: SpinPair) -> BetaVector | None:
     """
     _require_even(system, "detection search")
     x = (1.0 + float(_ray_step(system))) * np.array(d_tilde_point(system).beta.coords[2::2])
-    alpha, alpha_phi = _slice_alphas(system, x)
-    if alpha.min() >= DEFAULT_TOL and alpha_phi.min() < -DEFAULT_TOL:
+    state, breuer = _slice_margins(system, x)
+    if state >= DEFAULT_TOL and breuer < -DEFAULT_TOL:
         return _beta_from_even(system, x)
     return None
 

@@ -17,12 +17,12 @@ the image certifies entanglement (possibly bound) for even n1 >= 4.
 
 This module holds the verdicts and the public maps; the coordinate rules,
 the per-system plan and the verdict names live in :mod:`rotinv.states`.
-The Breuer image's scale (the factor -2 at even K >= 2) and its reset
-entries (the trace at K = 0, 0.0 at odd K) are fields of that plan, so the
-image is one scaled copy of the coordinate array.  The maps wrap a rule's
-coordinates in a BetaVector; :func:`classify`, :func:`is_ppt` and
-:func:`breuer_detects` make one plan lookup per call and take each alpha
-image as one product.  The 4 x N separable rule is
+The maps wrap a rule's coordinates in a BetaVector.  Each decision margin
+has one home: ``_theta1_margin`` is the smallest alpha of the theta_1
+image and ``_breuer_margin`` that of the Breuer image, each one product
+with the plan's L^T.  :func:`classify`, :func:`is_ppt` and
+:func:`breuer_detects` make one plan lookup per call and only compare the
+margins with ``tol``.  The 4 x N separable rule is
 ``geometry.minimal_separable_membership_4xn``.
 """
 
@@ -76,9 +76,17 @@ def breuer_map(beta: BetaVector) -> BetaVector:
     Their trace n1-2 vanishes for n1 = 2; they depend on the input only
     through its theta_1-symmetrization.
     """
-    plan = _plan(beta.system)
-    return BetaVector(beta.system, _breuer_coords(beta.as_array(), plan.breuer_scale,
-                                                  plan.breuer_reset))
+    return BetaVector(beta.system, _breuer_coords(beta.as_array()))
+
+
+def _theta1_margin(plan, c: np.ndarray) -> float:
+    """The smallest alpha of the theta_1 image of the coordinates ``c``: PPT iff >= -tol."""
+    return min((plan.lt_theta1 @ c).tolist())
+
+
+def _breuer_margin(plan, c: np.ndarray) -> float:
+    """The smallest alpha of the Breuer image of the coordinates ``c``: detected iff < -tol."""
+    return min((plan.lt @ _breuer_coords(c)).tolist())
 
 
 def breuer_detects(beta: BetaVector, tol: float = DEFAULT_TOL) -> bool:
@@ -91,16 +99,14 @@ def breuer_detects(beta: BetaVector, tol: float = DEFAULT_TOL) -> bool:
     """
     plan = _plan(beta.system)
     if not plan.breuer_applicable:
-        raise BreuerNotApplicableError(
-            f"Breuer criterion needs even n1 >= 4, got n1 = {beta.system.n1}"
-        )
-    image = _breuer_coords(beta.as_array(), plan.breuer_scale, plan.breuer_reset)
-    return min((plan.lt @ image).tolist()) < -tol
+        raise BreuerNotApplicableError("Breuer criterion needs even n1 >= 4, "
+                                       f"got n1 = {beta.system.n1}")
+    return _breuer_margin(plan, beta.as_array()) < -tol
 
 
 def is_ppt(beta: BetaVector, tol: float = DEFAULT_TOL) -> bool:
     """Whether the partial time reversal of the state is still positive."""
-    return min((_plan(beta.system).lt_theta1 @ np.array(beta.coords)).tolist()) >= -tol
+    return _theta1_margin(_plan(beta.system), beta.as_array()) >= -tol
 
 
 @dataclass(frozen=True)
@@ -152,27 +158,26 @@ def classify(beta: BetaVector, tol: float = DEFAULT_TOL) -> Classification:
     Input off the trace condition (beta_0 != 1) is NotAState, except where the
     Breuer map applies (even n1 >= 4): there it raises the ``breuer_map`` ValueError.
 
-    Works on one coordinate array and the system's plan: alpha and the
-    theta_1 image's alpha are L^T and the theta_1 matrix times the array,
-    the Breuer image's alpha is L^T times the array scaled and reset by the
-    plan's ``breuer_scale`` and ``breuer_reset``.  Minima are Python ``min``
+    Works on one coordinate array and the system's plan: alpha is L^T times
+    the array, and the theta_1 and Breuer margins come from
+    ``_theta1_margin`` and ``_breuer_margin``.  Minima are Python ``min``
     over the floats, as over an AlphaVector (a 0.0/-0.0 tie keeps the
     first); the state test reads that minimum.  The record skips the frozen
     ``__init__`` and its per-field ``object.__setattr__``.
     """
     sys_ = beta.system
-    lt, lt_theta1, weights, breuer_applicable, breuer_scale, breuer_reset = _plan(sys_)
+    plan = _plan(sys_)
     c = np.array(beta.coords)
-    alpha = lt @ c
+    alpha = plan.lt @ c
     min_alpha = min(alpha.tolist())
-    is_state = abs(float(weights @ alpha) - 1.0) <= tol and min_alpha >= -tol
-    min_theta1 = min((lt_theta1 @ c).tolist())
+    is_state = abs(float(plan.weights @ alpha) - 1.0) <= tol and min_alpha >= -tol
+    min_theta1 = _theta1_margin(plan, c)
     ppt = min_theta1 >= -tol
 
     detected: bool | None = None
     min_breuer: float | None = None
-    if breuer_applicable:
-        min_breuer = min((lt @ _breuer_coords(c, breuer_scale, breuer_reset)).tolist())
+    if plan.breuer_applicable:
+        min_breuer = _breuer_margin(plan, c)
         detected = min_breuer < -tol
 
     separable = False

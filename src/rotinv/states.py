@@ -20,9 +20,9 @@ closed form is in geometry).  It is cached here per system, beside the
 rules that maps and geometry share: the exact weights w_J
 (``_exact_weights``, whose floats are ``norm_weights``), theta_1
 (``_theta1_coords``), the Breuer image (``_breuer_rule``, and
-``_breuer_coords``, which scales a coordinate array by the plan's
-``breuer_scale`` and sets its ``breuer_reset`` entries), the trace test,
-the per-system float plan (``_plan``) and the verdict names.
+``_breuer_coords``, which writes the rule's image of a coordinate array
+into a zeroed one), the trace test, the per-system float plan (``_plan``)
+and the verdict names.
 """
 
 from __future__ import annotations
@@ -197,25 +197,27 @@ def _breuer_rule(n1: int) -> tuple[int, float]:
     return n1 - 2, -2.0
 
 
-def _breuer_coords(c: np.ndarray, scale: np.ndarray,
-                   reset: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Phi_1 on the tensor coordinates ``c`` of a unit-trace state, by :func:`_breuer_rule`.
+def _breuer_coords(c: np.ndarray) -> np.ndarray:
+    """Phi_1 on the float tensor coordinates ``c`` of a unit-trace state, by :func:`_breuer_rule`.
 
-    ``scale`` and ``reset`` are the plan's ``breuer_scale`` and
-    ``breuer_reset``.  Entry K is the product ``c_K * factor`` at even K >= 2,
-    the same IEEE product as ``factor * c_K``; entry 0 is then set to the
-    trace and the odd entries to 0.0.
+    A zeroed array gets the trace at K = 0 and, in place, ``c_K * factor``
+    at even K >= 2; the odd coordinates are never read, so an infinite one
+    raises no floating-point warning.
     """
     if not _unit_trace(float(c[0])):
         raise ValueError(f"breuer_map needs a normalized input (beta_0 = 1), got {float(c[0])}")
-    b = c * scale
-    at, values = reset
-    b[at] = values
+    trace, factor = _breuer_rule(len(c))
+    b = np.zeros(len(c))
+    b[0] = trace
+    np.multiply(c[2::2], factor, out=b[2::2])
     return b
 
 
 def vector_from_json_dict(data: dict) -> AlphaVector | BetaVector:
     """Inverse of AlphaVector/BetaVector.to_json_dict."""
+    for key in ("system", "basis", "coords"):
+        if key not in data:
+            raise ValueError(f"a coordinate vector needs the key {key!r}")
     system = SpinPair(*data["system"])
     for cls in (AlphaVector, BetaVector):
         if data["basis"] == cls.basis:
@@ -255,37 +257,20 @@ class _Plan(NamedTuple):
     lt_theta1: np.ndarray
     weights: np.ndarray
     breuer_applicable: bool
-    breuer_scale: np.ndarray
-    breuer_reset: tuple[np.ndarray, np.ndarray]
 
 
 @lru_cache(maxsize=None)
 def _plan(system: SpinPair) -> _Plan:
-    """L^T, the read-only theta_1 matrix L^T diag((-1)**K), weights and the Breuer image's plan.
+    """L^T, the read-only theta_1 matrix L^T diag((-1)**K), the weights and Breuer applicability.
 
     The theta_1 matrix is a signed copy of L, transposed: it keeps the
     F-ordered layout of L^T, so its products are bitwise those of L^T on the
     flipped coordinates (a C-ordered copy or a stacked product are not).
-    The Breuer scale and reset are read-only and come from
-    :func:`_breuer_rule`.  The scale holds the factor at even K >= 2 and 1.0
-    elsewhere: the entries it does not scale are copied, so an infinite
-    coordinate there raises no floating-point warning (times 0 it would).
-    The reset is the indices 0, 1, 3, 5, ... with their values, the trace
-    and then 0.0, so :func:`_breuer_coords` sets them in one assignment.
     """
     values = build_l_matrix(system).values
     lt_theta1 = (values * np.array(_theta1_coords((1.0,) * system.n1))[:, None]).T
     lt_theta1.flags.writeable = False
-    trace, factor = _breuer_rule(system.n1)
-    scale = np.ones(system.n1)
-    scale[2::2] = factor
-    at = np.array([0, *range(1, system.n1, 2)])
-    reset_values = np.zeros(len(at))
-    reset_values[0] = trace
-    for array in (scale, at, reset_values):
-        array.flags.writeable = False
-    return _Plan(values.T, lt_theta1, system.norm_weights(), system.breuer_applicable,
-                 scale, (at, reset_values))
+    return _Plan(values.T, lt_theta1, system.norm_weights(), system.breuer_applicable)
 
 
 def alpha_to_beta(alpha: AlphaVector) -> BetaVector:

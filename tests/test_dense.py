@@ -314,6 +314,11 @@ class TestOperatorShape:
             self.SHAPED[name](np.ones(shape), SpinPair(4, 4))
         assert str(shape) in str(err.value)
 
+    @pytest.mark.parametrize("shape", [(2, 16, 16), (3, 4, 4), (16, 15), (16,)])
+    def test_min_eigenvalue_takes_one_square_operator(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            dense.min_eigenvalue(np.ones(shape))
+
     def test_twirl_of_a_non_square_product_raises(self):
         # np.trace of the (16, 15) product succeeds, so the shape is checked first
         with pytest.raises(ValueError, match=r"got shape \(16, 15\)$"):
@@ -497,6 +502,21 @@ class TestTimeReversal:
         for part in (got.real, got.imag):
             assert not np.signbit(part[part == 0]).any()
 
+    @pytest.mark.parametrize("dtype, image_dtype", [
+        (int, np.float64), (np.int8, np.float64), (bool, np.float64), (np.float32, np.float32),
+        (np.float64, np.float64), (np.complex64, np.complex64), (np.complex128, np.complex128)])
+    @pytest.mark.parametrize("name", ["theta1", "breuer_phi1"])
+    def test_integer_input_gives_float64(self, name, dtype, image_dtype):
+        """Int and bool operators map as their float64 copies; other dtypes are kept,
+        and the partial transpose keeps every dtype."""
+        system = SpinPair(4, 6)
+        rho = np.random.default_rng(3).integers(0, 2, size=(2, system.dim, system.dim))
+        rho = rho.astype(dtype)
+        got = getattr(dense, name)(rho, system)
+        assert got.dtype == image_dtype
+        assert got.tobytes() == getattr(dense, name)(rho.astype(image_dtype), system).tobytes()
+        assert dense.partial_transpose_1(rho, system).dtype == rho.dtype
+
     def test_theta1_matches_parameter_space(self):
         rng = np.random.default_rng(10)
         system = SpinPair(6, 8)
@@ -573,6 +593,26 @@ class TestTwirl:
         # a nan norm fails the check as inf and 2.0 do
         with pytest.raises(ValueError, match="amplitudes are not normalized"):
             PureProductState(SpinPair(2, 2), (bad, 0.0), (1.0, 0.0))
+
+    def test_basis_state_puts_each_projection_in_its_slot(self):
+        system = SpinPair(4, 5)
+        for i1, m1 in enumerate([Fraction(3, 2), Fraction(1, 2), Fraction(-1, 2), Fraction(-3, 2)]):
+            for i2, m2 in enumerate([2, 1, 0, -1, -2]):
+                prod = PureProductState.basis_state(system, m1, m2)
+                assert prod.amps1 == tuple(complex(i == i1) for i in range(4))
+                assert prod.amps2 == tuple(complex(i == i2) for i in range(5))
+
+    @pytest.mark.parametrize("m1, m2, bad", [
+        (2.5, 0, "m = 2.5 is not a projection of spin j = 3/2"),
+        (1, 0, "m = 1 is not a projection of spin j = 3/2"),
+        (-2.5, 0, "m = -2.5 is not a projection of spin j = 3/2"),
+        (0.5, 3, "m = 3 is not a projection of spin j = 2"),
+        (0.5, 0.5, "m = 0.5 is not a projection of spin j = 2"),
+    ])
+    def test_basis_state_rejects_a_non_projection(self, m1, m2, bad):
+        # on 4 x 5 (j1 = 3/2, j2 = 2) these once gave a wrapped slot or an IndexError
+        with pytest.raises(ValueError, match=f"^{re.escape(bad)}$"):
+            PureProductState.basis_state(SpinPair(4, 5), m1, m2)
 
     def test_point_e_from_dense_twirl(self):
         from rotinv import geometry

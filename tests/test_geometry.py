@@ -293,7 +293,7 @@ class TestGammaPlane:
             plane = gamma_hyperplane(system)
             box = polytope_bounding_box(system)
             pts = np.column_stack([rng.uniform(lo, hi, 800) for lo, hi in box])
-            inside = geometry._slice_alphas(system, pts.T)[0].min(axis=0) >= 0
+            inside = geometry._slice_margins(system, pts.T)[0] >= 0
             for x in pts[inside]:
                 value = plane.evaluate_even(x)
                 if abs(value) < 1e-9:
@@ -889,8 +889,8 @@ class TestDetectionExistence:
         assert find_detected_invariant_state(SpinPair(*dims)) is None
 
 
-# the theta_1 slice in rows, one per point: the bitwise reference for
-# _slice_alphas, which takes and returns columns
+# the theta_1 slice in rows, one per point: with row_min, the bitwise reference
+# for _slice_margins, which takes columns and returns their margins
 def row_form_alphas(system: SpinPair, x) -> tuple[np.ndarray, np.ndarray]:
     l = build_l_matrix(system).values
     linear = x @ l[2::2]
@@ -941,7 +941,8 @@ EXISTENCE_LADDER = [SpinPair(n1, n2) for n1 in range(4, 41, 2)
 
 
 class TestColumnLayout:
-    """_slice_alphas in columns gives the row layout's bits, sweeps and single points alike."""
+    """_slice_margins in columns gives the row layout's margins bit for bit, sweeps and
+    single points alike."""
 
     @pytest.mark.parametrize("n1, n2, grid", SWEEP_SPAN)
     def test_sweep_equals_the_row_form_bitwise(self, n1, n2, grid, monkeypatch):
@@ -949,16 +950,17 @@ class TestColumnLayout:
         box, axes, index, codes, fraction, alpha, alpha_phi = row_form_sweep(system, grid)
         assert polytope_bounding_box(system) == box
         calls = []
-        slice_alphas = geometry._slice_alphas
-        monkeypatch.setattr(geometry, "_slice_alphas",
-                            lambda *args: calls.append(slice_alphas(*args)) or calls[-1])
+        slice_margins = geometry._slice_margins
+        monkeypatch.setattr(geometry, "_slice_margins",
+                            lambda *args: calls.append(slice_margins(*args)) or calls[-1])
         _, axes2, index2, codes2, fraction2 = geometry.sweep_columns(system, grid, 1e-10)
         assert [a.tobytes() for a in axes2] == [a.tobytes() for a in axes]
         assert all(np.array_equal(i2, i) for i2, i in zip(index2, index, strict=True))
         assert np.array_equal(codes2, codes)
         assert repr(fraction2) == repr(fraction)
         # the last call is the grid's, in columns (the bounding box's come first)
-        assert [a.T.tobytes() for a in calls[-1]] == [alpha.tobytes(), alpha_phi.tobytes()]
+        assert [a.tobytes() for a in calls[-1]] == [row_min(alpha).tobytes(),
+                                                     row_min(alpha_phi).tobytes()]
 
     def test_point_path_equals_the_row_form_bitwise(self):
         assert len(EXISTENCE_LADDER) == 76
@@ -968,6 +970,7 @@ class TestColumnLayout:
                        * np.array(d_tilde_point(system).beta.coords[2::2]))
             points = [witness, *(witness * rng.uniform(-2.0, 2.0, size=(100, len(witness))))]
             for x in points:
-                got = geometry._slice_alphas(system, x)
-                want = row_form_alphas(system, x)
+                got = geometry._slice_margins(system, x)
+                want = [row_min(a) for a in row_form_alphas(system, x)]
+                assert all(isinstance(margin, float) for margin in got), (system, x)
                 assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (system, x)

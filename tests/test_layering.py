@@ -11,10 +11,12 @@ every symbol, and the oracle enters wigner's kernels on doubled ints.
 wigner keeps its Racah internals: L's entries come from wigner._l_rows, the
 one thing states reads there beside twice, and the sign (-1)**(x/2) is
 written in wigner._phase alone.  geometry reads L in theta1_polytope and
-_slice_alphas alone.  Spectra are taken in dense alone, whose one table
-per conserved charge gives the blocks they are read in.  The
-package's import graph has no cycle, every import sits at module level,
-and none is unused.
+_slice_margins alone.  Each decision margin has one home: the theta_1 and
+Breuer margins of a state are formed in maps alone, and the slice reader's
+callers compare its margins without reducing them.  Spectra are taken in
+dense alone, whose one table per conserved charge gives the blocks they
+are read in.  The package's import graph has no cycle, every import sits
+at module level, and none is unused.
 """
 
 import ast
@@ -347,10 +349,10 @@ def test_no_unused_import(name):
 
 
 def test_geometry_reads_the_theta1_slice_off_l_twice():
-    """L is read by theta1_polytope (exact) and _slice_alphas (floats) alone; Gamma and D~''
+    """L is read by theta1_polytope (exact) and _slice_margins (floats) alone; Gamma and D~''
     take the polytope's Jmin and Jmax facets, so they read neither L nor the weights."""
     assert sorted(where for where, _ in calls("geometry", "build_l_matrix")) == [
-        "_slice_alphas", "theta1_polytope"]
+        "_slice_margins", "theta1_polytope"]
     readers = {top.name: {getattr(node, "id", None) or getattr(node, "attr", None)
                           for node in ast.walk(top)}
                for top in TREES["geometry"].body
@@ -359,6 +361,47 @@ def test_geometry_reads_the_theta1_slice_off_l_twice():
     found = {name: names & {"build_l_matrix", "_exact_weights", "LMatrix"}
              for name, names in readers.items()}
     assert not any(found.values()), found
+
+
+def names_in(node) -> set[str]:
+    """Every name and attribute that ``node`` reads."""
+    return {getattr(sub, "id", None) or getattr(sub, "attr", None) for sub in ast.walk(node)}
+
+
+def test_theta1_matrix_is_multiplied_in_the_theta1_margin_alone():
+    """lt_theta1 enters a product only in maps._theta1_margin, the one home of the PPT margin."""
+    products = {"matmul", "dot", "multiply", "einsum", "inner", "tensordot"}
+    found = [(name, getattr(top, "name", None)) for name in TREES for top in TREES[name].body
+             for node in ast.walk(top)
+             if (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.MatMult, ast.Mult))
+                 or isinstance(node, ast.Call) and names_in(node.func) & products)
+             and "lt_theta1" in names_in(node)]
+    assert found == [("maps", "_theta1_margin")], found
+
+
+def test_breuer_image_is_formed_for_its_margin_and_breuer_map_alone():
+    found = sorted((name, where) for name in TREES for where, _ in calls(name, "_breuer_coords"))
+    assert found == [("maps", "_breuer_margin"), ("maps", "breuer_map")], found
+
+
+def test_slice_margins_are_only_compared():
+    """No caller of geometry._slice_margins reduces what it returns: each compares the
+    margins with its own tolerance."""
+    reducers = {"min", "amin", "nanmin", "minimum", "reduce", "max", "amax"}
+    callers = 0
+    for name in TREES:
+        for top in TREES[name].body:
+            if "_slice_margins" not in names_in(top) or top.name == "_slice_margins":
+                continue
+            callers += 1
+            read = {target.id for node in ast.walk(top) if isinstance(node, ast.Assign)
+                    and "_slice_margins" in names_in(node.value)
+                    for target in ast.walk(node.targets[0]) if isinstance(target, ast.Name)}
+            reduced = [node.lineno for node in ast.walk(top) if isinstance(node, ast.Call)
+                       and names_in(node.func) & reducers
+                       and (read | {"_slice_margins"}) & names_in(node)]
+            assert not reduced, (name, top.name, reduced)
+    assert callers == 3
 
 
 def linalg_reads(name: str) -> list[tuple[str, str]]:

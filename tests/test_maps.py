@@ -394,14 +394,13 @@ def list_breuer_coords(coords) -> list[float]:
 
 
 class TestBreuerImageArray:
-    """The Breuer image is the coordinate array times the plan's scale, K = 0 and odd K reset."""
+    """The Breuer image is a zeroed array with the trace at K = 0 and the even K >= 2
+    products written in place; the plan holds no Breuer field beside applicability."""
 
     @pytest.mark.parametrize("n1, n2", FUSED_SYSTEMS)
     def test_equals_the_list_form_bitwise(self, n1, n2):
         system = SpinPair(n1, n2)
-        plan = states._plan(system)
-        scale, reset = plan.breuer_scale, plan.breuer_reset
-        assert not any(array.flags.writeable for array in (scale, *reset))
+        assert states._Plan._fields == ("lt", "lt_theta1", "weights", "breuer_applicable")
         base = [1.0] + [0.5 / k for k in range(1, n1)]
         for value in (0.0, -0.0, float("inf"), float("-inf"), float("nan")):
             for k in range(n1):
@@ -410,11 +409,11 @@ class TestBreuerImageArray:
                     want = np.array(list_breuer_coords(coords)).tobytes()
                 except ValueError as err:
                     with pytest.raises(ValueError, match=re.escape(str(err))):
-                        states._breuer_coords(np.array(coords), scale, reset)
+                        states._breuer_coords(np.array(coords))
                     continue
                 with warnings.catch_warnings():  # no nan is formed, so numpy stays silent
                     warnings.simplefilter("error")
-                    got = states._breuer_coords(np.array(coords), scale, reset)
+                    got = states._breuer_coords(np.array(coords))
                     mapped = breuer_map(BetaVector(system, coords))
                 assert got.dtype == np.float64 and got.tobytes() == want, (system, k, value)
                 assert np.array(mapped.coords).tobytes() == want, (system, k, value)

@@ -290,6 +290,13 @@ class TestSerialization:
         labels = [lab for lab, _ in alpha_to_beta(maximally_mixed(system)).labeled()]
         assert labels == ["K=0", "K=1", "K=2", "K=3"]
 
+    @pytest.mark.parametrize("key", ["system", "basis", "coords"])
+    def test_rejects_a_missing_key(self, key):
+        data = {"system": [4, 4], "basis": "beta", "coords": [1, 0, 0, 0]}
+        del data[key]
+        with pytest.raises(ValueError, match=f"needs the key '{key}'$"):
+            vector_from_json_dict(data)
+
     def test_rejects_unknown_basis(self):
         with pytest.raises(ValueError):
             vector_from_json_dict({"system": [4, 4], "basis": "gamma", "coords": [1, 0, 0, 0]})
