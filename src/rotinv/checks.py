@@ -171,15 +171,15 @@ def dense_equivalence(alphas) -> float:
 
     A state's residual covers the extracted beta against L alpha, the
     theta_1 spectrum against the partial-transpose spectrum, and the largest
-    entry of any of the three operators off its charge blocks; a
-    disagreement on the sign of the Breuer image (beyond 1e-10), read off its
-    eigenvalues alone against ``breuer_detects`` where the map is positive
-    (even n1 >= 4), counts 1.0.  The spectra are read block by block: the
-    theta_1 and Breuer images conserve M = m1 + m2 and the partial transpose
-    conserves m2 - m1.  On correct operators the off-block entry is exactly
-    0.0, since ``from_alpha`` fills only the entries of equal M and each
-    map reads an image's off-block entries from rho's other entries alone,
-    so it moves no residual; an operator that breaks its charge shows it as the residual,
+    entry of rho off its M = m1 + m2 blocks; a disagreement on the sign of
+    the Breuer image (beyond 1e-10), read off its eigenvalues alone against
+    ``breuer_detects`` where the map is positive (even n1 >= 4), counts 1.0.
+    The spectra are read block by block: the theta_1 and Breuer images
+    conserve M and the partial transpose conserves m2 - m1, and each map
+    reads an image's off-block entries from rho's alone (the dense tests
+    hold the maps to that).  ``from_alpha`` fills only the entries of equal
+    M, so on correct operators the off-block entry is exactly 0.0 and moves
+    no residual; an operator that breaks its charge shows it as the residual,
     where the block spectra alone would leave it out.  The three spectra are
     taken in float64, from the real part of rho: ``from_alpha`` leaves every
     imaginary part +0.0, and ``extract_beta`` raises on any operator that

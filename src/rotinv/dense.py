@@ -23,14 +23,12 @@ Each of those three maps has one implementation: a gather that reads its
 image at any set of flat positions straight from the entries of rho,
 through one cached, read-only table per system (where rho^T1 reads rho;
 where theta_1 reads rho^T1 and its sign; where 1 (x) Tr_1(rho) reads
-Tr_1(rho)).  The public map reads every position.  Each operator whose
-spectrum the oracle check reads conserves a charge, so it is
-block-diagonal in the product basis: rho, theta_1(rho) and Phi_1(rho)
-conserve M = m1 + m2, and rho^T1 conserves m2 - m1.  A private routine
-gathers the three images' charge blocks from the real part of a stack,
-through the same gathers and one cached table per (system, charge), takes
-their spectra in float64 with one ``eigvalsh`` per block size, and reports
-the largest entry of the images off the blocks, so an operator that
+Tr_1(rho)).  The public map reads every position.  rho, theta_1(rho) and
+Phi_1(rho) conserve M = m1 + m2 and rho^T1 conserves m2 - m1, so each is
+block-diagonal in the product basis.  A private routine gathers the three
+images' charge blocks from the real part of a stack through the same
+gathers, takes their spectra in float64, one ``eigvalsh`` per block size,
+and reports the largest entry of rho off its M blocks, so an operator that
 breaks its charge is seen, not dropped.
 
 Product-basis convention: index i = i1*n2 + i2 with m1 = j1 - i1 and
@@ -268,10 +266,7 @@ def extract_beta(rho: np.ndarray, system: SpinPair) -> BetaVector | list[BetaVec
         * np.trace(invariant_q(system, k) @ rho, axis1=-2, axis2=-1).real
         for k in system.k_values()
     ], axis=-1)
-    diff = rho - _assemble(system, coords, "beta")
-    # |x + 0i| is |x| exactly, so a difference with no imaginary part takes the real modulus
-    real = not np.abs(diff.imag).max(initial=0.0)
-    residuals = np.abs(diff.real if real else diff).max(axis=(-2, -1))
+    residuals = np.abs(rho - _assemble(system, coords, "beta")).max(axis=(-2, -1))
     betas = [BetaVector(system, row) for row in coords.reshape(-1, system.n1).tolist()]
     for beta, residual in zip(betas, residuals.ravel().tolist()):
         if residual > _INVARIANCE_TOL:
@@ -312,9 +307,7 @@ def _every(system: SpinPair) -> np.ndarray:
 # array of any shape) is read from the flat entries of rho through one cached
 # (d, d) table per system, so a whole image (``at = _every(system)``) and the
 # charge blocks the oracle check reads (``at`` a sector table) are the same
-# code, entry for entry.  The arithmetic on a gathered array runs in place:
-# on the oracle's off-block entries a fresh array per step took about three
-# times as long.
+# code, entry for entry.  The arithmetic on a gathered array runs in place.
 
 @lru_cache(maxsize=None)
 def _transposed_source(system: SpinPair) -> np.ndarray:
@@ -553,22 +546,19 @@ def _block_spectra(rho: np.ndarray, system: SpinPair
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Ascending spectra of theta_1, the partial transpose and Phi_1 of the real part of a stack.
 
-    theta_1(rho) and Phi_1(rho) conserve m1 + m2 and rho^T1 conserves m2 - m1
-    when rho conserves m1 + m2, and both charges have as many blocks of each
-    size.  So each image is read as its charge blocks, gathered from the real
-    part of rho through the maps' tables, and one float64 ``eigvalsh`` per
-    block size takes the blocks of that size from all three images; no image
-    is formed whole.  Returns the theta_1, partial-transpose and Phi_1
-    spectra (..., d) and, per operator, the largest |entry| of the three
-    images off their blocks: 0.0 for a stack that conserves m1 + m2, and the
-    size of the entries whose eigenvalues the spectra leave out otherwise.
+    When rho conserves m1 + m2, so do theta_1(rho) and Phi_1(rho), and rho^T1
+    conserves m2 - m1, with as many blocks of each size.  Each image is read as
+    its charge blocks, gathered from the real part of rho, and one float64
+    ``eigvalsh`` per block size takes the blocks of that size from all three.
+    Returns the three spectra (..., d) and, per operator, the largest |entry|
+    of rho off its m1 + m2 blocks (the images read their own off-block entries
+    from these alone): 0.0 for a stack that conserves m1 + m2.
     """
     _require_operators(rho, system)
     real, lead = rho.real, rho.shape[:-2]
     # np.take reads a contiguous copy several times faster than the strided real part
     flat, trace = np.ascontiguousarray(_flat(real)), _trace_1(real, system)
-    (blocks, off), (transposed_blocks, transposed_off) = (
-        _sectors(system, "m1+m2"), _sectors(system, "m2-m1"))
+    (blocks, off), (transposed_blocks, _) = _sectors(system, "m1+m2"), _sectors(system, "m2-m1")
     values = []
     for at, transposed_at in zip(blocks, transposed_blocks, strict=True):
         image = _time_reversed_1(flat, system, at)
@@ -576,11 +566,8 @@ def _block_spectra(rho: np.ndarray, system: SpinPair
             [image, _transposed_1(flat, system, transposed_at),
              _phi1(flat, trace, image, system, at)], axis=-3)).reshape(lead + (3, -1)))
     spectra = np.sort(np.concatenate(values, axis=-1), axis=-1)
-    image_off = _time_reversed_1(flat, system, off)
-    outside = (image_off, _transposed_1(flat, system, transposed_off),
-               _phi1(flat, trace, image_off, system, off))
-    return (spectra[..., 0, :], spectra[..., 1, :], spectra[..., 2, :], np.maximum.reduce(
-        [np.abs(entries).max(axis=-1, initial=0.0) for entries in outside]))
+    return (spectra[..., 0, :], spectra[..., 1, :], spectra[..., 2, :],
+            np.abs(np.take(flat, off, axis=-1)).max(axis=-1, initial=0.0))
 
 
 def min_eigenvalue(op: np.ndarray) -> tuple[float, float]:

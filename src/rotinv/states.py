@@ -214,10 +214,22 @@ def _breuer_coords(c: np.ndarray) -> np.ndarray:
 
 
 def vector_from_json_dict(data: dict) -> AlphaVector | BetaVector:
-    """Inverse of AlphaVector/BetaVector.to_json_dict."""
-    for key in ("system", "basis", "coords"):
+    """Inverse of AlphaVector/BetaVector.to_json_dict.
+
+    The dict is input from outside the program: a missing key or a value of
+    the wrong kind raises ValueError naming the key.
+    """
+    def list_of(value, kinds):  # bools are ints to isinstance, and never a coordinate
+        return isinstance(value, list) and all(
+            isinstance(item, kinds) and not isinstance(item, bool) for item in value)
+    for key, valid, kind in (
+            ("system", lambda v: list_of(v, int) and len(v) == 2, "a list of two ints"),
+            ("basis", lambda v: isinstance(v, str), "a string"),
+            ("coords", lambda v: list_of(v, (int, float)), "a list of ints and floats")):
         if key not in data:
             raise ValueError(f"a coordinate vector needs the key {key!r}")
+        if not valid(data[key]):
+            raise ValueError(f"the key {key!r} needs {kind}, got {data[key]!r}")
     system = SpinPair(*data["system"])
     for cls in (AlphaVector, BetaVector):
         if data["basis"] == cls.basis:

@@ -130,16 +130,18 @@ def test_dense_equivalence_sees_a_scaled_theta1_image(monkeypatch):
 
 
 def test_dense_equivalence_folds_in_an_entry_off_the_blocks(monkeypatch):
-    # an entry that links m1 + m2 = j1 + j2 to j1 + j2 - 1 breaks conservation; the block
-    # spectra leave it out, so it comes back as the residual itself
-    image = dense._time_reversed_1
+    # an entry of rho that links m1 + m2 = j1 + j2 to j1 + j2 - 1 breaks conservation; the
+    # block spectra leave it out, so it comes back as the residual itself (1e-9 stays
+    # under extract_beta's 1e-8 invariance bound)
+    assemble = dense.from_alpha
 
-    def leaky(flat, system, at):
-        out = image(flat, system, at)
-        out += 1e-6 * np.isin(at, (1, system.dim))  # flat positions (0, 1) and (1, 0)
-        return out
-    monkeypatch.setattr(dense, "_time_reversed_1", leaky)
-    assert checks.dense_equivalence(cli._seeded_states(7)) == 1e-6
+    def leaky(alphas):
+        rho = assemble(alphas)
+        rho[..., 0, 1] += 1e-9
+        rho[..., 1, 0] += 1e-9
+        return rho
+    monkeypatch.setattr(dense, "from_alpha", leaky)
+    assert checks.dense_equivalence(cli._seeded_states(7)) == 1e-9
 
 
 def test_eigenvalue_sign_agrees_with_min_eigenvalue():

@@ -404,6 +404,23 @@ class TestBlockSpectra:
         assert sorted(entries) == list(range(system.dim ** 2))
         assert not any(arr.flags.writeable for arr in (*blocks, off))
 
+    @pytest.mark.parametrize("system", SEEDED_SYSTEMS, ids=str)
+    def test_maps_send_nothing_off_the_blocks_of_a_conserving_stack(self, system):
+        # the oracle's charge guard reads rho alone, which holds only if each map reads its
+        # image's off-block entries from rho's: on the seeded states, their real parts and
+        # a complex stack that conserves m1 + m2 without being invariant
+        _, off = dense._sectors(system, "m1+m2")
+        _, transposed_off = dense._sectors(system, "m2-m1")
+        rng = np.random.default_rng([13, system.n1, system.n2])
+        generic = rng.normal(size=(3, system.dim ** 2, 2)) @ np.array([1.0, 1.0j])
+        generic[:, off] = 0.0
+        seeded = _seeded_stack(system)
+        for rho in (seeded, seeded.real, generic.reshape(3, system.dim, system.dim)):
+            assert (dense._flat(rho)[..., off] == 0.0).all()
+            for image, outside in ((dense.theta1, off), (dense.breuer_phi1, off),
+                                   (dense.partial_transpose_1, transposed_off)):
+                assert (dense._flat(image(rho, system))[..., outside] == 0.0).all(), image
+
     def test_planted_off_block_entry_is_the_outside_maximum(self):
         system = SpinPair(6, 8)
         rho = _seeded_stack(system).copy()

@@ -15,8 +15,9 @@ _slice_margins alone.  Each decision margin has one home: the theta_1 and
 Breuer margins of a state are formed in maps alone, and the slice reader's
 callers compare its margins without reducing them.  Spectra are taken in
 dense alone, whose one table per conserved charge gives the blocks they
-are read in.  The package's import graph has no cycle, every import sits
-at module level, and none is unused.
+are read in, and the oracle's charge guard reads rho alone off its blocks.
+The package's import graph has no cycle, every import sits at module
+level, and none is unused.
 """
 
 import ast
@@ -437,6 +438,29 @@ def test_sector_tables_have_one_home_in_dense():
     built = [(node.func.attr, node.lineno) for node in ast.walk(TREES["checks"])
              if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in builders]
     assert not built, built
+
+
+def test_block_spectra_reads_only_rho_off_the_blocks():
+    """The oracle's charge guard is one read of rho: dense._block_spectra hands the
+    three gathers block tables alone, and reads an off table once, through np.take
+    of rho's flat entries."""
+    top = next(node for node in TREES["dense"].body
+               if getattr(node, "name", None) == "_block_spectra")
+    (unpack,) = [node for node in ast.walk(top)
+                 if isinstance(node, ast.Assign) and "_sectors" in names_in(node.value)]
+    # (blocks, off) per charge: the second name of each pair is the charge's off table
+    assert all(isinstance(value, ast.Call) and value.func.id == "_sectors"
+               for value in unpack.value.elts)
+    off = {pair.elts[1].id for pair in unpack.targets[0].elts}
+    gathers = [call for gather in ("_time_reversed_1", "_transposed_1", "_phi1")
+               for where, call in calls("dense", gather) if where == "_block_spectra"]
+    assert len(gathers) == 3 and not any(names_in(call) & off for call in gathers)
+    reads = [node for node in ast.walk(top) if isinstance(node, ast.Name)
+             and node.id in off and isinstance(node.ctx, ast.Load)]
+    assert len(reads) == 1, [node.lineno for node in reads]
+    (take,) = [node for node in ast.walk(top)
+               if isinstance(node, ast.Call) and reads[0] in node.args]
+    assert take.func.attr == "take" and take.args[0].id == "flat"
 
 
 @pytest.mark.parametrize("table, gather, public", [

@@ -297,6 +297,23 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"needs the key '{key}'$"):
             vector_from_json_dict(data)
 
+    @pytest.mark.parametrize("key, value", [
+        ("system", 4), ("system", [4]), ("system", [4, 6, 8]), ("system", [4, 6.0]),
+        ("system", [True, 6]), ("basis", 3), ("basis", ["beta"]), ("coords", "1000"),
+        ("coords", 5), ("coords", [1, "0", 0, 0]), ("coords", [True, 0, 0, 0]),
+        ("coords", [1, None, 0, 0])])
+    def test_rejects_a_value_of_the_wrong_kind(self, key, value):
+        # the dict is input from outside the program: a string of digits is not parsed
+        # one character at a time, and no bool or str passes as a number
+        data = {"system": [4, 6], "basis": "beta", "coords": [1, 0, 0, 0]}
+        data[key] = value
+        with pytest.raises(ValueError, match=f"^the key '{key}' needs "):
+            vector_from_json_dict(data)
+
+    def test_takes_ints_and_floats_as_coordinates(self):
+        data = {"system": [4, 6], "basis": "beta", "coords": [1, 0, 0.5, -0.25]}
+        assert vector_from_json_dict(data) == BetaVector(SpinPair(4, 6), (1.0, 0.0, 0.5, -0.25))
+
     def test_rejects_unknown_basis(self):
         with pytest.raises(ValueError):
             vector_from_json_dict({"system": [4, 4], "basis": "gamma", "coords": [1, 0, 0, 0]})
