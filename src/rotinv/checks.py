@@ -169,38 +169,37 @@ def be_existence(systems) -> float:
 def dense_equivalence(alphas) -> float:
     """The dense-matrix oracle against the parameter-space maps, per alpha state.
 
-    A state's residual covers the extracted beta against L alpha, the
-    theta_1 spectrum against the partial-transpose spectrum, and the largest
-    entry of rho off its M = m1 + m2 blocks; a disagreement on the sign of
-    the Breuer image (beyond 1e-10), read off its eigenvalues alone against
-    ``breuer_detects`` where the map is positive (even n1 >= 4), counts 1.0.
-    The spectra are read block by block: the theta_1 and Breuer images
-    conserve M and the partial transpose conserves m2 - m1, and each map
-    reads an image's off-block entries from rho's alone (the dense tests
-    hold the maps to that).  ``from_alpha`` fills only the entries of equal
-    M, so on correct operators the off-block entry is exactly 0.0 and moves
-    no residual; an operator that breaks its charge shows it as the residual,
-    where the block spectra alone would leave it out.  The three spectra are
-    taken in float64, from the real part of rho: ``from_alpha`` leaves every
-    imaginary part +0.0, and ``extract_beta`` raises on any operator that
-    strays from its real, invariant projection by more than 1e-8.  Each
-    image's blocks are gathered straight from rho by ``dense``; no image is
-    formed whole.  The extraction stays complex and is taken from full
-    matrix products.  Consecutive alphas of one system go through the oracle
-    as one stack; each state's residual is the one it gets alone.
+    A state's residual covers the extracted beta against L alpha and the
+    largest entry of rho off its M = m1 + m2 blocks; a decision of the
+    parameter path that the dense eigenvalues contradict (beyond 1e-10)
+    counts 1.0: ``is_ppt`` against the theta_1 image's smallest eigenvalue
+    (theta_1 is unitarily equivalent to the partial transpose), and, where
+    the map is positive (even n1 >= 4), ``breuer_detects`` against the
+    Breuer image's.  Both images conserve M, so their spectra are read on
+    the M blocks, in float64, from the real part of rho (``from_alpha``
+    leaves every imaginary part +0.0, and ``extract_beta`` raises on any
+    operator that strays from its real, invariant projection by more than
+    1e-8); no image is formed whole.  Each map reads an image's off-block
+    entries from rho's alone (the dense tests hold the maps to that), and
+    ``from_alpha`` fills only the entries of equal M, so the off-block entry
+    is exactly 0.0 on correct operators, and an operator that breaks M,
+    which the block spectra would leave out, shows as the residual.  The
+    extraction stays complex and is taken from full matrix products.
+    Consecutive alphas of one system go through the oracle as one stack;
+    each state's residual is the one it gets alone.
     """
     def residuals(system, group):
         group = list(group)
         rho = dense.from_alpha(group)
         extracted = dense.extract_beta(rho, system)
-        image, transposed, breuer, off = dense._block_spectra(rho, system)
-        gaps = np.abs(image - transposed).max(axis=-1)
-        for alpha, dense_beta, min_eig, gap, outside in zip(
-                group, extracted, breuer[:, 0].tolist(), gaps.tolist(), off.tolist()):
+        theta, phi, off = dense._block_spectra(rho, system)
+        for alpha, dense_beta, theta_min, phi_min, outside in zip(
+                group, extracted, theta[:, 0].tolist(), phi[:, 0].tolist(), off.tolist()):
             beta = states.alpha_to_beta(alpha)
             extract = float(np.abs(dense_beta.as_array() - beta.as_array()).max())
-            signs = float(system.breuer_applicable
-                          and maps.breuer_detects(beta) != (min_eig < -states.DEFAULT_TOL))
-            yield max(extract, signs, gap, outside)
+            ppt = maps.is_ppt(beta) != (theta_min >= -states.DEFAULT_TOL)
+            breuer = system.breuer_applicable and (
+                maps.breuer_detects(beta) != (phi_min < -states.DEFAULT_TOL))
+            yield max(extract, float(ppt), float(breuer), outside)
     return _worst(r for system, group in groupby(alphas, key=lambda a: a.system)
                   for r in residuals(system, group))

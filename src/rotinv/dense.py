@@ -24,12 +24,13 @@ image at any set of flat positions straight from the entries of rho,
 through one cached, read-only table per system (where rho^T1 reads rho;
 where theta_1 reads rho^T1 and its sign; where 1 (x) Tr_1(rho) reads
 Tr_1(rho)).  The public map reads every position.  rho, theta_1(rho) and
-Phi_1(rho) conserve M = m1 + m2 and rho^T1 conserves m2 - m1, so each is
-block-diagonal in the product basis.  A private routine gathers the three
-images' charge blocks from the real part of a stack through the same
-gathers, takes their spectra in float64, one ``eigvalsh`` per block size,
-and reports the largest entry of rho off its M blocks, so an operator that
-breaks its charge is seen, not dropped.
+Phi_1(rho) conserve M = m1 + m2, so each is block-diagonal in the product
+basis.  A private routine gathers the M blocks of theta_1(rho) and
+Phi_1(rho) from the real part of a stack through the same gathers, takes
+their spectra in float64, one ``eigvalsh`` per block size, and reports the
+largest entry of rho off its M blocks, so an operator that breaks M is
+seen, not dropped.  theta_1 is unitarily equivalent to the partial
+transpose, so its spectrum decides PPT.
 
 Product-basis convention: index i = i1*n2 + i2 with m1 = j1 - i1 and
 m2 = j2 - i2 (projections descending within each factor).
@@ -183,13 +184,13 @@ def invariant_q(system: SpinPair, K: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _on_support(system: SpinPair, basis: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The operators of one basis on their joint support: sqrt(n1 n2 d_i), slots, entries.
+    """The operators of one basis on their joint support: sqrt(n1 n2 d_i), support, entries.
 
     ``basis`` is "alpha" (the P_J, d_i = 2J+1) or "beta" (the Q_K, d_i = 2K+1).
     Each conserves M = m1 + m2, so it is zero, or -0.0, off the M sector table
-    (218 of the 2304 entries at 6 x 8), its support.  The slots are where
-    those entries' real parts sit in a complex array viewed as floats; the
-    entries have one row per operator.  Cached per system, read-only.
+    (218 of the 2304 entries at 6 x 8), its support: those entries' flat
+    indices, ascending.  The entries have one row per operator.  Cached per
+    system, read-only.
     """
     if basis == "alpha":
         degeneracies = [twice(j) + 1 for j in system.j_values()]
@@ -198,9 +199,9 @@ def _on_support(system: SpinPair, basis: str) -> tuple[np.ndarray, np.ndarray, n
         degeneracies = [2 * k + 1 for k in system.k_values()]
         operators = [invariant_q(system, k) for k in system.k_values()]
     flat = np.stack(operators).reshape(len(operators), -1)
-    blocks, _ = _sectors(system, "m1+m2")
+    blocks, _ = _sectors(system)
     support = np.sort(np.concatenate([entries.ravel() for entries in blocks]))
-    return (_frozen(np.sqrt(system.dim * np.asarray(degeneracies))), _frozen(2 * support),
+    return (_frozen(np.sqrt(system.dim * np.asarray(degeneracies))), _frozen(support),
             _frozen(flat[:, support]))
 
 
@@ -208,20 +209,21 @@ def _assemble(system: SpinPair, coords, basis: str) -> np.ndarray:
     """sum_i coords[..., i] O_i / sqrt(n1 n2 d_i) over a basis, for coefficient rows (..., n).
 
     The sum runs over the operators' joint support alone, in float64, from 0.0
-    and in place through one scratch array, and lands in the real parts of a
-    complex zero array: every other entry stays +0.0, as the full sum leaves
-    it.  A single row gives one operator, rows (m, n) give a stack (m, d, d).
+    and in place through one scratch array, and lands in a complex zero array:
+    every other entry, and every imaginary part, stays +0.0, as the full sum
+    leaves it.  A single row gives one operator, rows (m, n) give a stack
+    (m, d, d).
     """
-    norms, slots, entries = _on_support(system, basis)
+    norms, support, entries = _on_support(system, basis)
     scales = np.asarray(coords, dtype=float) / norms
     lead = scales.shape[:-1]
-    total = np.zeros(lead + slots.shape)
+    total = np.zeros(lead + support.shape)
     term = np.empty_like(total)
     for i, op in enumerate(entries):
         total += np.multiply(scales[..., i, None], op, out=term)
-    rho = np.zeros(lead + (2 * system.dim ** 2,))  # real and imaginary parts interleaved
-    rho[..., slots] = total
-    return rho.view(complex).reshape(lead + (system.dim, system.dim))
+    rho = np.zeros(lead + (system.dim ** 2,), dtype=complex)
+    rho[..., support] = total
+    return rho.reshape(lead + (system.dim, system.dim))
 
 
 def from_alpha(alpha: AlphaVector | Sequence[AlphaVector]) -> np.ndarray:
@@ -513,25 +515,20 @@ def spectrum(op: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(op)
 
 
-# the two conserved charges of the product basis, as functions of (i1, i2)
-_CHARGES = {"m1+m2": lambda i1, i2: i1 + i2, "m2-m1": lambda i1, i2: i2 - i1}
-
-
 @lru_cache(maxsize=None)
-def _sectors(system: SpinPair, charge: str) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """The blocks of one conserved charge, as flat indices into a (d, d) operator; read-only.
+def _sectors(system: SpinPair) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The blocks of M = m1 + m2, as flat indices into a (d, d) operator; read-only.
 
-    Index i = i1 n2 + i2 has m1 + m2 = j1 + j2 - (i1 + i2) and m2 - m1 =
-    j2 - j1 - (i2 - i1).  An operator that conserves ``charge`` links only
-    indices with equal charge, so it is zero off the blocks they span.
-    Returns one (blocks, s, s) array per block size s (each s <= n1), the
-    flat entries of all blocks of that size, and the flat entries off every
-    block.
+    Index i = i1 n2 + i2 has M = j1 + j2 - (i1 + i2).  An operator that
+    conserves M links only indices of equal M, so it is zero off the blocks
+    they span.  Returns one (blocks, s, s) array per block size s (each
+    s <= n1), the flat entries of all blocks of that size, and the flat
+    entries off every block.
     """
     i1, i2 = np.divmod(np.arange(system.dim), system.n2)
-    label = _CHARGES[charge](i1, i2)
+    label = i1 + i2
     rows_by_size: dict[int, list[np.ndarray]] = {}
-    for value in range(label.min(), label.max() + 1):  # every value in between is taken
+    for value in range(label.max() + 1):  # every value from 0 up is taken
         rows = np.flatnonzero(label == value)
         rows_by_size.setdefault(len(rows), []).append(rows)
     blocks = tuple(_frozen(rows[:, :, None] * system.dim + rows[:, None, :])
@@ -542,31 +539,28 @@ def _sectors(system: SpinPair, charge: str) -> tuple[tuple[np.ndarray, ...], np.
     return blocks, _frozen(np.flatnonzero(off))
 
 
-def _block_spectra(rho: np.ndarray, system: SpinPair
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Ascending spectra of theta_1, the partial transpose and Phi_1 of the real part of a stack.
+def _block_spectra(rho: np.ndarray, system: SpinPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ascending spectra of theta_1 and Phi_1 of the real part of a stack, block by block.
 
-    When rho conserves m1 + m2, so do theta_1(rho) and Phi_1(rho), and rho^T1
-    conserves m2 - m1, with as many blocks of each size.  Each image is read as
-    its charge blocks, gathered from the real part of rho, and one float64
-    ``eigvalsh`` per block size takes the blocks of that size from all three.
-    Returns the three spectra (..., d) and, per operator, the largest |entry|
-    of rho off its m1 + m2 blocks (the images read their own off-block entries
-    from these alone): 0.0 for a stack that conserves m1 + m2.
+    When rho conserves M = m1 + m2, so do theta_1(rho) and Phi_1(rho).  Each
+    image is read as its M blocks, gathered from the real part of rho, and one
+    float64 ``eigvalsh`` per block size takes the blocks of that size from
+    both.  Returns the two spectra (..., d) and, per operator, the largest
+    |entry| of rho off its M blocks (the images read their own off-block
+    entries from these alone): 0.0 for a stack that conserves M.
     """
     _require_operators(rho, system)
     real, lead = rho.real, rho.shape[:-2]
     # np.take reads a contiguous copy several times faster than the strided real part
     flat, trace = np.ascontiguousarray(_flat(real)), _trace_1(real, system)
-    (blocks, off), (transposed_blocks, _) = _sectors(system, "m1+m2"), _sectors(system, "m2-m1")
+    blocks, off = _sectors(system)
     values = []
-    for at, transposed_at in zip(blocks, transposed_blocks, strict=True):
+    for at in blocks:
         image = _time_reversed_1(flat, system, at)
         values.append(np.linalg.eigvalsh(np.concatenate(
-            [image, _transposed_1(flat, system, transposed_at),
-             _phi1(flat, trace, image, system, at)], axis=-3)).reshape(lead + (3, -1)))
+            [image, _phi1(flat, trace, image, system, at)], axis=-3)).reshape(lead + (2, -1)))
     spectra = np.sort(np.concatenate(values, axis=-1), axis=-1)
-    return (spectra[..., 0, :], spectra[..., 1, :], spectra[..., 2, :],
+    return (spectra[..., 0, :], spectra[..., 1, :],
             np.abs(np.take(flat, off, axis=-1)).max(axis=-1, initial=0.0))
 
 

@@ -28,6 +28,7 @@ and the verdict names.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -217,7 +218,8 @@ def vector_from_json_dict(data: dict) -> AlphaVector | BetaVector:
     """Inverse of AlphaVector/BetaVector.to_json_dict.
 
     The dict is input from outside the program: a missing key or a value of
-    the wrong kind raises ValueError naming the key.
+    the wrong kind raises ValueError naming the key.  ``json.loads`` also
+    reads NaN, Infinity, 1e400 and ints past float's range; none is a coordinate.
     """
     def list_of(value, kinds):  # bools are ints to isinstance, and never a coordinate
         return isinstance(value, list) and all(
@@ -225,7 +227,9 @@ def vector_from_json_dict(data: dict) -> AlphaVector | BetaVector:
     for key, valid, kind in (
             ("system", lambda v: list_of(v, int) and len(v) == 2, "a list of two ints"),
             ("basis", lambda v: isinstance(v, str), "a string"),
-            ("coords", lambda v: list_of(v, (int, float)), "a list of ints and floats")):
+            ("coords", lambda v: list_of(v, (int, float)) and all(  # NaN compares False
+                abs(item) <= sys.float_info.max for item in v),
+             "a list of finite ints and floats")):
         if key not in data:
             raise ValueError(f"a coordinate vector needs the key {key!r}")
         if not valid(data[key]):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rotinv import checks, cli, dense, geometry, maps, wigner
-from rotinv.states import DEFAULT_TOL, LMatrix, SpinPair, build_l_matrix
+from rotinv.states import DEFAULT_TOL, LMatrix, SpinPair, alpha_to_beta, build_l_matrix
 
 
 @pytest.mark.parametrize("name", checks.__all__)
@@ -115,18 +115,20 @@ def test_dense_equivalence_sees_a_wrong_partial_transpose(wrong, monkeypatch):
     assert checks.dense_equivalence(cli._seeded_states(7)) == 1.0
 
 
-def test_dense_equivalence_sees_a_scaled_theta1_image(monkeypatch):
-    # the block spectra give the gap that the full spectra give, to rounding
-    table = dense._theta1_table
-    full = 0.0
-    for system, group in groupby(cli._seeded_states(3), key=lambda a: a.system):
-        rho = dense.from_alpha(list(group))
-        full = max(full, np.abs(dense.spectrum(1.001 * dense.theta1(rho, system))
-                                - dense.spectrum(dense.partial_transpose_1(rho, system))).max())
-    monkeypatch.setattr(dense, "_theta1_table", lambda system: (
-        table(system)[0], 1.001 * table(system)[1]))
-    residual = checks.dense_equivalence(cli._seeded_states(3))
-    assert residual > 1e-10 and residual == pytest.approx(full, rel=1e-9)
+def test_dense_equivalence_sees_a_negated_theta1_image(monkeypatch):
+    # the oracle check decides PPT from the theta_1 image's eigenvalues alone; a wrong
+    # sign on the dense side must fail it
+    time_reversed = dense._time_reversed_1  # the theta_1 entries, gathered as the check reads them
+    monkeypatch.setattr(dense, "_time_reversed_1", lambda *args: -time_reversed(*args))
+    assert checks.dense_equivalence(cli._seeded_states(7)) == 1.0
+
+
+def test_dense_equivalence_holds_is_ppt_to_the_dense_route(monkeypatch):
+    # a parameter-side PPT fault: every state reads PPT, and the seeded NPT states disagree
+    # with the theta_1 image's eigenvalues
+    assert not all(maps.is_ppt(alpha_to_beta(alpha)) for alpha in cli._seeded_states(7))
+    monkeypatch.setattr(maps, "_theta1_margin", lambda plan, c: 1.0)
+    assert checks.dense_equivalence(cli._seeded_states(7)) == 1.0
 
 
 def test_dense_equivalence_folds_in_an_entry_off_the_blocks(monkeypatch):

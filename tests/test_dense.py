@@ -273,8 +273,8 @@ class TestStacks:
             dense.from_alpha(alphas)
 
     def test_imaginary_entry_in_a_stack_reported(self):
-        # the stack's difference from its projection is no longer real, so it takes the
-        # complex modulus, 1.004e-06 here: its real part alone, 1e-07, would pass
+        # the reported residual is the complex modulus of the planted entry,
+        # |1e-7 + 1e-6j| = 1.004e-06, not its real part, 1e-07
         system = SpinPair(4, 4)
         stack = dense.from_alpha(self._states(system, 3))
         stack[2, 3, 3] += 1e-7 + 1e-6j
@@ -326,9 +326,8 @@ class TestOperatorShape:
 
 
 class TestOracleShortcut:
-    """The oracle check gathers the charge blocks of theta_1, the partial transpose
-    and the Breuer image straight from the real part of rho, through the tables
-    the public maps read."""
+    """The oracle check gathers the M blocks of theta_1 and the Breuer image straight
+    from the real part of rho, through the tables the public maps read."""
 
     @pytest.mark.parametrize("system", STACK_SYSTEMS, ids=str)
     def test_shortcut_equals_the_public_images_bitwise(self, system):
@@ -339,17 +338,13 @@ class TestOracleShortcut:
         assert (dense.theta1(real, system).tobytes()
                 == np.ascontiguousarray(dense.theta1(rho, system).real).tobytes())
         flat, trace = np.ascontiguousarray(dense._flat(real)), dense._trace_1(real, system)
-        theta, phi, transposed = (dense._flat(f(real, system)) for f in (
-            dense.theta1, dense.breuer_phi1, dense.partial_transpose_1))
-        blocks, off = dense._sectors(system, "m1+m2")
+        theta, phi = (dense._flat(f(real, system)) for f in (dense.theta1, dense.breuer_phi1))
+        blocks, off = dense._sectors(system)
         for at in (*blocks, off):
             image = dense._time_reversed_1(flat, system, at)
             assert image.tobytes() == theta[..., at].tobytes()
             assert (dense._phi1(flat, trace, image, system, at).tobytes()
                     == phi[..., at].tobytes())
-        blocks, off = dense._sectors(system, "m2-m1")
-        for at in (*blocks, off):
-            assert dense._transposed_1(flat, system, at).tobytes() == transposed[..., at].tobytes()
 
 
 SEEDED_SYSTEMS = [SpinPair(*dims) for dims in ((4, 4), (4, 6), (6, 6), (6, 8), (3, 4), (5, 6))]
@@ -364,9 +359,21 @@ def _seeded_stack(system):
     return dense.from_alpha(group)
 
 
+def _label(system, charge):
+    """Each product index's charge, m1 + m2 or m2 - m1, up to a constant."""
+    i1, i2 = np.divmod(np.arange(system.dim), system.n2)
+    return i1 + i2 if charge == "m1+m2" else i2 - i1
+
+
+def _off(system, charge):
+    """The flat entries of a (d, d) operator that link indices of unequal ``charge``."""
+    label = _label(system, charge)
+    return np.flatnonzero(label[:, None] != label[None, :])
+
+
 class TestBlockSpectra:
-    """rho, theta_1(rho) and Phi_1(rho) conserve m1 + m2, rho^T1 conserves m2 - m1:
-    the oracle reads their spectra block by block."""
+    """rho, theta_1(rho) and Phi_1(rho) conserve M = m1 + m2: the oracle reads the
+    spectra of the two images block by block."""
 
     @pytest.mark.parametrize("system", SEEDED_SYSTEMS, ids=str)
     def test_block_spectra_equal_the_full_spectra(self, system):
@@ -374,8 +381,7 @@ class TestBlockSpectra:
         rho = _seeded_stack(system)
         assert rho.shape == (25, system.dim, system.dim)
         *spectra, outside = dense._block_spectra(rho, system)
-        full = (dense.theta1(rho, system), dense.partial_transpose_1(rho, system),
-                dense.breuer_phi1(rho, system))
+        full = (dense.theta1(rho, system), dense.breuer_phi1(rho, system))
         for values, op in zip(spectra, full, strict=True):
             assert values.shape == op.shape[:-1] and values.dtype == float
             assert np.abs(values - dense.spectrum(op)).max() < 1e-13
@@ -386,15 +392,13 @@ class TestBlockSpectra:
             assert got.tobytes() == np.ascontiguousarray(want[4]).tobytes()
 
     @pytest.mark.parametrize("system", [SpinPair(3, 4), SpinPair(4, 6), SpinPair(6, 8)], ids=str)
-    @pytest.mark.parametrize("charge", ["m1+m2", "m2-m1"])
-    def test_sectors_partition_the_indices(self, system, charge):
-        blocks, off = dense._sectors(system, charge)
-        assert dense._sectors(system, charge) is dense._sectors(system, charge)
+    def test_sectors_partition_the_indices(self, system):
+        blocks, off = dense._sectors(system)
+        assert dense._sectors(system) is dense._sectors(system)
         diagonal = np.concatenate([np.diagonal(flat, axis1=-2, axis2=-1).ravel()
                                    for flat in blocks])
         assert sorted(diagonal // system.dim) == list(range(system.dim))
-        i1, i2 = np.divmod(np.arange(system.dim), system.n2)
-        label = i1 + i2 if charge == "m1+m2" else i2 - i1
+        label = _label(system, "m1+m2")
         for flat in blocks:
             rows = np.diagonal(flat, axis1=-2, axis2=-1) // system.dim
             assert (label[rows] == label[rows[:, :1]]).all()
@@ -402,15 +406,17 @@ class TestBlockSpectra:
         assert max(flat.shape[-1] for flat in blocks) == system.n1
         entries = np.concatenate([flat.ravel() for flat in blocks] + [off])
         assert sorted(entries) == list(range(system.dim ** 2))
+        assert np.array_equal(off, _off(system, "m1+m2"))
         assert not any(arr.flags.writeable for arr in (*blocks, off))
 
     @pytest.mark.parametrize("system", SEEDED_SYSTEMS, ids=str)
     def test_maps_send_nothing_off_the_blocks_of_a_conserving_stack(self, system):
         # the oracle's charge guard reads rho alone, which holds only if each map reads its
         # image's off-block entries from rho's: on the seeded states, their real parts and
-        # a complex stack that conserves m1 + m2 without being invariant
-        _, off = dense._sectors(system, "m1+m2")
-        _, transposed_off = dense._sectors(system, "m2-m1")
+        # a complex stack that conserves m1 + m2 without being invariant; the partial
+        # transpose sends it to one that conserves m2 - m1
+        _, off = dense._sectors(system)
+        transposed_off = _off(system, "m2-m1")
         rng = np.random.default_rng([13, system.n1, system.n2])
         generic = rng.normal(size=(3, system.dim ** 2, 2)) @ np.array([1.0, 1.0j])
         generic[:, off] = 0.0
@@ -424,13 +430,12 @@ class TestBlockSpectra:
     def test_planted_off_block_entry_is_the_outside_maximum(self):
         system = SpinPair(6, 8)
         rho = _seeded_stack(system).copy()
-        _, off = dense._sectors(system, "m1+m2")
+        _, off = dense._sectors(system)
         row, col = divmod(int(off[40]), system.dim)
         rho[3, row, col] = rho[3, col, row] = 0.25
         *spectra, outside = dense._block_spectra(rho, system)
         assert outside[3] == 0.25 and np.delete(outside, 3).max() == 0.0
-        full = (dense.theta1(rho, system), dense.partial_transpose_1(rho, system),
-                dense.breuer_phi1(rho, system))
+        full = (dense.theta1(rho, system), dense.breuer_phi1(rho, system))
         for values, op in zip(spectra, full, strict=True):
             assert np.abs(np.delete(values, 3, axis=0)
                           - np.delete(dense.spectrum(op), 3, axis=0)).max() < 1e-13

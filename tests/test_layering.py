@@ -424,14 +424,14 @@ def test_linear_algebra_runs_in_dense():
 
 
 def test_sector_tables_have_one_home_in_dense():
-    """The blocks of a conserved charge are built by dense._sectors and read by
-    dense._on_support and dense._block_spectra alone (the latter reads both
-    charges); checks builds no index table of its own."""
+    """The blocks of M = m1 + m2, the one conserved charge the library reads, are built
+    by dense._sectors and read by dense._on_support and dense._block_spectra alone,
+    once each; no module names a table of charges, and checks builds no index table
+    of its own."""
     assert "_sectors" in definitions("dense")
-    assert ([where for where, _ in calls("dense", "_sectors")]
-            == ["_on_support", "_block_spectra", "_block_spectra"])
-    found = {name: mentions(name, "_sectors") + mentions(name, "_CHARGES")
-             for name in TREES if name != "dense"}
+    assert [where for where, _ in calls("dense", "_sectors")] == ["_on_support", "_block_spectra"]
+    found = {name: mentions(name, "_CHARGES") for name in TREES}
+    found.update({name: mentions(name, "_sectors") for name in TREES if name != "dense"})
     assert not any(found.values()), found
     builders = {"arange", "divmod", "unique", "flatnonzero", "nonzero", "argsort", "indices",
                 "ix_", "where", "tril_indices", "triu_indices", "diag_indices"}
@@ -441,22 +441,20 @@ def test_sector_tables_have_one_home_in_dense():
 
 
 def test_block_spectra_reads_only_rho_off_the_blocks():
-    """The oracle's charge guard is one read of rho: dense._block_spectra hands the
-    three gathers block tables alone, and reads an off table once, through np.take
-    of rho's flat entries."""
+    """The oracle's charge guard is one read of rho: dense._block_spectra reads the M
+    table as one (blocks, off) pair, hands its two gathers block tables alone, and
+    reads the off table once, through np.take of rho's flat entries."""
     top = next(node for node in TREES["dense"].body
                if getattr(node, "name", None) == "_block_spectra")
     (unpack,) = [node for node in ast.walk(top)
                  if isinstance(node, ast.Assign) and "_sectors" in names_in(node.value)]
-    # (blocks, off) per charge: the second name of each pair is the charge's off table
-    assert all(isinstance(value, ast.Call) and value.func.id == "_sectors"
-               for value in unpack.value.elts)
-    off = {pair.elts[1].id for pair in unpack.targets[0].elts}
+    assert isinstance(unpack.value, ast.Call) and unpack.value.func.id == "_sectors"
+    _, off = (name.id for name in unpack.targets[0].elts)
     gathers = [call for gather in ("_time_reversed_1", "_transposed_1", "_phi1")
                for where, call in calls("dense", gather) if where == "_block_spectra"]
-    assert len(gathers) == 3 and not any(names_in(call) & off for call in gathers)
+    assert len(gathers) == 2 and not any(off in names_in(call) for call in gathers)
     reads = [node for node in ast.walk(top) if isinstance(node, ast.Name)
-             and node.id in off and isinstance(node.ctx, ast.Load)]
+             and node.id == off and isinstance(node.ctx, ast.Load)]
     assert len(reads) == 1, [node.lineno for node in reads]
     (take,) = [node for node in ast.walk(top)
                if isinstance(node, ast.Call) and reads[0] in node.args]
@@ -470,11 +468,13 @@ def test_block_spectra_reads_only_rho_off_the_blocks():
 def test_each_map_has_one_implementation_in_dense(table, gather, public):
     """Each of rho^T1, theta_1 and Phi_1 is one gather through one cached table: the
     table is read by its gather alone, the public map is that gather over every entry,
-    and the oracle check reads the same gather through dense._block_spectra."""
+    and the oracle check reads the same gather through dense._block_spectra (the
+    transpose gather through theta_1's)."""
     assert {table, gather, public} <= definitions("dense")
     assert [where for where, _ in calls("dense", table)] == [gather]
     readers = {where for where, _ in calls("dense", gather)}
-    assert public in readers and "_block_spectra" in readers
+    assert public in readers
+    assert ("_time_reversed_1" if gather == "_transposed_1" else "_block_spectra") in readers
     assert readers <= {public, "_block_spectra", "_time_reversed_1", "breuer_phi1"}
     found = {name: mentions(name, table) for name in TREES if name != "dense"}
     assert not any(found.values()), found

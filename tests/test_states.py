@@ -310,6 +310,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"^the key '{key}' needs "):
             vector_from_json_dict(data)
 
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "9" * 400],
+                             ids=["nan", "inf", "-inf", "1e400", "int-past-float"])
+    def test_rejects_a_coordinate_that_is_not_a_finite_float(self, text):
+        # json.loads reads each of these, and json.dumps would write a NaN back as a
+        # token that is not JSON
+        data = json.loads(f'{{"system": [4, 6], "basis": "beta", "coords": [1, {text}, 0, 0]}}')
+        with pytest.raises(ValueError, match="^the key 'coords' needs a list of finite "):
+            vector_from_json_dict(data)
+
     def test_takes_ints_and_floats_as_coordinates(self):
         data = {"system": [4, 6], "basis": "beta", "coords": [1, 0, 0.5, -0.25]}
         assert vector_from_json_dict(data) == BetaVector(SpinPair(4, 6), (1.0, 0.0, 0.5, -0.25))
