@@ -5,7 +5,7 @@ Each check takes the cases it runs on and returns its largest residual.
 over its own case lists and against its own bounds.  A check given no
 cases returns inf, which fails every bound: a sweep over nothing proves
 nothing.  The theta_1 and Breuer images are read through :mod:`rotinv.maps`
-alone, off a ``classify`` record or from ``breuer_detects``.
+alone: off a ``classify`` record, or from its maps and the margins they compare.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dense, geometry, maps, states, wigner
 from .radical import ExactRadical, exact_sum
-from .states import SpinPair
+from .states import DEFAULT_TOL, SpinPair
 
 __all__ = [
     "orthogonality_sums",
@@ -126,12 +126,15 @@ def named_points(ns, boundary=("E", "F", "G")) -> float:
 def segment_threshold(ns) -> float:
     """Where Breuer detection flips along the 4 x N segment E''G'' against t*.
 
-    The flip is found by bisection on [0, 1], until lo and hi are adjacent floats.
+    The flip is found by bisection on [0, 1], until lo and hi are adjacent floats;
+    each step decides ``breuer_detects(segment_state_4xn(n, t))`` on one array.
     """
     def residual(n):
-        lo, mid, hi = 0.0, 0.5, 1.0
+        plan, beta_2 = states._plan(SpinPair(4, n)), geometry._segment_beta_2(n)
+        c, lo, mid, hi = np.array([1.0, 0.0, 0.0, 0.0]), 0.0, 0.5, 1.0
         while lo < mid < hi:
-            if maps.breuer_detects(geometry.segment_state_4xn(n, mid)):
+            c[2] = beta_2(mid)
+            if maps._breuer_margin(plan, c) < -DEFAULT_TOL:
                 hi = mid
             else:
                 lo = mid
@@ -175,11 +178,12 @@ def dense_equivalence(alphas) -> float:
     counts 1.0: ``is_ppt`` against the theta_1 image's smallest eigenvalue
     (theta_1 is unitarily equivalent to the partial transpose), and, where
     the map is positive (even n1 >= 4), ``breuer_detects`` against the
-    Breuer image's.  Both images conserve M, so their spectra are read on
-    the M blocks, in float64, from the real part of rho (``from_alpha``
-    leaves every imaginary part +0.0, and ``extract_beta`` raises on any
-    operator that strays from its real, invariant projection by more than
-    1e-8); no image is formed whole.  Each map reads an image's off-block
+    Breuer image's, each as the margin it compares, read off one beta array
+    per state with one plan per stack.  Both images conserve M, so their
+    spectra are read on the M blocks, in float64, from the real part of rho
+    (``from_alpha`` leaves every imaginary part +0.0, and ``extract_beta``
+    raises on any operator that strays from its real, invariant projection by
+    more than 1e-8); no image is formed whole.  Each map reads an image's off-block
     entries from rho's alone (the dense tests hold the maps to that), and
     ``from_alpha`` fills only the entries of equal M, so the off-block entry
     is exactly 0.0 on correct operators, and an operator that breaks M,
@@ -189,17 +193,17 @@ def dense_equivalence(alphas) -> float:
     each state's residual is the one it gets alone.
     """
     def residuals(system, group):
-        group = list(group)
+        group, plan = list(group), states._plan(system)
         rho = dense.from_alpha(group)
         extracted = dense.extract_beta(rho, system)
         theta, phi, off = dense._block_spectra(rho, system)
         for alpha, dense_beta, theta_min, phi_min, outside in zip(
                 group, extracted, theta[:, 0].tolist(), phi[:, 0].tolist(), off.tolist()):
-            beta = states.alpha_to_beta(alpha)
-            extract = float(np.abs(dense_beta.as_array() - beta.as_array()).max())
-            ppt = maps.is_ppt(beta) != (theta_min >= -states.DEFAULT_TOL)
+            beta = states.alpha_to_beta(alpha).as_array()
+            extract = float(np.abs(dense_beta.as_array() - beta).max())
+            ppt = (maps._theta1_margin(plan, beta) >= -DEFAULT_TOL) != (theta_min >= -DEFAULT_TOL)
             breuer = system.breuer_applicable and (
-                maps.breuer_detects(beta) != (phi_min < -states.DEFAULT_TOL))
+                (maps._breuer_margin(plan, beta) < -DEFAULT_TOL) != (phi_min < -DEFAULT_TOL))
             yield max(extract, float(ppt), float(breuer), outside)
     return _worst(r for system, group in groupby(alphas, key=lambda a: a.system)
                   for r in residuals(system, group))

@@ -183,14 +183,14 @@ def invariant_q(system: SpinPair, K: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _on_support(system: SpinPair, basis: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The operators of one basis on their joint support: sqrt(n1 n2 d_i), support, entries.
+def _on_support(system: SpinPair, basis: str) -> tuple[np.ndarray, ...]:
+    """The operators of one basis on their joint support: sqrt(n1 n2 d_i), support, off, entries.
 
     ``basis`` is "alpha" (the P_J, d_i = 2J+1) or "beta" (the Q_K, d_i = 2K+1).
     Each conserves M = m1 + m2, so it is zero, or -0.0, off the M sector table
-    (218 of the 2304 entries at 6 x 8), its support: those entries' flat
-    indices, ascending.  The entries have one row per operator.  Cached per
-    system, read-only.
+    (218 of the 2304 entries at 6 x 8), its support: those entries' flat indices,
+    ascending; ``off`` holds the rest.  The entries have one row per operator.
+    Cached per system, read-only.
     """
     if basis == "alpha":
         degeneracies = [twice(j) + 1 for j in system.j_values()]
@@ -199,31 +199,32 @@ def _on_support(system: SpinPair, basis: str) -> tuple[np.ndarray, np.ndarray, n
         degeneracies = [2 * k + 1 for k in system.k_values()]
         operators = [invariant_q(system, k) for k in system.k_values()]
     flat = np.stack(operators).reshape(len(operators), -1)
-    blocks, _ = _sectors(system)
+    blocks, off = _sectors(system)
     support = np.sort(np.concatenate([entries.ravel() for entries in blocks]))
-    return (_frozen(np.sqrt(system.dim * np.asarray(degeneracies))), _frozen(support),
+    return (_frozen(np.sqrt(system.dim * np.asarray(degeneracies))), _frozen(support), off,
             _frozen(flat[:, support]))
 
 
-def _assemble(system: SpinPair, coords, basis: str) -> np.ndarray:
-    """sum_i coords[..., i] O_i / sqrt(n1 n2 d_i) over a basis, for coefficient rows (..., n).
-
-    The sum runs over the operators' joint support alone, in float64, from 0.0
-    and in place through one scratch array, and lands in a complex zero array:
-    every other entry, and every imaginary part, stays +0.0, as the full sum
-    leaves it.  A single row gives one operator, rows (m, n) give a stack
-    (m, d, d).
-    """
-    norms, support, entries = _on_support(system, basis)
+def _support_sums(system: SpinPair, coords, basis: str) -> tuple[np.ndarray, ...]:
+    """sum_i coords[..., i] O_i / sqrt(n1 n2 d_i) on a basis' support, for coefficient rows
+    (..., n), in float64, from 0.0 and in place through one scratch array: support, off, sums."""
+    norms, support, off, entries = _on_support(system, basis)
     scales = np.asarray(coords, dtype=float) / norms
-    lead = scales.shape[:-1]
-    total = np.zeros(lead + support.shape)
+    total = np.zeros(scales.shape[:-1] + support.shape)
     term = np.empty_like(total)
     for i, op in enumerate(entries):
         total += np.multiply(scales[..., i, None], op, out=term)
-    rho = np.zeros(lead + (system.dim ** 2,), dtype=complex)
+    return support, off, total
+
+
+def _assemble(system: SpinPair, coords, basis: str) -> np.ndarray:
+    """The support sums in a complex zero array, every other entry and imaginary part +0.0
+    as the full sum leaves them: one operator for a single row of coordinates, a stack
+    (m, d, d) for rows (m, n)."""
+    support, _, total = _support_sums(system, coords, basis)
+    rho = np.zeros(total.shape[:-1] + (system.dim ** 2,), dtype=complex)
     rho[..., support] = total
-    return rho.reshape(lead + (system.dim, system.dim))
+    return rho.reshape(total.shape[:-1] + (system.dim, system.dim))
 
 
 def from_alpha(alpha: AlphaVector | Sequence[AlphaVector]) -> np.ndarray:
@@ -268,7 +269,11 @@ def extract_beta(rho: np.ndarray, system: SpinPair) -> BetaVector | list[BetaVec
         * np.trace(invariant_q(system, k) @ rho, axis1=-2, axis2=-1).real
         for k in system.k_values()
     ], axis=-1)
-    residuals = np.abs(rho - _assemble(system, coords, "beta")).max(axis=(-2, -1))
+    support, off, projection = _support_sums(system, coords, "beta")
+    # |rho - projection| in the dtype of that difference; the projection is +0.0 off its support
+    flat = _flat(rho).astype(np.result_type(rho, np.float64), copy=False)
+    residuals = np.maximum(np.abs(np.take(flat, support, axis=-1) - projection).max(-1),
+                           np.abs(np.take(flat, off, axis=-1)).max(-1))
     betas = [BetaVector(system, row) for row in coords.reshape(-1, system.n1).tolist()]
     for beta, residual in zip(betas, residuals.ravel().tolist()):
         if residual > _INVARIANCE_TOL:
@@ -501,12 +506,14 @@ def spin_operators(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def product_rotation(system: SpinPair, axis: int, angle: float) -> np.ndarray:
-    """D^(j1)(R) (x) D^(j2)(R) for a rotation about a coordinate axis."""
+    """D^(j1)(R) (x) D^(j2)(R) for a rotation about coordinate axis 0, 1 or 2 (x, y, z)."""
     def rot(n):
         gen = spin_operators(n)[axis]
         vals, vecs = np.linalg.eigh(gen)
         return (vecs * np.exp(-1j * angle * vals)) @ vecs.conj().T
 
+    if isinstance(axis, bool) or not isinstance(axis, (int, np.integer)) or axis not in (0, 1, 2):
+        raise ValueError(f"axis must be 0, 1 or 2 (x, y or z), got {axis!r}")
     return np.kron(rot(system.n1), rot(system.n2))
 
 

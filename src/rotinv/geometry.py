@@ -327,11 +327,21 @@ def segment_state_4xn(n: int, t: float) -> BetaVector:
     beta_2 varies along the segment.  Detection flips exactly once, at
     :func:`segment_detection_threshold`.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
+    return BetaVector(named_points_4xn(n)["E"].beta.system, (1.0, 0.0, _segment_beta_2(n)(t), 0.0))
+
+
+def _segment_beta_2(n: int):
+    """beta_2 along E''G'' as a function of t in [0, 1], reading E'' and G'' once for N;
+    it takes float(t) once, so a NumPy scalar gives the bits of its Python float."""
     named = named_points_4xn(n)
-    e, g = named["E"].beta, named["G"].beta
-    return BetaVector(e.system, (1.0, 0.0, (1.0 - t) * e.coords[2] + t * g.coords[2], 0.0))
+    e, g = named["E"].beta.coords[2], named["G"].beta.coords[2]
+
+    def beta_2(t) -> float:
+        if isinstance(t, (bool, np.bool_)) or not 0 <= t <= 1:
+            raise ValueError(f"t must be a number in [0, 1] and not a bool, got {t!r}")
+        t = float(t)
+        return (1.0 - t) * e + t * g
+    return beta_2
 
 
 # ---------------------------------------------------------------------------

@@ -179,7 +179,8 @@ def test_dense_equivalence_on_interleaved_systems_is_the_max_of_single_states():
 
 
 def test_segment_bisection_ends_where_sixty_steps_end(monkeypatch):
-    """The bisection tests no point twice and ends on the bracket of 60 fixed steps."""
+    """The bisection tests no point twice, decides each point as breuer_detects decides
+    its segment state, and ends on the bracket of 60 fixed steps."""
     def sixty_steps(n):
         lo, hi = 0.0, 1.0
         for _ in range(60):
@@ -190,16 +191,29 @@ def test_segment_bisection_ends_where_sixty_steps_end(monkeypatch):
                 lo = mid
         return abs(0.5 * (lo + hi) - geometry.segment_detection_threshold(n))
 
-    tested, segment_state_4xn = [], geometry.segment_state_4xn
+    tested, margins = [], []
+    segment_beta_2, breuer_margin = geometry._segment_beta_2, maps._breuer_margin
 
-    def segment_state(n, t):
-        tested.append(t)
-        return segment_state_4xn(n, t)
+    def recorded_beta_2(n):  # the interpolation the check reads, recording each t
+        beta_2 = segment_beta_2(n)
+
+        def recorded(t):
+            tested.append(t)
+            return beta_2(t)
+        return recorded
+
+    def recorded_margin(plan, c):
+        margins.append(breuer_margin(plan, c))
+        return margins[-1]
 
     for n in range(4, 61):
         want = sixty_steps(n)
         tested.clear()
+        margins.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(checks.geometry, "segment_state_4xn", segment_state)
+            patch.setattr(geometry, "_segment_beta_2", recorded_beta_2)
+            patch.setattr(maps, "_breuer_margin", recorded_margin)
             assert checks.segment_threshold([n]) == want, n
-        assert len(set(tested)) == len(tested) <= 60, n
+        assert 50 <= len(set(tested)) == len(tested) == len(margins) <= 60, n
+        assert [margin < -DEFAULT_TOL for margin in margins] == [
+            maps.breuer_detects(geometry.segment_state_4xn(n, t)) for t in tested], n

@@ -101,6 +101,16 @@ class TestTensorOperators:
                 q = dense.invariant_q(system, k)
                 assert np.abs(r @ q - q @ r).max() < 1e-9
 
+    @pytest.mark.parametrize("axis", [3, -1, True, 1.0, "x", None])
+    def test_rotation_rejects_an_axis_other_than_0_1_2(self, axis):
+        with pytest.raises(ValueError, match=f"axis must be 0, 1 or 2 .*got {axis!r}"):
+            dense.product_rotation(SpinPair(4, 6), axis, 0.7)
+
+    def test_rotation_axis_may_be_a_numpy_int(self):
+        system = SpinPair(4, 6)
+        assert np.array_equal(dense.product_rotation(system, np.int64(2), 0.7),
+                              dense.product_rotation(system, 2, 0.7))
+
     def test_theta1_sign_rule(self):
         # theta_1(Q_K) = (-1)**K Q_K via dense V conjugation
         system = SpinPair(6, 8)
@@ -293,6 +303,70 @@ class TestStacks:
             dense.extract_beta(stack[1], system)
         assert str(err.value) == str(alone.value)
         assert err.value.projected_beta == alone.value.projected_beta
+
+
+class _RecordedBound:
+    """An invariance bound that records every residual compared with it and passes each:
+    ``residual > bound`` falls back to ``bound < residual``."""
+
+    def __init__(self):
+        self.residuals = []
+
+    def __lt__(self, residual):
+        self.residuals.append(residual)
+        return False
+
+
+class TestInvarianceResidual:
+    """extract_beta's residual, read on the M sector table and off it, equals the full
+    form |rho - projection| over every entry, bit for bit."""
+
+    @staticmethod
+    def _full_form(rho, system, betas):
+        coords = np.array([beta.coords for beta in betas]).reshape(rho.shape[:-2] + (-1,))
+        return np.abs(rho - dense._assemble(system, coords, "beta")).max(axis=(-2, -1))
+
+    @staticmethod
+    def _planted(system, dtype, values):
+        # one plant per matrix: a diagonal and an off-diagonal entry on the M sector
+        # table (indices 1 and n2 share M), and an entry off it, linking M to M - 1
+        positions = [(0, 0), (1, system.n2), (0, 1)]
+        stack = dense.from_alpha(TestStacks._states(system, len(positions) * len(values) + 1))
+        stack = (stack if np.dtype(dtype).kind == "c" else stack.real).astype(dtype)
+        for i, (value, at) in enumerate((v, at) for v in values for at in positions):
+            stack[(i, *at)] = value
+        return stack
+
+    @pytest.mark.parametrize("system", [SpinPair(4, 4), SpinPair(5, 7), SpinPair(6, 8)], ids=str)
+    @pytest.mark.parametrize("dtype, values", [
+        (np.float64, [1e-3, -1e-12, -0.0, np.nan, np.inf, -np.inf]),
+        (np.float32, [1e-3, -0.0, np.nan, np.inf]),
+        (np.complex128, [1e-3 + 2e-3j, -1e-12j, complex(-0.0, -0.0), complex(np.nan, 1.0),
+                         complex(1.0, np.inf), complex(np.inf, np.nan)]),
+        (np.complex64, [1e-7 + 1e-6j, complex(-0.0, 0.0), complex(0.0, np.nan)])],
+        ids=["float64", "float32", "complex128", "complex64"])
+    def test_residual_equals_the_full_form(self, system, dtype, values, monkeypatch):
+        stack = self._planted(system, dtype, values)
+        bound = _RecordedBound()
+        monkeypatch.setattr(dense, "_INVARIANCE_TOL", bound)
+        with np.errstate(invalid="ignore", over="ignore"):
+            betas = dense.extract_beta(stack, system)
+            want = self._full_form(stack, system, betas)
+        assert np.array_equal(np.array(bound.residuals), want, equal_nan=True)
+        # a nan or inf entry makes the coordinates, and so the residual, nan
+        assert np.isnan(want).any() and (want > 1e-8).any()
+
+    @pytest.mark.parametrize("value, at", [(1e-3, (0, 0)), (2e-5 + 3e-6j, (1, 6)),
+                                           (-4e-7j, (0, 1)), (7e-4, (5, 2))])
+    def test_message_reads_the_full_form(self, value, at):
+        system = SpinPair(4, 6)
+        rho = dense.from_alpha(TestStacks._states(system, 1)[0])
+        rho[at] += value
+        with pytest.raises(dense.NonInvariantError) as err:
+            dense.extract_beta(rho, system)
+        want = float(self._full_form(rho, system, [err.value.projected_beta]))
+        assert str(err.value) == (f"operator is not rotationally invariant (residual {want:.3e}); "
+                                  "use twirl_alpha for the projection")
 
 
 class TestOperatorShape:

@@ -596,6 +596,22 @@ class TestSegment:
         with pytest.raises(ValueError):
             segment_state_4xn(4, 1.01)
 
+    @pytest.mark.parametrize("t", [True, False, np.True_, float("nan"), np.float32(1.5)])
+    def test_rejects_a_bool_or_nan_t(self, t):
+        with pytest.raises(ValueError, match=r"t must be a number in \[0, 1\] and not a bool"):
+            segment_state_4xn(6, t)
+
+    @pytest.mark.parametrize("t", ["0.5", None, 0.5j])
+    def test_rejects_a_t_that_is_not_a_number(self, t):
+        with pytest.raises(TypeError):
+            segment_state_4xn(6, t)
+
+    @pytest.mark.parametrize("t", [np.float32(0.5), np.float64(0.5), Fraction(1, 2), 0.5])
+    def test_t_is_read_as_its_python_float(self, t):
+        # NumPy 2 keeps float32 through Python-float arithmetic: 0.08149287104606628
+        assert segment_state_4xn(6, t).coords[2] == 0.08149285972734505
+        assert segment_state_4xn(6, t) == segment_state_4xn(6, float(t))
+
     @pytest.mark.parametrize("n", list(range(4, 21)))
     def test_detection_flips_once_at_threshold(self, n):
         flips = 0
