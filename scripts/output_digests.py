@@ -32,7 +32,8 @@ and captures no other output.  On every Python it tests, CI also diffs the
 ``--quick`` list under default BLAS against one BLAS thread.
 
 ``--quick`` runs a short list with a few outputs of each kind, the dense
-oracle check of ``verify --deep --seed 7`` among them.  The seeded
+oracle check of ``verify --deep --seed 7`` and the 4 x 9 JSON sweep, the
+one sweep that prints ``KnownSeparable``, among them.  The seeded
 states come from numpy and the public rotinv API only, and the oracle is
 reached as ``rotinv.dense``, ``rotinv.pi_project`` and
 ``rotinv.PureProductState``, so both trees see the same inputs.
@@ -233,9 +234,9 @@ def command_list(quick: bool) -> list[list[str]]:
         errors = ERROR_COMMANDS
         classifies = CLASSIFY_COMMANDS
     commands = [["sweep", *_system(n1, n2), "--grid", str(grid)] for n1, n2, grid in sweeps]
-    commands.append(["sweep", *_system(6, 8), "--grid", "15", "--format", "json"])
-    if not quick:  # a 4 x N JSON sweep prints KnownSeparable, which 6 x N cannot
-        commands.append(["sweep", *_system(4, 9), "--grid", "200", "--format", "json"])
+    # a 4 x N JSON sweep prints KnownSeparable, which 6 x N cannot
+    commands += [["sweep", *_system(6, 8), "--grid", "15", "--format", "json"],
+                 ["sweep", *_system(4, 9), "--grid", "200", "--format", "json"]]
     commands += [["geometry", *_system(n1, n2), "--format", fmt]
                  for n1, n2 in geometries for fmt in ("csv", "json")]
     return commands + verifies + errors + classifies

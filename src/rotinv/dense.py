@@ -15,7 +15,10 @@ Operators are complex (d, d) arrays, d = n1*n2.  ``partial_transpose_1``,
 ``theta1``, ``breuer_phi1``, ``spectrum`` and ``extract_beta`` also take a
 stack (..., d, d), and ``from_alpha`` a sequence of one system's alphas.
 One operator runs through the same code as a stack, and each matrix of a
-stack comes out with the bytes of its own one-operator call.
+stack comes out with the bytes of its own one-operator call;
+``twirl_alpha`` takes one operator.  It and ``extract_beta`` read their
+coordinates sqrt(n1 n2 / d_i) Tr(O_i rho) through one reader over one
+listing of each basis, the P_J or the Q_K with their degeneracies d_i.
 ``partial_transpose_1``, ``theta1`` and ``breuer_phi1`` keep a real or
 complex input's dtype.
 
@@ -182,22 +185,30 @@ def invariant_q(system: SpinPair, K: int) -> np.ndarray:
     return _frozen(total)
 
 
+def _basis(system: SpinPair, basis: str) -> list[tuple[int, np.ndarray]]:
+    """(d_i, O_i) for each operator of one basis: "alpha" lists the P_J with d_i = 2J+1,
+    ascending J, and "beta" the Q_K with d_i = 2K+1, ascending K."""
+    if basis == "alpha":
+        return [(twice(j) + 1, projector(system, j)) for j in system.j_values()]
+    return [(2 * k + 1, invariant_q(system, k)) for k in system.k_values()]
+
+
+def _coordinates(rho: np.ndarray, system: SpinPair, basis: str) -> np.ndarray:
+    """sqrt(n1 n2 / d_i) Tr(O_i rho) over a basis, on the last axis: (..., n) for (..., d, d)."""
+    return np.stack([np.sqrt(system.dim / d) * np.trace(op @ rho, axis1=-2, axis2=-1).real
+                     for d, op in _basis(system, basis)], axis=-1)
+
+
 @lru_cache(maxsize=None)
 def _on_support(system: SpinPair, basis: str) -> tuple[np.ndarray, ...]:
     """The operators of one basis on their joint support: sqrt(n1 n2 d_i), support, off, entries.
 
-    ``basis`` is "alpha" (the P_J, d_i = 2J+1) or "beta" (the Q_K, d_i = 2K+1).
-    Each conserves M = m1 + m2, so it is zero, or -0.0, off the M sector table
-    (218 of the 2304 entries at 6 x 8), its support: those entries' flat indices,
-    ascending; ``off`` holds the rest.  The entries have one row per operator.
-    Cached per system, read-only.
+    Each operator of :func:`_basis` conserves M = m1 + m2, so it is zero, or
+    -0.0, off the M sector table (218 of the 2304 entries at 6 x 8), its
+    support: those entries' flat indices, ascending; ``off`` holds the rest.
+    The entries have one row per operator.  Cached per system, read-only.
     """
-    if basis == "alpha":
-        degeneracies = [twice(j) + 1 for j in system.j_values()]
-        operators = [projector(system, j) for j in system.j_values()]
-    else:
-        degeneracies = [2 * k + 1 for k in system.k_values()]
-        operators = [invariant_q(system, k) for k in system.k_values()]
+    degeneracies, operators = zip(*_basis(system, basis))
     flat = np.stack(operators).reshape(len(operators), -1)
     blocks, off = _sectors(system)
     support = np.sort(np.concatenate([entries.ravel() for entries in blocks]))
@@ -261,14 +272,11 @@ def extract_beta(rho: np.ndarray, system: SpinPair) -> BetaVector | list[BetaVec
 
     A stack (..., d, d) gives one BetaVector per matrix, in C order.  Every
     operator must equal its own twirl; a non-invariant one raises
-    :class:`NonInvariantError` carrying its projected coordinates.
+    :class:`NonInvariantError` carrying its projected coordinates, as does
+    one with a nan or inf entry, whose residual is nan.
     """
     _require_operators(rho, system)
-    coords = np.stack([
-        np.sqrt(system.dim / (2 * k + 1))
-        * np.trace(invariant_q(system, k) @ rho, axis1=-2, axis2=-1).real
-        for k in system.k_values()
-    ], axis=-1)
+    coords = _coordinates(rho, system, "beta")
     support, off, projection = _support_sums(system, coords, "beta")
     # |rho - projection| in the dtype of that difference; the projection is +0.0 off its support
     flat = _flat(rho).astype(np.result_type(rho, np.float64), copy=False)
@@ -276,7 +284,7 @@ def extract_beta(rho: np.ndarray, system: SpinPair) -> BetaVector | list[BetaVec
                            np.abs(np.take(flat, off, axis=-1)).max(-1))
     betas = [BetaVector(system, row) for row in coords.reshape(-1, system.n1).tolist()]
     for beta, residual in zip(betas, residuals.ravel().tolist()):
-        if residual > _INVARIANCE_TOL:
+        if not residual <= _INVARIANCE_TOL:  # a nan residual fails too
             raise NonInvariantError(
                 f"operator is not rotationally invariant (residual {residual:.3e}); "
                 "use twirl_alpha for the projection",
@@ -425,14 +433,13 @@ def twirl_alpha(rho: np.ndarray, system: SpinPair) -> AlphaVector:
     """Projector coordinates of the rotation twirl Pi(rho).
 
     alpha_J = sqrt(n1 n2 / (2J+1)) Tr(P_J rho); the twirl is the identity
-    on invariant states and preserves separability in general.
+    on invariant states and preserves separability in general.  It takes
+    one operator: a stack raises ValueError.
     """
     _require_operators(rho, system)
-    coords = [
-        np.sqrt(system.dim / (twice(j) + 1)) * np.trace(projector(system, j) @ rho).real
-        for j in system.j_values()
-    ]
-    return AlphaVector(system, coords)
+    if rho.ndim != 2:
+        raise ValueError(f"twirl_alpha takes one operator on {system}, got shape {rho.shape}")
+    return AlphaVector(system, _coordinates(rho, system, "alpha"))
 
 
 @dataclass(frozen=True)

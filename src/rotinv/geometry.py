@@ -16,6 +16,9 @@ these rationals is scaled once, by :func:`named_points_4xn`, and every other
 vertex J of ABCD, so :func:`explicit_l_matrix_4xn` reads L off A..D, and the
 invariant segment E''G'' reads off E and G.  D'', the midpoint of DD', is D
 with its odd coordinates set to zero: the n1 = 4 case of D~'' below.
+Membership in DD'EE' has one rule, ``_hull_margin``, the smallest
+barycentric weight over D, D', E and E' (nan for a nan weight), which the
+float point test, the sweep and the exact test compare.
 
 For general even n1 the theta_1-invariant states form a polytope in the
 even coordinates (beta_2, ..., beta_{n1-2}) with facets alpha_J = 0,
@@ -372,13 +375,24 @@ def _hull_weights_x20(x) -> list:
             0 + 1 * x1 + -5 * x2 + -3 * x3 + 5]
 
 
+def _hull_margin(x):
+    """The smallest barycentric weight of x = (x1, x2, x3) over D, D', E and E'.
+
+    The one DD'EE' membership rule: the float point test and the sweep
+    compare it with -tol, the exact test with 0.  x is in r_K units, as
+    floats, (N,) columns or Fractions, giving a float, an (N,) array or a
+    Fraction.  A nan weight makes it nan, so that point is never a member.
+    """
+    return np.minimum.reduce(_hull_weights_x20(x)) / 20
+
+
 def minimal_separable_membership_4xn(beta: BetaVector, tol: float = DEFAULT_TOL) -> bool:
     """Whether beta lies in the tetrahedron DD'EE' (the minimal separable set).
 
     Computes the unique barycentric weights over the four vertices and
-    accepts weights down to -tol.  Points outside this hull are not
-    thereby entangled; DD'EE' is only the region known separable in closed
-    form.
+    accepts weights down to -tol; a nan weight is never accepted.  Points
+    outside this hull are not thereby entangled; DD'EE' is only the region
+    known separable in closed form.
     """
     sys_ = beta.system
     if sys_.n1 != 4:
@@ -387,14 +401,13 @@ def minimal_separable_membership_4xn(beta: BetaVector, tol: float = DEFAULT_TOL)
         return False
     _, c1, c2, c3 = beta.coords
     r1, r2, r3 = _radial_unit_floats(sys_.n2)
-    return min(_hull_weights_x20((c1 / r1, c2 / r2, c3 / r3))) / 20 >= -tol
+    return bool(_hull_margin((c1 / r1, c2 / r2, c3 / r3)) >= -tol)
 
 
 def _separable_mask_4xn(n: int, beta2: np.ndarray, tol: float) -> np.ndarray:
     """minimal_separable_membership_4xn at each (1, 0, beta_2, 0), its float steps in its order."""
     r1, r2, r3 = _radial_unit_floats(n)
-    weights = _hull_weights_x20((0.0 / r1, beta2 / r2, 0.0 / r3))
-    return np.minimum.reduce(weights) / 20 >= -tol
+    return _hull_margin((0.0 / r1, beta2 / r2, 0.0 / r3)) >= -tol
 
 
 def exact_hull_membership_4xn(point: NamedPoint) -> bool:
@@ -413,7 +426,7 @@ def exact_hull_membership_4xn(point: NamedPoint) -> bool:
         if ratio is None:
             raise ValueError(f"{point.label}: coordinate {k + 1} is not in the radial lattice")
         x.append(ratio)
-    return min(_hull_weights_x20(x)) >= 0
+    return _hull_margin(x) >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +514,7 @@ def sweep_columns(system: SpinPair, grid: int, tol: float
     detected = breuer[flat] < -tol
     separable = np.zeros(len(flat), dtype=bool)
     if system.n1 == 4:
-        # classify's DD'EE' rule: the shared weights _hull_weights_x20 on the beta_2 column
+        # classify's DD'EE' rule, _hull_margin, on the beta_2 column
         separable = _separable_mask_4xn(system.n2, axes[0][index[0]], tol)
     codes = np.where(detected, 0, np.where(separable, 1, 2))
     fraction = float(detected.sum() / len(flat)) if len(flat) else 0.0

@@ -1,5 +1,6 @@
 """Dense-matrix oracle: algebraic identities and parameter-space equivalence."""
 
+import hashlib
 import re
 from fractions import Fraction
 
@@ -307,14 +308,14 @@ class TestStacks:
 
 class _RecordedBound:
     """An invariance bound that records every residual compared with it and passes each:
-    ``residual > bound`` falls back to ``bound < residual``."""
+    ``residual <= bound`` falls back to ``bound >= residual``."""
 
     def __init__(self):
         self.residuals = []
 
-    def __lt__(self, residual):
+    def __ge__(self, residual):
         self.residuals.append(residual)
-        return False
+        return True
 
 
 class TestInvarianceResidual:
@@ -368,6 +369,35 @@ class TestInvarianceResidual:
         assert str(err.value) == (f"operator is not rotationally invariant (residual {want:.3e}); "
                                   "use twirl_alpha for the projection")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_entry_raises(self, value):
+        # the traces, the projection and so the residual turn nan, which no bound accepts
+        system = SpinPair(4, 6)
+        rho = dense.from_alpha(TestStacks._states(system, 1)[0])
+        rho[1, system.n2] = value
+        with np.errstate(invalid="ignore"), pytest.raises(
+                dense.NonInvariantError, match=re.escape("(residual nan)")):
+            dense.extract_beta(rho, system)
+
+
+class TestCoordinateBits:
+    """extract_beta and twirl_alpha read their traces through one coordinate reader,
+    pinned to the bits each read before it was shared."""
+
+    def test_coordinates_keep_their_bits(self):
+        parts = []
+        for system in (SpinPair(4, 4), SpinPair(4, 6), SpinPair(5, 7), SpinPair(6, 8)):
+            stack = dense.from_alpha(TestStacks._states(system, 3))
+            rng = np.random.default_rng([13, system.n1, system.n2])
+            raw = rng.normal(size=(system.dim, system.dim, 2)) @ np.array([1.0, 1.0j])
+            hermitian = raw + raw.conj().T  # not invariant: only the twirl reads it
+            vectors = [*dense.extract_beta(stack, system),
+                       *(dense.twirl_alpha(rho, system) for rho in (*stack, hermitian))]
+            parts += [c.hex() for vector in vectors for c in vector.coords]
+        assert len(parts) == 133  # seven vectors of n1 coordinates per system
+        assert hashlib.sha256(" ".join(parts).encode()).hexdigest() == (
+            "5c925163de6c4d1cdbad6df783167dfd70123378868ba17081e8170f1213b5e5")
+
 
 class TestOperatorShape:
     """A mis-sized operator raises ValueError naming the system and the shape."""
@@ -392,6 +422,11 @@ class TestOperatorShape:
     def test_min_eigenvalue_takes_one_square_operator(self, shape):
         with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
             dense.min_eigenvalue(np.ones(shape))
+
+    def test_twirl_of_a_stack_raises(self):
+        with pytest.raises(ValueError, match=re.escape("SpinPair(n1=4, n2=4)")) as err:
+            dense.twirl_alpha(np.ones((3, 16, 16)), SpinPair(4, 4))
+        assert "(3, 16, 16)" in str(err.value)
 
     def test_twirl_of_a_non_square_product_raises(self):
         # np.trace of the (16, 15) product succeeds, so the shape is checked first

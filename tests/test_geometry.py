@@ -740,6 +740,16 @@ class TestMinimalSeparableSet:
         assert minimal_separable_membership_4xn(BetaVector(SpinPair(4, 6), d))
         assert not minimal_separable_membership_4xn(BetaVector(SpinPair(4, 6), (1.5,) + d[1:]))
 
+    @pytest.mark.parametrize("coords", [(1.0, np.inf, np.inf, np.inf), (1.0, np.nan, 0.0, 0.0),
+                                        (1.0, np.inf, 0.0, 0.0)], ids=str)
+    def test_non_finite_point_is_not_a_member(self, coords):
+        # at (1, inf, inf, inf) the weights are (inf, nan, nan, nan), whose smallest is nan
+        assert minimal_separable_membership_4xn(BetaVector(SpinPair(4, 6), coords)) is False
+
+    def test_sweep_rule_rejects_a_nan_beta_2(self):
+        mask = geometry._separable_mask_4xn(6, np.array([np.nan, 0.0]), 1e-10)
+        assert mask.tolist() == [False, True]
+
     def test_exact_membership_needs_the_radial_lattice(self):
         # r_1 = sqrt(3)/5 at N = 4, so beta_1 = sqrt(2)/5 is an irrational multiple
         exact = (ExactRadical.one(), ExactRadical.sqrt(Fraction(2, 25)),

@@ -405,6 +405,29 @@ def test_slice_margins_are_only_compared():
     assert callers == 3
 
 
+def test_hull_weights_are_reduced_by_one_rule():
+    """DD'EE' membership has one home: geometry._hull_margin alone reduces the hull
+    weights, and the float point test, the sweep's mask and the exact test read it."""
+    found = [(name, where) for name in TREES for where, _ in calls(name, "_hull_weights_x20")]
+    assert found == [("geometry", "_hull_margin")], found
+    readers = sorted((name, where) for name in TREES for where, _ in calls(name, "_hull_margin"))
+    assert readers == [("geometry", "_separable_mask_4xn"),
+                       ("geometry", "exact_hull_membership_4xn"),
+                       ("geometry", "minimal_separable_membership_4xn")], readers
+
+
+def test_basis_operators_are_listed_in_one_function():
+    """dense._basis alone lists the P_J and the Q_K with their degeneracies; the support
+    table and the one coordinate reader take them from it, and extract_beta and
+    twirl_alpha read their traces through that reader."""
+    found = sorted((name, where) for name in TREES for operator in ("projector", "invariant_q")
+                   for where, _ in calls(name, operator))
+    assert found == [("dense", "_basis"), ("dense", "_basis")], found
+    assert sorted(where for where, _ in calls("dense", "_basis")) == ["_coordinates", "_on_support"]
+    assert sorted(where for where, _ in calls("dense", "_coordinates")) == [
+        "extract_beta", "twirl_alpha"]
+
+
 def linalg_reads(name: str) -> list[tuple[str, str]]:
     """(enclosing top-level function, attribute) for each np.linalg.x that module ``name`` reads."""
     return [(getattr(top, "name", None), node.attr)

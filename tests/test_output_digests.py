@@ -28,6 +28,7 @@ def test_quick_list_prints_one_stable_digest_per_output(capsys):
     assert "dense oracle 4x4 (seed 8)" in names
     assert "witness, 1 existence-ladder size(s) up to 4x6" in names
     assert "rotinv sweep --n1 6 --n2 8 --grid 15 --format json" in names
+    assert "rotinv sweep --n1 4 --n2 9 --grid 200 --format json" in names
     assert "rotinv geometry --n1 6 --n2 8 --tol 1e-8" in names
     assert "rotinv classify --n1 4 --n2 4 --alpha 4,0,0,0" in names
     assert not any(name.startswith("exact-l") for name in names)  # full list only
@@ -73,7 +74,7 @@ def test_full_list_digests_a_json_sweep_of_each_n1():
     assert json_sweeps(False) == [
         ["sweep", "--n1", "6", "--n2", "8", "--grid", "15", "--format", "json"],
         ["sweep", "--n1", "4", "--n2", "9", "--grid", "200", "--format", "json"]]
-    assert json_sweeps(True) == json_sweeps(False)[:1]
+    assert json_sweeps(True) == json_sweeps(False)
 
 
 def test_classify_commands_cover_every_verdict_from_both_bases():
