@@ -29,23 +29,15 @@ def run(argv=None):
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    for n2 in (4, 6, 8, 12):
-        out = outdir / f"geometry_4x{n2}.csv"
-        code = rotinv_main(["geometry", "--n1", "4", "--n2", str(n2), "--out", str(out)])
-        if code:
-            return code
-        print(f"wrote {out}")
+    outputs = [(f"geometry_4x{n2}.csv", ["geometry", "--n1", "4", "--n2", str(n2)])
+               for n2 in (4, 6, 8, 12)]
     for n2 in (6, 8, 14):
-        out = outdir / f"geometry_6x{n2}.csv"
-        code = rotinv_main(["geometry", "--n1", "6", "--n2", str(n2), "--out", str(out)])
-        if code:
-            return code
-        print(f"wrote {out}")
-        out = outdir / f"sweep_6x{n2}.csv"
-        code = rotinv_main([
-            "sweep", "--n1", "6", "--n2", str(n2),
-            "--grid", str(args.grid), "--out", str(out),
-        ])
+        outputs += [(f"geometry_6x{n2}.csv", ["geometry", "--n1", "6", "--n2", str(n2)]),
+                    (f"sweep_6x{n2}.csv",
+                     ["sweep", "--n1", "6", "--n2", str(n2), "--grid", str(args.grid)])]
+    for name, command in outputs:
+        out = outdir / name
+        code = rotinv_main([*command, "--out", str(out)])
         if code:
             return code
         print(f"wrote {out}")

@@ -32,8 +32,9 @@ and captures no other output.  On every Python it tests, CI also diffs the
 ``--quick`` list under default BLAS against one BLAS thread.
 
 ``--quick`` runs a short list with a few outputs of each kind, the dense
-oracle check of ``verify --deep --seed 7`` and the 4 x 9 JSON sweep, the
-one sweep that prints ``KnownSeparable``, among them.  The seeded
+oracle check of ``verify --deep --seed 7``, the dense arrays of 4 x 4 and
+of 6 x 8 (an n1 = 6 operator stack) and the 4 x 9 JSON sweep, the one
+sweep that prints ``KnownSeparable``, among them.  The seeded
 states come from numpy and the public rotinv API only, and the oracle is
 reached as ``rotinv.dense``, ``rotinv.pi_project`` and
 ``rotinv.PureProductState``, so both trees see the same inputs.
@@ -248,7 +249,7 @@ def run(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=8, help="seed of the classify states")
     args = parser.parse_args(argv)
 
-    dense_systems = [(4, 4)] if args.quick else [(4, 4), (4, 6), (6, 6), (6, 8)]
+    dense_systems = [(4, 4), (6, 8)] if args.quick else [(4, 4), (4, 6), (6, 6), (6, 8)]
     ladder = [(4, 6)] if args.quick else [(n1, n2) for n1 in range(4, 21, 2)
                                           for n2 in (n1, n1 + 2, 2 * n1, 2 * n1 + 8)]
     digests = _classify_digests(args.seed, 200 if args.quick else 10_000)

@@ -10,6 +10,9 @@ exact radicals), so agreement between the two is a genuine two-route check
 rather than a tautology; to keep it one, this module imports no
 parameter-space module (``maps``, ``geometry``).  Its symbols come from
 ``wigner``'s doubled-int kernels, and each T_{K,q} is built once, read-only.
+Each basis is built once per system as one read-only stack, the P_J or
+the Q_K with their degeneracies d_i; ``projector`` and ``invariant_q``
+return its rows.
 
 Operators are complex (d, d) arrays, d = n1*n2.  ``partial_transpose_1``,
 ``theta1``, ``breuer_phi1``, ``spectrum`` and ``extract_beta`` also take a
@@ -17,10 +20,9 @@ stack (..., d, d), and ``from_alpha`` a sequence of one system's alphas.
 One operator runs through the same code as a stack, and each matrix of a
 stack comes out with the bytes of its own one-operator call;
 ``twirl_alpha`` takes one operator.  It and ``extract_beta`` read their
-coordinates sqrt(n1 n2 / d_i) Tr(O_i rho) through one reader over one
-listing of each basis, the P_J or the Q_K with their degeneracies d_i.
-``partial_transpose_1``, ``theta1`` and ``breuer_phi1`` keep a real or
-complex input's dtype.
+coordinates sqrt(n1 n2 / d_i) Tr(O_i rho) through one reader over the
+stack of each basis.  ``partial_transpose_1``, ``theta1`` and
+``breuer_phi1`` keep a real or complex input's dtype.
 
 Each of those three maps has one implementation: a gather that reads its
 image at any set of flat positions straight from the entries of rho,
@@ -33,7 +35,10 @@ Phi_1(rho) from the real part of a stack through the same gathers, takes
 their spectra in float64, one ``eigvalsh`` per block size, and reports the
 largest entry of rho off its M blocks, so an operator that breaks M is
 seen, not dropped.  theta_1 is unitarily equivalent to the partial
-transpose, so its spectrum decides PPT.
+transpose, so its spectrum decides PPT.  The table of M's blocks, with
+their support and the entries off them, is the oracle's one index table:
+the sums of ``from_alpha``, ``from_beta`` and ``extract_beta`` run on its
+support.
 
 Product-basis convention: index i = i1*n2 + i2 with m1 = j1 - i1 and
 m2 = j2 - i2 (projections descending within each factor).
@@ -119,16 +124,11 @@ def coupled_basis(system: SpinPair) -> np.ndarray:
 
 
 def projector(system: SpinPair, J) -> np.ndarray:
-    """P_J = sum_M |J M><J M|: Hermitian idempotent with trace 2J+1."""
-    tj, u = twice(J), coupled_basis(system)
-    col = 0
-    for j in system.j_values():
-        width = twice(j) + 1
-        if width == tj + 1:
-            block = u[:, col:col + width]
-            return block @ block.T
-        col += width
-    raise ValueError(f"J = {Fraction(tj, 2)} is not a total momentum of {system}")
+    """P_J = sum_M |J M><J M|: Hermitian idempotent with trace 2J+1; read-only, cached."""
+    j = Fraction(twice(J), 2)
+    if j not in system.j_values():
+        raise ValueError(f"J = {j} is not a total momentum of {system}")
+    return _basis(system, "alpha")[1][system.j_values().index(j)]
 
 
 def tensor_matrix_element(j, m, K, q, mp) -> ExactRadical:
@@ -168,62 +168,60 @@ def _tensor_matrix(two_j: int, K: int, q: int) -> np.ndarray:
     return _frozen(out)
 
 
-@lru_cache(maxsize=None)
-def invariant_q(system: SpinPair, K: int) -> np.ndarray:
-    """Q_K = sum_q T_{K,q} (x) T_{K,q}^dag: Hermitian, rotation invariant.
+def invariant_q(system: SpinPair, K) -> np.ndarray:
+    """Q_K = sum_q T_{K,q} (x) T_{K,q}^dag: Hermitian, rotation invariant; read-only, cached.
 
-    Q_0 = (n1 n2)**(-1/2) * identity; Q_K is traceless for K >= 1.
+    Q_0 = (n1 n2)**(-1/2) * identity; Q_K is traceless for K >= 1.  K is an
+    int or a NumPy integer; a bool, a float or any other type raises.
     """
-    if not 0 <= K <= system.n1 - 1:
+    if isinstance(K, bool) or not isinstance(K, (int, np.integer)) or not 0 <= K < system.n1:
         raise ValueError(f"K must be in 0..{system.n1 - 1}, got {K}")
-    tj1, tj2 = system.n1 - 1, system.n2 - 1
-    total = np.zeros((system.dim, system.dim))
-    for q in range(-K, K + 1):
-        t1 = _tensor_matrix(tj1, K, q)
-        t2 = _tensor_matrix(tj2, K, q)
-        total += np.kron(t1, t2.T)  # T1 (x) T2^dag, T2 real
-    return _frozen(total)
+    return _basis(system, "beta")[1][int(K)]
 
 
-def _basis(system: SpinPair, basis: str) -> list[tuple[int, np.ndarray]]:
-    """(d_i, O_i) for each operator of one basis: "alpha" lists the P_J with d_i = 2J+1,
-    ascending J, and "beta" the Q_K with d_i = 2K+1, ascending K."""
+@lru_cache(maxsize=None)
+def _basis(system: SpinPair, basis: str) -> tuple[np.ndarray, np.ndarray]:
+    """One basis as its degeneracies d_i (n,) and its operators O_i (n, d, d); cached, read-only.
+
+    "alpha" holds the P_J, ascending J, with d_i = 2J+1: each is the product
+    of its block of columns of :func:`coupled_basis` with that block's
+    transpose.  "beta" holds the Q_K, ascending K, with d_i = 2K+1: each is
+    the sum of T_{K,q} (x) T_{K,q}^dag over q ascending, from 0.0.
+    """
+    operators = np.zeros((system.n1, system.dim, system.dim))
     if basis == "alpha":
-        return [(twice(j) + 1, projector(system, j)) for j in system.j_values()]
-    return [(2 * k + 1, invariant_q(system, k)) for k in system.k_values()]
+        u, widths = coupled_basis(system), np.array([twice(j) + 1 for j in system.j_values()])
+        for op, stop, width in zip(operators, np.cumsum(widths), widths):
+            block = u[:, stop - width:stop]
+            op[...] = block @ block.T
+        return _frozen(widths), _frozen(operators)
+    tj1, tj2 = system.n1 - 1, system.n2 - 1
+    for K, op in enumerate(operators):
+        for q in range(-K, K + 1):  # T1 (x) T2^dag, T2 real
+            op += np.kron(_tensor_matrix(tj1, K, q), _tensor_matrix(tj2, K, q).T)
+    return _frozen(2 * np.arange(system.n1) + 1), _frozen(operators)
 
 
 def _coordinates(rho: np.ndarray, system: SpinPair, basis: str) -> np.ndarray:
     """sqrt(n1 n2 / d_i) Tr(O_i rho) over a basis, on the last axis: (..., n) for (..., d, d)."""
     return np.stack([np.sqrt(system.dim / d) * np.trace(op @ rho, axis1=-2, axis2=-1).real
-                     for d, op in _basis(system, basis)], axis=-1)
-
-
-@lru_cache(maxsize=None)
-def _on_support(system: SpinPair, basis: str) -> tuple[np.ndarray, ...]:
-    """The operators of one basis on their joint support: sqrt(n1 n2 d_i), support, off, entries.
-
-    Each operator of :func:`_basis` conserves M = m1 + m2, so it is zero, or
-    -0.0, off the M sector table (218 of the 2304 entries at 6 x 8), its
-    support: those entries' flat indices, ascending; ``off`` holds the rest.
-    The entries have one row per operator.  Cached per system, read-only.
-    """
-    degeneracies, operators = zip(*_basis(system, basis))
-    flat = np.stack(operators).reshape(len(operators), -1)
-    blocks, off = _sectors(system)
-    support = np.sort(np.concatenate([entries.ravel() for entries in blocks]))
-    return (_frozen(np.sqrt(system.dim * np.asarray(degeneracies))), _frozen(support), off,
-            _frozen(flat[:, support]))
+                     for d, op in zip(*_basis(system, basis))], axis=-1)
 
 
 def _support_sums(system: SpinPair, coords, basis: str) -> tuple[np.ndarray, ...]:
-    """sum_i coords[..., i] O_i / sqrt(n1 n2 d_i) on a basis' support, for coefficient rows
-    (..., n), in float64, from 0.0 and in place through one scratch array: support, off, sums."""
-    norms, support, off, entries = _on_support(system, basis)
-    scales = np.asarray(coords, dtype=float) / norms
+    """sum_i coords[..., i] O_i / sqrt(n1 n2 d_i) on the support of the M table, for
+    coefficient rows (..., n), in float64, from 0.0 and in place through one scratch array:
+    support, off, sums.
+
+    Each O_i conserves M = m1 + m2, so it is zero, or -0.0, off the support
+    (218 of the 2304 entries at 6 x 8).
+    """
+    degeneracies, operators = _basis(system, basis)
+    _, support, off = _sectors(system)
+    scales = np.asarray(coords, dtype=float) / np.sqrt(system.dim * degeneracies)
     total = np.zeros(scales.shape[:-1] + support.shape)
     term = np.empty_like(total)
-    for i, op in enumerate(entries):
+    for i, op in enumerate(np.take(_flat(operators), support, axis=-1)):
         total += np.multiply(scales[..., i, None], op, out=term)
     return support, off, total
 
@@ -530,14 +528,15 @@ def spectrum(op: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _sectors(system: SpinPair) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+def _sectors(system: SpinPair) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
     """The blocks of M = m1 + m2, as flat indices into a (d, d) operator; read-only.
 
     Index i = i1 n2 + i2 has M = j1 + j2 - (i1 + i2).  An operator that
     conserves M links only indices of equal M, so it is zero off the blocks
     they span.  Returns one (blocks, s, s) array per block size s (each
-    s <= n1), the flat entries of all blocks of that size, and the flat
-    entries off every block.
+    s <= n1), the flat entries of all blocks of that size; the support, the
+    flat entries on some block, ascending; and ``off``, the flat entries off
+    every block, ascending.  This is the oracle's one index table of M.
     """
     i1, i2 = np.divmod(np.arange(system.dim), system.n2)
     label = i1 + i2
@@ -550,7 +549,7 @@ def _sectors(system: SpinPair) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     off = np.ones(system.dim ** 2, dtype=bool)
     for flat in blocks:
         off[flat.ravel()] = False
-    return blocks, _frozen(np.flatnonzero(off))
+    return blocks, _frozen(np.flatnonzero(~off)), _frozen(np.flatnonzero(off))
 
 
 def _block_spectra(rho: np.ndarray, system: SpinPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -567,7 +566,7 @@ def _block_spectra(rho: np.ndarray, system: SpinPair) -> tuple[np.ndarray, np.nd
     real, lead = rho.real, rho.shape[:-2]
     # np.take reads a contiguous copy several times faster than the strided real part
     flat, trace = np.ascontiguousarray(_flat(real)), _trace_1(real, system)
-    blocks, off = _sectors(system)
+    blocks, _, off = _sectors(system)
     values = []
     for at in blocks:
         image = _time_reversed_1(flat, system, at)

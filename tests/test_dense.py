@@ -68,8 +68,61 @@ class TestProjectors:
         assert np.abs(total - np.eye(system.dim)).max() < 1e-12
 
     def test_invalid_j_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^J = 0 is not a total momentum of SpinPair"):
             dense.projector(SpinPair(4, 6), 0)
+
+    def test_j_may_be_a_numpy_int(self):
+        system = SpinPair(4, 4)
+        assert dense.projector(system, np.int64(2)).tobytes() == dense.projector(system, 2).tobytes()
+
+    def test_projector_is_one_read_only_cached_array(self):
+        system = SpinPair(4, 6)
+        first, second = dense.projector(system, 2), dense.projector(system, 2)
+        assert not first.flags.writeable and np.shares_memory(first, second)
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 1.0
+
+
+# sha256 over the bytes of every P_J, ascending J, and of every Q_K, ascending K
+OPERATOR_DIGESTS = {
+    (2, 3): ("ce69908d21d12867ec2f5aabf128233518a1324cdb03be2e4e2ac78918d8f180",
+             "093f47851ce27de5d9cf245295414c06cc0067e2684e2dc98f6662279260f905"),
+    (4, 4): ("5222bcd3f5c48b72f21143d5e4cc751140dc2b781eea92f0eb0bab36fe80174d",
+             "5e8ee7cecbde267a0d5e0cc04099e844bf35fe59543d03fdad483b01831811d8"),
+    (4, 6): ("079e1328044558134f017b507f984c3a5281bbd7a345b5f4c15584da1e0f46da",
+             "0ad92bf87403016af8e10cab2831ac2bf4753ec80b1e3265ab45c2089e15df9f"),
+    (5, 7): ("0cde3446fbf51f37b390c68dd6555a03588caa16b4321ce8ee7b4698c5d2f580",
+             "8ec2ca5288d7d280209ac6c0f6ba2dd687b981d509206d9b02e4edc69ee64ccd"),
+    (6, 8): ("ae5342167c501972caea2ae7024f8817618a32d60bd854bba44e73e4740a4e98",
+             "6b8ed845945b090f9470412c1855dbc3d689a1208db21af95df2ce783d35d9ce"),
+}
+
+
+class TestOperatorStacks:
+    """Each basis is one cached, read-only stack, which projector and invariant_q read."""
+
+    @pytest.mark.parametrize("dims", sorted(OPERATOR_DIGESTS), ids=str)
+    def test_operator_bytes_are_pinned(self, dims):
+        system = SpinPair(*dims)
+        got = (hashlib.sha256(b"".join(dense.projector(system, j).tobytes()
+                                       for j in system.j_values())).hexdigest(),
+               hashlib.sha256(b"".join(dense.invariant_q(system, k).tobytes()
+                                       for k in system.k_values())).hexdigest())
+        assert got == OPERATOR_DIGESTS[dims]
+
+    def test_one_basis_build_per_system_and_basis(self):
+        systems = [SpinPair(3, 5), SpinPair(4, 6)]
+        dense._basis.cache_clear()
+        for _ in range(3):
+            for system in systems:
+                rng = np.random.default_rng([system.n1, system.n2])
+                for j in system.j_values():
+                    dense.projector(system, j)
+                rho = dense.from_alpha(random_state(system, rng))
+                dense.twirl_alpha(rho, system)
+                dense.extract_beta(rho, system)
+        info = dense._basis.cache_info()
+        assert (info.misses, info.currsize) == (2 * len(systems), 2 * len(systems))
 
 
 class TestTensorOperators:
@@ -123,6 +176,17 @@ class TestTensorOperators:
     def test_invalid_k_rejected(self):
         with pytest.raises(ValueError):
             dense.invariant_q(SpinPair(4, 4), 4)
+
+    @pytest.mark.parametrize("system", [SpinPair(4, 4), SpinPair(5, 9)], ids=str)
+    def test_k_may_be_a_numpy_int(self, system):
+        # no other test builds the dense operators of 5 x 9, so its Q_2 is built here
+        got = dense.invariant_q(system, np.int64(2))
+        assert got.tobytes() == public_invariant_q(system, 2).tobytes()
+
+    @pytest.mark.parametrize("K", [True, 1.0, "1", None, -1, np.int64(4)])
+    def test_k_other_than_an_integer_rank_raises(self, K):
+        with pytest.raises(ValueError, match=rf"^K must be in 0\.\.3, got {re.escape(str(K))}$"):
+            dense.invariant_q(SpinPair(4, 4), K)
 
 
 def public_coupled_basis(system):
@@ -448,7 +512,7 @@ class TestOracleShortcut:
                 == np.ascontiguousarray(dense.theta1(rho, system).real).tobytes())
         flat, trace = np.ascontiguousarray(dense._flat(real)), dense._trace_1(real, system)
         theta, phi = (dense._flat(f(real, system)) for f in (dense.theta1, dense.breuer_phi1))
-        blocks, off = dense._sectors(system)
+        blocks, _, off = dense._sectors(system)
         for at in (*blocks, off):
             image = dense._time_reversed_1(flat, system, at)
             assert image.tobytes() == theta[..., at].tobytes()
@@ -502,7 +566,7 @@ class TestBlockSpectra:
 
     @pytest.mark.parametrize("system", [SpinPair(3, 4), SpinPair(4, 6), SpinPair(6, 8)], ids=str)
     def test_sectors_partition_the_indices(self, system):
-        blocks, off = dense._sectors(system)
+        blocks, support, off = dense._sectors(system)
         assert dense._sectors(system) is dense._sectors(system)
         diagonal = np.concatenate([np.diagonal(flat, axis1=-2, axis2=-1).ravel()
                                    for flat in blocks])
@@ -516,7 +580,8 @@ class TestBlockSpectra:
         entries = np.concatenate([flat.ravel() for flat in blocks] + [off])
         assert sorted(entries) == list(range(system.dim ** 2))
         assert np.array_equal(off, _off(system, "m1+m2"))
-        assert not any(arr.flags.writeable for arr in (*blocks, off))
+        assert np.array_equal(support, np.setdiff1d(np.arange(system.dim ** 2), off))
+        assert not any(arr.flags.writeable for arr in (*blocks, support, off))
 
     @pytest.mark.parametrize("system", SEEDED_SYSTEMS, ids=str)
     def test_maps_send_nothing_off_the_blocks_of_a_conserving_stack(self, system):
@@ -524,7 +589,7 @@ class TestBlockSpectra:
         # image's off-block entries from rho's: on the seeded states, their real parts and
         # a complex stack that conserves m1 + m2 without being invariant; the partial
         # transpose sends it to one that conserves m2 - m1
-        _, off = dense._sectors(system)
+        _, _, off = dense._sectors(system)
         transposed_off = _off(system, "m2-m1")
         rng = np.random.default_rng([13, system.n1, system.n2])
         generic = rng.normal(size=(3, system.dim ** 2, 2)) @ np.array([1.0, 1.0j])
@@ -539,7 +604,7 @@ class TestBlockSpectra:
     def test_planted_off_block_entry_is_the_outside_maximum(self):
         system = SpinPair(6, 8)
         rho = _seeded_stack(system).copy()
-        _, off = dense._sectors(system)
+        _, _, off = dense._sectors(system)
         row, col = divmod(int(off[40]), system.dim)
         rho[3, row, col] = rho[3, col, row] = 0.25
         *spectra, outside = dense._block_spectra(rho, system)

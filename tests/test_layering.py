@@ -416,16 +416,48 @@ def test_hull_weights_are_reduced_by_one_rule():
                        ("geometry", "minimal_separable_membership_4xn")], readers
 
 
+def operator_builds(name: str) -> list[tuple[str, str]]:
+    """(enclosing top-level function, kind) for each self-product ``x @ x.T`` and each sum
+    ``op += np.kron(...)`` that module ``name`` writes."""
+    found = []
+    for top in TREES[name].body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                    and isinstance(node.left, ast.Name) and isinstance(node.right, ast.Attribute)
+                    and node.right.attr == "T"
+                    and getattr(node.right.value, "id", None) == node.left.id):
+                found.append((getattr(top, "name", None), "product"))
+            elif isinstance(node, ast.AugAssign) and "kron" in names_in(node.value):
+                found.append((getattr(top, "name", None), "kron sum"))
+    return found
+
+
 def test_basis_operators_are_listed_in_one_function():
-    """dense._basis alone lists the P_J and the Q_K with their degeneracies; the support
-    table and the one coordinate reader take them from it, and extract_beta and
-    twirl_alpha read their traces through that reader."""
-    found = sorted((name, where) for name in TREES for operator in ("projector", "invariant_q")
-                   for where, _ in calls(name, operator))
-    assert found == [("dense", "_basis"), ("dense", "_basis")], found
-    assert sorted(where for where, _ in calls("dense", "_basis")) == ["_coordinates", "_on_support"]
+    """dense._basis alone builds the P_J (``block @ block.T`` over the columns of the
+    coupled basis) and the Q_K (the np.kron sum of the T_{K,q}), once per (system, basis),
+    as one stack with their degeneracies; projector and invariant_q, the coordinate reader
+    and the support sums read that stack, and extract_beta and twirl_alpha read their
+    traces through the one reader.  No module keeps a second copy of the operators."""
+    assert sorted(operator_builds("dense")) == [("_basis", "kron sum"), ("_basis", "product")]
+    found = {name: operator_builds(name) for name in TREES if name != "dense"}
+    # checks' L orthogonality is the one self-product elsewhere, and no module sums a kron
+    assert found.pop("checks") == [("l_orthogonality", "product")]
+    assert not any(found.values()), found
+    readers = sorted((name, where) for name in TREES for table in ("coupled_basis", "_tensor_matrix")
+                     for where, _ in calls(name, table))
+    assert readers == [("dense", "_basis"), ("dense", "_basis"), ("dense", "_basis"),
+                       ("dense", "pi_project"), ("dense", "pi_project")], readers
+    assert not [(name, where) for name in TREES for operator in ("projector", "invariant_q")
+                for where, _ in calls(name, operator)]
+    assert sorted(where for where, _ in calls("dense", "_basis")) == [
+        "_coordinates", "_support_sums", "invariant_q", "projector"]
     assert sorted(where for where, _ in calls("dense", "_coordinates")) == [
         "extract_beta", "twirl_alpha"]
+    assert not any(mentions(name, "_on_support") for name in TREES)
+    decorators = {node.name: [names_in(d) for d in node.decorator_list]
+                  for node in TREES["dense"].body if isinstance(node, ast.FunctionDef)}
+    assert [names & {"lru_cache"} for names in decorators["_basis"]] == [{"lru_cache"}]
+    assert decorators["projector"] == decorators["invariant_q"] == []
 
 
 def linalg_reads(name: str) -> list[tuple[str, str]]:
@@ -448,11 +480,11 @@ def test_linear_algebra_runs_in_dense():
 
 def test_sector_tables_have_one_home_in_dense():
     """The blocks of M = m1 + m2, the one conserved charge the library reads, are built
-    by dense._sectors and read by dense._on_support and dense._block_spectra alone,
-    once each; no module names a table of charges, and checks builds no index table
-    of its own."""
+    by dense._sectors, the oracle's one index table, and read by dense._support_sums and
+    dense._block_spectra alone, once each; no module names a table of charges, and checks
+    builds no index table of its own."""
     assert "_sectors" in definitions("dense")
-    assert [where for where, _ in calls("dense", "_sectors")] == ["_on_support", "_block_spectra"]
+    assert [where for where, _ in calls("dense", "_sectors")] == ["_support_sums", "_block_spectra"]
     found = {name: mentions(name, "_CHARGES") for name in TREES}
     found.update({name: mentions(name, "_sectors") for name in TREES if name != "dense"})
     assert not any(found.values()), found
@@ -465,14 +497,14 @@ def test_sector_tables_have_one_home_in_dense():
 
 def test_block_spectra_reads_only_rho_off_the_blocks():
     """The oracle's charge guard is one read of rho: dense._block_spectra reads the M
-    table as one (blocks, off) pair, hands its two gathers block tables alone, and
+    table as one (blocks, support, off) triple, hands its two gathers block tables alone, and
     reads the off table once, through np.take of rho's flat entries."""
     top = next(node for node in TREES["dense"].body
                if getattr(node, "name", None) == "_block_spectra")
     (unpack,) = [node for node in ast.walk(top)
                  if isinstance(node, ast.Assign) and "_sectors" in names_in(node.value)]
     assert isinstance(unpack.value, ast.Call) and unpack.value.func.id == "_sectors"
-    _, off = (name.id for name in unpack.targets[0].elts)
+    _, _, off = (name.id for name in unpack.targets[0].elts)
     gathers = [call for gather in ("_time_reversed_1", "_transposed_1", "_phi1")
                for where, call in calls("dense", gather) if where == "_block_spectra"]
     assert len(gathers) == 2 and not any(off in names_in(call) for call in gathers)

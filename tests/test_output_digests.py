@@ -26,6 +26,7 @@ def test_quick_list_prints_one_stable_digest_per_output(capsys):
     assert "rotinv verify --perturb-l" in names
     assert "rotinv verify --deep --seed 7" in names
     assert "dense oracle 4x4 (seed 8)" in names
+    assert "dense oracle 6x8 (seed 8)" in names
     assert "witness, 1 existence-ladder size(s) up to 4x6" in names
     assert "rotinv sweep --n1 6 --n2 8 --grid 15 --format json" in names
     assert "rotinv sweep --n1 4 --n2 9 --grid 200 --format json" in names
