@@ -8,6 +8,10 @@ sweep      grid-sweep the theta_1-invariant polytope and report the
            Breuer-detected fraction (CSV/JSON)
 verify     run the built-in identity and cross-validation battery
 
+Each command is one entry in ``_COMMANDS`` (the ``cmd_*`` function that
+``main`` runs) and one in ``_ECHOED`` (the fields its header echoes after
+its name), plus its block in the parser.
+
 Exit codes: 0 success, 1 verification failure, 2 usage, input, output-file or
 out-of-memory error.
 Identical configurations (including --seed) produce byte-identical output.
@@ -34,6 +38,15 @@ __all__ = ["main", "RunConfig"]
 
 _SWEPT_N1 = (4, 6, 8, 10)  # n1 of verify's system sweeps, each up to n2 = --n2-max
 
+# the fields each command's header echoes after its name; geometry and verify
+# echo a tol they do not read, which their pinned bytes hold
+_ECHOED = {
+    "classify": ("n1", "n2", "tol"),
+    "geometry": ("n1", "n2", "tol"),
+    "sweep": ("n1", "n2", "tol", "grid"),
+    "verify": ("tol", "seed", "deep", "n2_max"),
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -54,6 +67,8 @@ class RunConfig:
     perturb_l: bool = False
 
     def __post_init__(self):
+        if self.command not in _ECHOED:
+            raise ValueError(f"unknown command {self.command!r}")
         if not math.isfinite(self.tol):
             raise ValueError(f"tolerance must be finite, got {self.tol}")
         if self.tol <= 0:
@@ -67,15 +82,7 @@ class RunConfig:
                              f"that verify sweeps, got {self.n2_max}")
 
     def echo(self) -> dict:
-        out: dict = {"command": self.command}
-        if self.command != "verify":
-            out.update({"n1": self.n1, "n2": self.n2})
-        out["tol"] = self.tol
-        if self.command == "sweep":
-            out["grid"] = self.grid
-        if self.command == "verify":
-            out.update({"seed": self.seed, "deep": self.deep, "n2_max": self.n2_max})
-        return out
+        return {"command": self.command, **{k: getattr(self, k) for k in _ECHOED[self.command]}}
 
 
 def _parse_coords(text: str) -> tuple[float, ...]:
@@ -187,11 +194,8 @@ def cmd_geometry(cfg: RunConfig) -> int:
     system = SpinPair(cfg.n1, cfg.n2)
     if not system.breuer_applicable:
         raise ValueError(f"geometry needs an even n1 >= 4, got {system.n1}")
-    points, planes = _geometry_data(system)
-    if cfg.fmt == "json":
-        _write(cfg.out, _geometry_json(cfg, points, planes))
-    else:
-        _write(cfg.out, _geometry_csv(cfg, points, planes))
+    writer = _geometry_json if cfg.fmt == "json" else _geometry_csv
+    _write(cfg.out, writer(cfg, *_geometry_data(system)))
     return 0
 
 
@@ -203,12 +207,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     system = SpinPair(cfg.n1, cfg.n2)
     if cfg.fmt == "json":
         header, rows, fraction = geometry.sweep_rows(system, cfg.grid, cfg.tol)
-        data = {
-            "config": cfg.echo(),
-            "header": list(header),
-            "rows": [list(r) for r in rows],
-            "be_region_fraction": fraction,
-        }
+        data = {"config": cfg.echo(), "header": header, "rows": rows,
+                "be_region_fraction": fraction}  # json writes a tuple as a list
         _write(cfg.out, json.dumps(data, indent=2) + "\n")
         return 0
     header, axes, index, codes, fraction = geometry.sweep_columns(system, cfg.grid, cfg.tol)
@@ -291,6 +291,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     lines.append("verification " + ("PASSED" if all_ok else "FAILED"))
     _write(cfg.out, "\n".join(lines) + "\n")
     return 0 if all_ok else 1
+
+
+_COMMANDS = {"classify": cmd_classify, "geometry": cmd_geometry,
+             "sweep": cmd_sweep, "verify": cmd_verify}
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = _config_from_args(args)
-        if args.command == "classify":
-            return cmd_classify(cfg)
-        if args.command == "geometry":
-            return cmd_geometry(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        return cmd_verify(cfg)
+        return _COMMANDS[cfg.command](cfg)
     except (ValueError, OSError) as exc:  # bad input, or an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -124,8 +124,15 @@ def coupled_basis(system: SpinPair) -> np.ndarray:
 
 
 def projector(system: SpinPair, J) -> np.ndarray:
-    """P_J = sum_M |J M><J M|: Hermitian idempotent with trace 2J+1; read-only, cached."""
-    j = Fraction(twice(J), 2)
+    """P_J = sum_M |J M><J M|: Hermitian idempotent with trace 2J+1; read-only, cached.
+
+    J is a spin value, as :func:`wigner.twice` reads one; a bool or any other
+    type raises ``ValueError``, as for :func:`invariant_q`.
+    """
+    try:
+        j = Fraction(twice(J), 2)
+    except TypeError:  # twice refuses bool, np.bool_ and every non-number
+        raise ValueError(f"J must be a spin value, got {J!r}") from None
     if j not in system.j_values():
         raise ValueError(f"J = {j} is not a total momentum of {system}")
     return _basis(system, "alpha")[1][system.j_values().index(j)]
@@ -348,14 +355,15 @@ def partial_transpose_1(rho: np.ndarray, system: SpinPair) -> np.ndarray:
 def _theta1_table(system: SpinPair) -> tuple[np.ndarray, np.ndarray]:
     """Where theta_1(rho) reads rho^T1, and the sign it puts there: (d, d) each, read-only.
 
-    V (x) 1 sends (a, b) to (n1-1-a, b) with sign (-1)**a, so theta_1(rho) at
-    ((a, b), (a', b')) is (-1)**(a+a') rho^T1 at ((n1-1-a, b), (n1-1-a', b')).
+    Row a of V = :func:`time_reversal` (n1) has one nonzero, v_a at column
+    s_a, so theta_1(rho) at ((a, b), (a', b')) is v_a v_a' rho^T1 at
+    ((s_a, b), (s_a', b')).
     """
-    n1, n2 = system.n1, system.n2
-    index = np.arange(system.dim ** 2).reshape(n1, n2, n1, n2)
-    parity = np.arange(system.dim) // n2 % 2
-    signs = np.where(parity[:, None] == parity[None, :], 1.0, -1.0)
-    return (_frozen(index[::-1, :, ::-1, :].reshape(system.dim, system.dim)), _frozen(signs))
+    n1, n2, v = system.n1, system.n2, time_reversal(system.n1)
+    rows, source = np.nonzero(v)  # one nonzero per row
+    index = np.arange(system.dim ** 2).reshape(n1, n2, n1, n2)[source][:, :, source]
+    signs = np.repeat(v[rows, source], n2)  # v_a for each product index (a, b)
+    return _frozen(index.reshape(system.dim, system.dim)), _frozen(np.outer(signs, signs))
 
 
 def theta1(rho: np.ndarray, system: SpinPair) -> np.ndarray:

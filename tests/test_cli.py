@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, and exit codes."""
 
+import argparse
 import collections
 import csv
 import hashlib
@@ -379,7 +380,7 @@ class TestVerify:
     def test_negative_seed_exit_2_before_any_check(self, argv, capsys, monkeypatch):
         def run_battery(cfg):
             raise AssertionError("the battery ran")
-        monkeypatch.setattr(cli, "cmd_verify", run_battery)
+        monkeypatch.setitem(cli._COMMANDS, "verify", run_battery)
         code, out, err = run_main(argv, capsys)
         assert code == 2 and out == ""
         assert err == "error: seed must be >= 0, got -1\n"
@@ -413,6 +414,41 @@ class TestConfig:
         cfg = _config_from_args(_build_parser().parse_args(argv))
         assert _config_comment(cfg) == f"# rotinv {comment}\n"
         assert (cfg.fmt, cfg.out, cfg.perturb_l) == ("csv", None, False)
+
+    # each command's header and JSON config echo at options off their defaults, as literals
+    @pytest.mark.parametrize("argv, comment, echo", [
+        (["classify", "--n1", "4", "--n2", "6", "--beta", "1,0,0,0", "--tol", "1e-8"],
+         "command=classify n1=4 n2=6 tol=1e-08",
+         [("command", "classify"), ("n1", 4), ("n2", 6), ("tol", 1e-08)]),
+        (["geometry", "--n1", "4", "--n2", "6", "--format", "json"],
+         "command=geometry n1=4 n2=6 tol=1e-10",
+         [("command", "geometry"), ("n1", 4), ("n2", 6), ("tol", 1e-10)]),
+        (["sweep", "--n1", "4", "--n2", "6", "--grid", "30"],
+         "command=sweep n1=4 n2=6 tol=1e-10 grid=30",
+         [("command", "sweep"), ("n1", 4), ("n2", 6), ("tol", 1e-10), ("grid", 30)]),
+        (["verify", "--seed", "3", "--deep", "--n2-max", "12"],
+         "command=verify tol=1e-10 seed=3 deep=True n2_max=12",
+         [("command", "verify"), ("tol", 1e-10), ("seed", 3), ("deep", True), ("n2_max", 12)]),
+    ], ids=["classify", "geometry", "sweep", "verify"])
+    def test_non_default_header_and_config_echo(self, argv, comment, echo, capsys):
+        cfg = _config_from_args(_build_parser().parse_args(argv))
+        assert _config_comment(cfg) == f"# rotinv {comment}\n"
+        assert list(cfg.echo().items()) == echo
+        code, out, _ = run_main(argv, capsys)
+        assert code == 0
+        if out.startswith("{"):  # classify, and geometry with --format json
+            assert list(json.loads(out)["config"].items()) == echo
+        else:
+            assert out.startswith(f"# rotinv {comment}\n")
+
+    def test_command_tables_name_the_parser_choices(self):
+        (sub,) = [action for action in _build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+        assert set(cli._COMMANDS) == set(cli._ECHOED) == set(sub.choices)
+
+    def test_unknown_command_raises(self):
+        with pytest.raises(ValueError, match=r"^unknown command 'existence'$"):
+            cli.RunConfig("existence")
 
 
 class TestUnwritableOut:

@@ -75,6 +75,18 @@ class TestProjectors:
         system = SpinPair(4, 4)
         assert dense.projector(system, np.int64(2)).tobytes() == dense.projector(system, 2).tobytes()
 
+    @pytest.mark.parametrize("J", [True, np.bool_(True), "1", None], ids=repr)
+    def test_j_other_than_a_spin_value_raises(self, J):
+        with pytest.raises(ValueError, match=rf"^J must be a spin value, got {re.escape(repr(J))}$"):
+            dense.projector(SpinPair(4, 4), J)
+
+    def test_half_integer_float_reads_the_same_row(self):
+        """A float J that is a half-integer names the same cached row as the int."""
+        system = SpinPair(4, 4)
+        by_float, by_int = dense.projector(system, 1.0), dense.projector(system, 1)
+        assert by_float.base is by_int.base
+        assert by_float.__array_interface__["data"] == by_int.__array_interface__["data"]
+
     def test_projector_is_one_read_only_cached_array(self):
         system = SpinPair(4, 6)
         first, second = dense.projector(system, 2), dense.projector(system, 2)

@@ -257,6 +257,17 @@ def test_sign_rule_is_written_in_phase_alone():
     assert not found, found
 
 
+def test_time_reversal_is_written_once_in_dense():
+    """theta_1's table reads its sources and signs off dense.time_reversal, whose signs
+    come from _phase; dense writes no np.where(..., 1.0, -1.0) sign grid beside it."""
+    assert "_theta1_table" in {where for where, _ in calls("dense", "time_reversal")}
+    assert "time_reversal" in {where for where, _ in calls("dense", "_phase")}
+    grids = [call.lineno for _, call in calls("dense", "where")  # a choice of two numbers
+             if call.args[1:] and all(isinstance(arg, (ast.Constant, ast.UnaryOp))
+                                      for arg in call.args[1:])]
+    assert not grids, grids
+
+
 @pytest.mark.parametrize("helper", ["_racah_six_j", "_segment_ends"])
 def test_folded_helper_is_defined_nowhere(helper):
     """The 6-j memo is one function, _six_j, and the segment reads E and G off the 4 x N
