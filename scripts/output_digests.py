@@ -20,12 +20,17 @@ labelled 4 x N point (signed zeros included) and ``repr`` of every entry
 of ``explicit_l_matrix_4xn``; its ``verify --deep`` runs are seeds 0..199
 and 12345, one line each, and ``--perturb-l``.  To check that a change
 leaves every output byte-identical, run the script against both trees and
-diff the listings, once with default BLAS and once with one BLAS thread:
+diff the listings, once with default BLAS, once with one BLAS thread and
+once under each of the FMA and the no-FMA OpenBLAS kernel families:
 
     PYTHONPATH=/path/to/old/src python scripts/output_digests.py > old.txt
     PYTHONPATH=src python scripts/output_digests.py > new.txt
     diff old.txt new.txt
-    # again with OPENBLAS_NUM_THREADS=1 before each python
+    # again with OPENBLAS_NUM_THREADS=1, OPENBLAS_CORETYPE=Haswell and
+    # OPENBLAS_CORETYPE=SandyBridge before each python
+
+Listings differ between kernel families, so compare old against new
+under one setting, never one setting against another.
 
 This listing is the whole byte contract: CI diffs it in exactly this way
 and captures no other output.  On every Python it tests, CI also diffs the

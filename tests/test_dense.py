@@ -430,7 +430,8 @@ class TestInvarianceResidual:
             betas = dense.extract_beta(stack, system)
             want = self._full_form(stack, system, betas)
         assert np.array_equal(np.array(bound.residuals), want, equal_nan=True)
-        # a nan or inf entry makes the coordinates, and so the residual, nan
+        # a nan or inf entry on the M blocks makes the coordinates, and so the residual,
+        # nan; one off them is read by the residual alone, which turns nan or inf
         assert np.isnan(want).any() and (want > 1e-8).any()
 
     @pytest.mark.parametrize("value, at", [(1e-3, (0, 0)), (2e-5 + 3e-6j, (1, 6)),
@@ -447,13 +448,28 @@ class TestInvarianceResidual:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_entry_raises(self, value):
-        # the traces, the projection and so the residual turn nan, which no bound accepts
+        # an entry on the M blocks (indices 1 and n2 share M): the traces, the projection
+        # and so the residual turn nan, which no bound accepts
         system = SpinPair(4, 6)
         rho = dense.from_alpha(TestStacks._states(system, 1)[0])
         rho[1, system.n2] = value
         with np.errstate(invalid="ignore"), pytest.raises(
                 dense.NonInvariantError, match=re.escape("(residual nan)")):
             dense.extract_beta(rho, system)
+
+    @pytest.mark.parametrize("value, shown", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_entry_off_the_blocks_raises(self, value, shown):
+        # an entry off the M blocks (indices 0 and 1 differ in M): the traces never read
+        # it, so the projection stays finite, and the residual reads |entry| there
+        system = SpinPair(4, 6)
+        clean = dense.from_alpha(TestStacks._states(system, 1)[0])
+        rho = clean.copy()
+        rho[0, 1] = value
+        with pytest.raises(dense.NonInvariantError,
+                           match=re.escape(f"(residual {shown})")) as err:
+            dense.extract_beta(rho, system)
+        assert err.value.projected_beta == dense.extract_beta(clean, system)
 
 
 class TestCoordinateBits:
@@ -473,6 +489,53 @@ class TestCoordinateBits:
         assert len(parts) == 133  # seven vectors of n1 coordinates per system
         assert hashlib.sha256(" ".join(parts).encode()).hexdigest() == (
             "5c925163de6c4d1cdbad6df783167dfd70123378868ba17081e8170f1213b5e5")
+
+
+def _full_coordinates(rho, system, basis):
+    """sqrt(n1 n2 / d_i) Tr(O_i rho) through n1 full (d, d) products: the form the
+    block reader replaced, kept here as its reference."""
+    degeneracies, operators = dense._basis(system, basis)
+    return np.stack([np.sqrt(system.dim / d) * np.trace(op @ rho, axis1=-2, axis2=-1).real
+                     for d, op in zip(degeneracies, operators)], axis=-1)
+
+
+class TestBlockTraces:
+    """The coordinate reader multiplies the basis operators by rho on the M blocks
+    alone; where the full zgemm sums in the blocks' order (the FMA kernels, up to
+    8 x 12) it equals the full products bit for bit, and within 1e-12 beyond."""
+
+    EXACT = [(2, 3), (3, 5), (4, 4), (4, 6), (5, 7), (6, 6), (6, 8), (8, 12)]
+    CLOSE = [(10, 13), (12, 14)]
+
+    @pytest.mark.parametrize("dims", EXACT + CLOSE, ids=lambda dims: "%dx%d" % dims)
+    def test_block_traces_equal_the_full_products(self, dims):
+        system = SpinPair(*dims)
+        rng = np.random.default_rng([39, *dims])
+        stack = dense.from_alpha([random_state(system, rng) for _ in range(5)])
+        raw = rng.normal(size=(system.dim, system.dim, 2)) @ np.array([1.0, 1.0j])
+        hermitian = raw + raw.conj().T  # not invariant: only the twirl reads it
+        pairs = [(dense._coordinates(rho, system, basis), _full_coordinates(rho, system, basis))
+                 for basis in ("alpha", "beta") for rho in (stack, stack[0], stack[-1])]
+        pairs += [(np.array([beta.coords for beta in dense.extract_beta(stack, system)]),
+                   _full_coordinates(stack, system, "beta")),
+                  (np.array(dense.twirl_alpha(hermitian, system).coords),
+                   _full_coordinates(hermitian, system, "alpha"))]
+        for got, want in pairs:
+            if dims in self.EXACT:
+                np.testing.assert_array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_twirl_ignores_a_non_finite_entry_off_the_blocks(self, value):
+        # every P_J is zero off the M blocks, so the twirl reads the operator with that
+        # entry 0 (indices 0 and 1 differ in M); the full product read 0 * inf = nan there
+        system = SpinPair(4, 6)
+        rho = dense.from_alpha(TestStacks._states(system, 1)[0])
+        want = dense.twirl_alpha(rho, system)
+        rho[0, 1] = value
+        got = dense.twirl_alpha(rho, system)
+        assert got == want and np.isfinite(got.coords).all()
 
 
 class TestOperatorShape:

@@ -446,9 +446,10 @@ def operator_builds(name: str) -> list[tuple[str, str]]:
 def test_basis_operators_are_listed_in_one_function():
     """dense._basis alone builds the P_J (``block @ block.T`` over the columns of the
     coupled basis) and the Q_K (the np.kron sum of the T_{K,q}), once per (system, basis),
-    as one stack with their degeneracies; projector and invariant_q, the coordinate reader
-    and the support sums read that stack, and extract_beta and twirl_alpha read their
-    traces through the one reader.  No module keeps a second copy of the operators."""
+    as one stack with their degeneracies; projector and invariant_q, the builder of the
+    coordinate reader's block table and the support sums read that stack, and extract_beta
+    and twirl_alpha read their traces through the one reader.  No module keeps a second
+    copy of the operators."""
     assert sorted(operator_builds("dense")) == [("_basis", "kron sum"), ("_basis", "product")]
     found = {name: operator_builds(name) for name in TREES if name != "dense"}
     # checks' L orthogonality is the one self-product elsewhere, and no module sums a kron
@@ -461,14 +462,38 @@ def test_basis_operators_are_listed_in_one_function():
     assert not [(name, where) for name in TREES for operator in ("projector", "invariant_q")
                 for where, _ in calls(name, operator)]
     assert sorted(where for where, _ in calls("dense", "_basis")) == [
-        "_coordinates", "_support_sums", "invariant_q", "projector"]
+        "_operator_blocks", "_support_sums", "invariant_q", "projector"]
     assert sorted(where for where, _ in calls("dense", "_coordinates")) == [
         "extract_beta", "twirl_alpha"]
+    assert [where for where, _ in calls("dense", "_operator_blocks")] == ["_coordinates"]
     assert not any(mentions(name, "_on_support") for name in TREES)
     decorators = {node.name: [names_in(d) for d in node.decorator_list]
                   for node in TREES["dense"].body if isinstance(node, ast.FunctionDef)}
     assert [names & {"lru_cache"} for names in decorators["_basis"]] == [{"lru_cache"}]
+    assert [names & {"lru_cache"} for names in decorators["_operator_blocks"]] == [{"lru_cache"}]
     assert decorators["projector"] == decorators["invariant_q"] == []
+
+
+def test_traces_are_read_on_the_m_blocks():
+    """The coordinate reader forms no full product O_i rho: dense's matrix products are
+    the listed ones, the reader's multiplying the operators' blocks by np.take gathers
+    of rho's, np.trace runs in _trace_1 alone, and the complex copies of the basis
+    operators are made in dense._operator_blocks alone."""
+    products = sorted((getattr(top, "name", None), ast.unparse(node))
+                      for top in TREES["dense"].body for node in ast.walk(top)
+                      if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
+    assert products == [
+        ("_basis", "block @ block.T"),
+        ("_coordinates", "ops @ np.take(flat, at, axis=-1)[..., None, :, :, :]"),
+        ("min_eigenvalue", "op @ v"),
+        ("pi_project", "t1 @ v1"), ("pi_project", "t2 @ v2"),
+        ("product_rotation", "vecs * np.exp(-1j * angle * vals) @ vecs.conj().T")], products
+    traces = [(name, where) for name in TREES for where, call in calls(name, "trace")
+              if names_in(call.func) & {"np"}]
+    assert traces == [("dense", "_trace_1")], traces
+    complex_basis = [top.name for top in TREES["dense"].body
+                     if isinstance(top, ast.FunctionDef) and {"_basis", "complex"} <= names_in(top)]
+    assert complex_basis == ["_operator_blocks"], complex_basis
 
 
 def linalg_reads(name: str) -> list[tuple[str, str]]:
@@ -491,11 +516,13 @@ def test_linear_algebra_runs_in_dense():
 
 def test_sector_tables_have_one_home_in_dense():
     """The blocks of M = m1 + m2, the one conserved charge the library reads, are built
-    by dense._sectors, the oracle's one index table, and read by dense._support_sums and
-    dense._block_spectra alone, once each; no module names a table of charges, and checks
-    builds no index table of its own."""
+    by dense._sectors, the oracle's one index table, and read by dense._operator_blocks
+    (the coordinate reader's block table), dense._support_sums and dense._block_spectra
+    alone, once each; no module names a table of charges, and checks builds no index table
+    of its own."""
     assert "_sectors" in definitions("dense")
-    assert [where for where, _ in calls("dense", "_sectors")] == ["_support_sums", "_block_spectra"]
+    assert [where for where, _ in calls("dense", "_sectors")] == [
+        "_operator_blocks", "_support_sums", "_block_spectra"]
     found = {name: mentions(name, "_CHARGES") for name in TREES}
     found.update({name: mentions(name, "_sectors") for name in TREES if name != "dense"})
     assert not any(found.values()), found
