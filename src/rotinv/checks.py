@@ -188,7 +188,7 @@ def dense_equivalence(alphas) -> float:
     ``from_alpha`` fills only the entries of equal M, so the off-block entry
     is exactly 0.0 on correct operators, and an operator that breaks M,
     which the block spectra would leave out, shows as the residual.  The
-    extraction stays complex and is taken from full matrix products.
+    extraction stays complex and takes its traces on the M blocks.
     Consecutive alphas of one system go through the oracle as one stack;
     each state's residual is the one it gets alone.
     """

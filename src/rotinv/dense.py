@@ -38,10 +38,12 @@ Phi_1(rho) from the real part of a stack through the same gathers, takes
 their spectra in float64, one ``eigvalsh`` per block size, and reports the
 largest entry of rho off its M blocks, so an operator that breaks M is
 seen, not dropped.  theta_1 is unitarily equivalent to the partial
-transpose, so its spectrum decides PPT.  The table of M's blocks, with
-their support and the entries off them, is the oracle's one index table:
-the sums of ``from_alpha``, ``from_beta`` and ``extract_beta`` run on its
-support, and the traces on its blocks.
+transpose, so its spectrum decides PPT.  The table of M's blocks and the
+entries off them is the oracle's one index table.  Each basis has one
+cached, read-only copy on those blocks, its operators' entries at the
+blocks' positions: the sums of ``from_alpha``, ``from_beta`` and
+``extract_beta`` read it as one (n, E) array, and the traces read views
+of it, block size by block size.
 
 Product-basis convention: index i = i1*n2 + i2 with m1 = j1 - i1 and
 m2 = j2 - i2 (projections descending within each factor).
@@ -213,16 +215,24 @@ def _basis(system: SpinPair, basis: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _operator_blocks(system: SpinPair, basis: str) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """A basis on the M blocks, read-only: for each block size, :func:`_sectors`' table
-    of the blocks of that size with each operator's entries there, complex, (n, blocks,
-    s, s); the order that puts the blocks' diagonals, read in that listing, on the
-    diagonal of the product basis; and the scales sqrt(n1 n2 / d_i)."""
+def _operator_blocks(system: SpinPair, basis: str) -> tuple:
+    """A basis on the M blocks, its one copy there; read-only.
+
+    Returns the flat positions of :func:`_sectors`' blocks, listed block size
+    by block size, (E,); each operator's complex entries there, (n, E); for
+    each block size, that size's table beside a view of those entries shaped
+    (n, blocks, s, s); the order that puts the blocks' diagonals, read in that
+    listing, on the diagonal of the product basis; and the degeneracies d_i.
+    """
     degeneracies, operators = _basis(system, basis)
-    blocks, flat = _sectors(system)[0], _flat(operators)
+    blocks = _sectors(system)[0]
+    positions = _frozen(np.concatenate([at.ravel() for at in blocks]))
+    values = _frozen(np.take(_flat(operators), positions, axis=-1).astype(complex))
+    parts = np.split(values, np.cumsum([at.size for at in blocks])[:-1], axis=-1)
     diagonal = np.concatenate([np.diagonal(at, axis1=-2, axis2=-1).ravel() for at in blocks])
-    return (tuple((at, _frozen(np.take(flat, at, axis=-1).astype(complex))) for at in blocks),
-            _frozen(np.argsort(diagonal)), _frozen(np.sqrt(system.dim / degeneracies)))
+    return (positions, values, tuple((at, part.reshape((system.n1,) + at.shape))
+                                     for at, part in zip(blocks, parts)),
+            _frozen(np.argsort(diagonal)), degeneracies)
 
 
 def _coordinates(rho: np.ndarray, system: SpinPair, basis: str) -> np.ndarray:
@@ -233,39 +243,33 @@ def _coordinates(rho: np.ndarray, system: SpinPair, basis: str) -> np.ndarray:
     is summed as ``np.trace`` sums the full product's.  Entries of rho off the
     M blocks are not read.
     """
-    (blocks, order, scales), flat = _operator_blocks(system, basis), _flat(rho)
-    diagonals = [np.diagonal(ops @ np.take(flat, at, axis=-1)[..., None, :, :, :],
-                             axis1=-2, axis2=-1).reshape(rho.shape[:-2] + (system.n1, -1))
+    (_, _, blocks, order, degeneracies), flat = _operator_blocks(system, basis), _flat(rho)
+    diagonals = [np.diagonal(ops @ np.take(flat, at, axis=-1)[..., None, :, :, :], axis1=-2,
+                             axis2=-1).reshape(rho.shape[:-2] + (system.n1, len(at) * len(at[0])))
                  for at, ops in blocks]
     traces = np.take(np.concatenate(diagonals, axis=-1), order, axis=-1).sum(axis=-1)
-    return scales * traces.real
+    return np.sqrt(system.dim / degeneracies) * traces.real
 
 
-def _support_sums(system: SpinPair, coords, basis: str) -> tuple[np.ndarray, ...]:
-    """sum_i coords[..., i] O_i / sqrt(n1 n2 d_i) on the support of the M table, for
-    coefficient rows (..., n), in float64, from 0.0 and in place through one scratch array:
-    support, off, sums.
+def _block_sums(system: SpinPair, coords, basis: str) -> tuple[np.ndarray, np.ndarray]:
+    """sum_i coords[..., i] O_i / sqrt(n1 n2 d_i) at the positions of the M blocks, for
+    coefficient rows (..., n), in float64, i ascending from +0.0: positions, sums (..., E).
 
-    Each O_i conserves M = m1 + m2, so it is zero, or -0.0, off the support
-    (218 of the 2304 entries at 6 x 8).
+    Each O_i conserves M = m1 + m2, so it is zero, or -0.0, off the blocks
+    (218 of the 2304 entries at 6 x 8 lie on them).
     """
-    degeneracies, operators = _basis(system, basis)
-    _, support, off = _sectors(system)
+    positions, values, _, _, degeneracies = _operator_blocks(system, basis)
     scales = np.asarray(coords, dtype=float) / np.sqrt(system.dim * degeneracies)
-    total = np.zeros(scales.shape[:-1] + support.shape)
-    term = np.empty_like(total)
-    for i, op in enumerate(np.take(_flat(operators), support, axis=-1)):
-        total += np.multiply(scales[..., i, None], op, out=term)
-    return support, off, total
+    return positions, np.add.reduce(scales[..., None] * values.real, axis=-2, initial=0.0)
 
 
 def _assemble(system: SpinPair, coords, basis: str) -> np.ndarray:
-    """The support sums in a complex zero array, every other entry and imaginary part +0.0
+    """The block sums in a complex zero array, every other entry and imaginary part +0.0
     as the full sum leaves them: one operator for a single row of coordinates, a stack
     (m, d, d) for rows (m, n)."""
-    support, _, total = _support_sums(system, coords, basis)
+    positions, total = _block_sums(system, coords, basis)
     rho = np.zeros(total.shape[:-1] + (system.dim ** 2,), dtype=complex)
-    rho[..., support] = total
+    rho[..., positions] = total
     return rho.reshape(total.shape[:-1] + (system.dim, system.dim))
 
 
@@ -310,11 +314,11 @@ def extract_beta(rho: np.ndarray, system: SpinPair) -> BetaVector | list[BetaVec
     """
     _require_operators(rho, system)
     coords = _coordinates(rho, system, "beta")
-    support, off, projection = _support_sums(system, coords, "beta")
-    # |rho - projection| in the dtype of that difference; the projection is +0.0 off its support
+    positions, projection = _block_sums(system, coords, "beta")
+    # |rho - projection| in the dtype of that difference; the projection is +0.0 off the blocks
     flat = _flat(rho).astype(np.result_type(rho, np.float64), copy=False)
-    residuals = np.maximum(np.abs(np.take(flat, support, axis=-1) - projection).max(-1),
-                           np.abs(np.take(flat, off, axis=-1)).max(-1))
+    residuals = np.maximum(np.abs(np.take(flat, positions, axis=-1) - projection).max(-1),
+                           np.abs(np.take(flat, _sectors(system)[1], axis=-1)).max(-1))
     betas = [BetaVector(system, row) for row in coords.reshape(-1, system.n1).tolist()]
     for beta, residual in zip(betas, residuals.ravel().tolist()):
         if not residual <= _INVARIANCE_TOL:  # a nan residual fails too
@@ -343,7 +347,7 @@ def time_reversal(n: int) -> np.ndarray:
 
 def _flat(ops: np.ndarray) -> np.ndarray:
     """The entries of each operator of a stack (..., d, d) in one row (..., d * d)."""
-    return ops.reshape(ops.shape[:-2] + (-1,))
+    return ops.reshape(ops.shape[:-2] + (ops.shape[-2] * ops.shape[-1],))
 
 
 def _every(system: SpinPair) -> np.ndarray:
@@ -566,15 +570,15 @@ def spectrum(op: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _sectors(system: SpinPair) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+def _sectors(system: SpinPair) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """The blocks of M = m1 + m2, as flat indices into a (d, d) operator; read-only.
 
     Index i = i1 n2 + i2 has M = j1 + j2 - (i1 + i2).  An operator that
     conserves M links only indices of equal M, so it is zero off the blocks
     they span.  Returns one (blocks, s, s) array per block size s (each
-    s <= n1), the flat entries of all blocks of that size; the support, the
-    flat entries on some block, ascending; and ``off``, the flat entries off
-    every block, ascending.  This is the oracle's one index table of M.
+    s <= n1), the flat entries of all blocks of that size, and ``off``, the
+    flat entries off every block, ascending.  This is the oracle's one index
+    table of M.
     """
     i1, i2 = np.divmod(np.arange(system.dim), system.n2)
     label = i1 + i2
@@ -587,7 +591,7 @@ def _sectors(system: SpinPair) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.n
     off = np.ones(system.dim ** 2, dtype=bool)
     for flat in blocks:
         off[flat.ravel()] = False
-    return blocks, _frozen(np.flatnonzero(~off)), _frozen(np.flatnonzero(off))
+    return blocks, _frozen(np.flatnonzero(off))
 
 
 def _block_spectra(rho: np.ndarray, system: SpinPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -604,12 +608,12 @@ def _block_spectra(rho: np.ndarray, system: SpinPair) -> tuple[np.ndarray, np.nd
     real, lead = rho.real, rho.shape[:-2]
     # np.take reads a contiguous copy several times faster than the strided real part
     flat, trace = np.ascontiguousarray(_flat(real)), _trace_1(real, system)
-    blocks, _, off = _sectors(system)
+    blocks, off = _sectors(system)
     values = []
     for at in blocks:
         image = _time_reversed_1(flat, system, at)
-        values.append(np.linalg.eigvalsh(np.concatenate(
-            [image, _phi1(flat, trace, image, system, at)], axis=-3)).reshape(lead + (2, -1)))
+        pair = np.concatenate([image, _phi1(flat, trace, image, system, at)], axis=-3)
+        values.append(np.linalg.eigvalsh(pair).reshape(lead + (2, len(at) * len(at[0]))))
     spectra = np.sort(np.concatenate(values, axis=-1), axis=-1)
     return (spectra[..., 0, :], spectra[..., 1, :],
             np.abs(np.take(flat, off, axis=-1)).max(axis=-1, initial=0.0))

@@ -446,10 +446,10 @@ def operator_builds(name: str) -> list[tuple[str, str]]:
 def test_basis_operators_are_listed_in_one_function():
     """dense._basis alone builds the P_J (``block @ block.T`` over the columns of the
     coupled basis) and the Q_K (the np.kron sum of the T_{K,q}), once per (system, basis),
-    as one stack with their degeneracies; projector and invariant_q, the builder of the
-    coordinate reader's block table and the support sums read that stack, and extract_beta
-    and twirl_alpha read their traces through the one reader.  No module keeps a second
-    copy of the operators."""
+    as one stack with their degeneracies; projector, invariant_q and dense._operator_blocks,
+    the one copy of each basis on the M blocks, alone read that stack.  The coordinate
+    reader and the block sums read that table, and extract_beta and twirl_alpha read their
+    traces through the one reader.  No module keeps a second copy of the operators."""
     assert sorted(operator_builds("dense")) == [("_basis", "kron sum"), ("_basis", "product")]
     found = {name: operator_builds(name) for name in TREES if name != "dense"}
     # checks' L orthogonality is the one self-product elsewhere, and no module sums a kron
@@ -462,11 +462,13 @@ def test_basis_operators_are_listed_in_one_function():
     assert not [(name, where) for name in TREES for operator in ("projector", "invariant_q")
                 for where, _ in calls(name, operator)]
     assert sorted(where for where, _ in calls("dense", "_basis")) == [
-        "_operator_blocks", "_support_sums", "invariant_q", "projector"]
+        "_operator_blocks", "invariant_q", "projector"]
     assert sorted(where for where, _ in calls("dense", "_coordinates")) == [
         "extract_beta", "twirl_alpha"]
-    assert [where for where, _ in calls("dense", "_operator_blocks")] == ["_coordinates"]
-    assert not any(mentions(name, "_on_support") for name in TREES)
+    assert [where for where, _ in calls("dense", "_operator_blocks")] == [
+        "_coordinates", "_block_sums"]
+    assert not any(mentions(name, gone) for name in TREES
+                   for gone in ("_on_support", "_support_sums"))
     decorators = {node.name: [names_in(d) for d in node.decorator_list]
                   for node in TREES["dense"].body if isinstance(node, ast.FunctionDef)}
     assert [names & {"lru_cache"} for names in decorators["_basis"]] == [{"lru_cache"}]
@@ -516,13 +518,16 @@ def test_linear_algebra_runs_in_dense():
 
 def test_sector_tables_have_one_home_in_dense():
     """The blocks of M = m1 + m2, the one conserved charge the library reads, are built
-    by dense._sectors, the oracle's one index table, and read by dense._operator_blocks
-    (the coordinate reader's block table), dense._support_sums and dense._block_spectra
-    alone, once each; no module names a table of charges, and checks builds no index table
-    of its own."""
+    by dense._sectors, the oracle's one index table, as one (blocks, off) pair, and read by
+    dense._operator_blocks (the one copy of each basis on the blocks), extract_beta's
+    residual (the entries off the blocks) and dense._block_spectra alone, once each; no
+    module names a table of charges, and checks builds no index table of its own."""
     assert "_sectors" in definitions("dense")
     assert [where for where, _ in calls("dense", "_sectors")] == [
-        "_operator_blocks", "_support_sums", "_block_spectra"]
+        "_operator_blocks", "extract_beta", "_block_spectra"]
+    top = next(node for node in TREES["dense"].body if getattr(node, "name", None) == "_sectors")
+    (returned,) = [node.value for node in ast.walk(top) if isinstance(node, ast.Return)]
+    assert isinstance(returned, ast.Tuple) and len(returned.elts) == 2, ast.unparse(returned)
     found = {name: mentions(name, "_CHARGES") for name in TREES}
     found.update({name: mentions(name, "_sectors") for name in TREES if name != "dense"})
     assert not any(found.values()), found
@@ -535,14 +540,14 @@ def test_sector_tables_have_one_home_in_dense():
 
 def test_block_spectra_reads_only_rho_off_the_blocks():
     """The oracle's charge guard is one read of rho: dense._block_spectra reads the M
-    table as one (blocks, support, off) triple, hands its two gathers block tables alone, and
+    table as one (blocks, off) pair, hands its two gathers block tables alone, and
     reads the off table once, through np.take of rho's flat entries."""
     top = next(node for node in TREES["dense"].body
                if getattr(node, "name", None) == "_block_spectra")
     (unpack,) = [node for node in ast.walk(top)
                  if isinstance(node, ast.Assign) and "_sectors" in names_in(node.value)]
     assert isinstance(unpack.value, ast.Call) and unpack.value.func.id == "_sectors"
-    _, _, off = (name.id for name in unpack.targets[0].elts)
+    _, off = (name.id for name in unpack.targets[0].elts)
     gathers = [call for gather in ("_time_reversed_1", "_transposed_1", "_phi1")
                for where, call in calls("dense", gather) if where == "_block_spectra"]
     assert len(gathers) == 2 and not any(off in names_in(call) for call in gathers)
